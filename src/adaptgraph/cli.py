@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -45,44 +45,48 @@ def _echo_manifest(manifest: dict) -> None:
 
 def _pipeline_from_opts(opts: dict) -> D.PipelineConfig:
     base = D.preset(opts["preset"]) if opts.get("preset") else D.PipelineConfig()
-    cfg = D.PipelineConfig(
-        window_frames=opts.get("window") or base.window_frames,
-        window_stride=opts.get("stride") or base.window_stride,
-        points_per_frame=opts.get("points_per_frame") or base.points_per_frame,
-        split_ratios=base.split_ratios,
-        seed=opts.get("data_seed", 0))
+    cfg = replace(base, seed=opts.get("data_seed", 0))
     cfg.validate()
     return cfg
 
 
-def _load_sequences(opts: dict):
+def _source_from_opts(opts: dict) -> dict:
     if opts.get("data"):
-        path = opts["data"]
-        sequences = D.read_manifest(path)
-        source = {"kind": "manifest", "path": os.path.abspath(path)}
-    elif opts.get("preset") == "synth":
-        spec = D.SynthSpec()
-        sequences = D.synth_generate(spec, opts.get("data_seed", 0))
-        source = {"kind": "synth", "spec": asdict(spec), "seed": opts.get("data_seed", 0)}
-    else:
-        raise ConfigError("a dataset is required: pass --data or --preset synth")
-    return sequences, source
+        return {"kind": "manifest", "path": os.path.abspath(opts["data"])}
+    if opts.get("preset") == "synth":
+        return {"kind": "synth", "spec": asdict(D.SynthSpec()),
+                "seed": opts.get("data_seed", 0)}
+    raise ConfigError("a dataset is required: pass --data or --preset synth")
 
 
-def _prepare_splits(opts: dict):
-    """Sequences -> windows -> (train, val, test) plus echo info."""
-    pipeline = _pipeline_from_opts(opts)
-    sequences, source = _load_sequences(opts)
-    samples = D.build_samples(sequences, pipeline)
-    limit = opts.get("limit") or 0
+def _read_source(source: dict) -> list:
+    if source.get("kind") == "manifest":
+        return D.read_manifest(source["path"])
+    if source.get("kind") == "synth":
+        return D.synth_generate(D.SynthSpec(**source["spec"]), source["seed"])
+    raise ConfigError(f"no usable data source recorded ({source!r}); "
+                      "eval can name one with --data")
+
+
+def materialize(spec: dict):
+    """Run spec -> (samples, (train, val, test)).
+
+    A run spec is the recorded ``pipeline_config``, ``data_source`` and
+    ``limit``: train and ablate build it from their flags, eval reads it from
+    the checkpoint and --replay from the run manifest, so every command
+    selects the same samples and cuts the same splits."""
+    pipeline = D.pipeline_from_dict(spec.get("pipeline_config") or {})
+    limit = spec.get("limit") or 0
+    if limit < 0:
+        raise ConfigError(f"limit must be >= 0, got {limit}")
+    samples = D.build_samples(_read_source(spec.get("data_source") or {}), pipeline)
     if limit and limit < len(samples):
         # evenly spaced, not a prefix: datasets are often ordered by class
         keep = np.linspace(0, len(samples) - 1, limit).round().astype(int)
         samples = [samples[i] for i in keep]
     if not samples:
         raise DataError("the pipeline produced no samples (sequences shorter than the window?)")
-    splits = D.split(samples, pipeline.split_ratios, pipeline.seed)
-    return pipeline, source, samples, splits
+    return samples, D.split(samples, pipeline.split_ratios, pipeline.seed)
 
 
 def _infer_data_shape(samples) -> tuple:
@@ -94,15 +98,18 @@ def _infer_data_shape(samples) -> tuple:
     return c, n, num_classes
 
 
-def _model_config_from_opts(opts: dict, in_channels: int, num_classes: int) -> ModelConfig:
+def _model_config_from_opts(opts: dict, data_shape: tuple, variant: str) -> ModelConfig:
+    c, n, num_classes = data_shape
     cfg = ModelConfig(
-        in_channels=in_channels,
+        in_channels=c,
         k=opts.get("k", 20),
         num_heads=opts.get("heads", 1),
         emb_dims=opts.get("emb_dims", 1024),
         num_classes=num_classes,
-        variant=Variant.from_string(opts.get("variant", Variant.SEQUENTIAL_FF.value)))
+        variant=Variant.from_string(variant))
     cfg.validate()
+    if n < cfg.k:
+        raise ConfigError(f"samples have N={n} points but k={cfg.k}")
     return cfg
 
 
@@ -117,28 +124,8 @@ def _pct(x: float) -> str:
 
 
 # ---------------------------------------------------------------------
-# train
+# train / ablate
 # ---------------------------------------------------------------------
-
-def _train_opts(args) -> dict:
-    return {
-        "data": args.data,
-        "preset": args.preset,
-        "data_seed": args.data_seed,
-        "limit": args.limit,
-        "k": args.k,
-        "heads": args.heads,
-        "variant": args.variant,
-        "emb_dims": args.emb_dims,
-        "lr_max": args.lr_max,
-        "epochs": args.epochs,
-        "patience": args.patience,
-        "batch": args.batch,
-        "seeds": _parse_seeds(args),
-        "dtype": args.dtype,
-        "out": args.out,
-    }
-
 
 def _parse_seeds(args) -> list:
     if getattr(args, "seeds", None):
@@ -152,16 +139,60 @@ def _parse_seeds(args) -> list:
     return [args.seed]
 
 
-def _run_one_seed(opts, seed, run_dir, mcfg, tcfg_base, splits, pipeline, source):
+def _start_run(args, default_out: str):
+    """Resolve a train/ablate run from its flags, or with --replay from the
+    opts and run spec a previous run_manifest.json recorded, then materialize
+    its data."""
+    if args.replay:
+        with open(args.replay, "r", encoding="utf-8") as f:
+            try:
+                manifest = json.load(f)
+            except ValueError:
+                manifest = None
+        if not isinstance(manifest, dict) or manifest.get("command") != args.command:
+            raise ConfigError(f"{args.replay} is not a run manifest of {args.command}")
+        opts = manifest["opts"]
+        if args.out:
+            opts = {**opts, "out": args.out}
+        spec = {"pipeline_config": manifest.get("pipeline_config"),
+                "data_source": manifest.get("data_source")}
+    else:
+        opts = {k: v for k, v in vars(args).items()
+                if k not in ("command", "func", "replay", "seed")}
+        opts["seeds"] = _parse_seeds(args)
+        spec = {"pipeline_config": asdict(_pipeline_from_opts(opts)),
+                "data_source": _source_from_opts(opts)}
+    spec["limit"] = opts.get("limit") or 0
+    samples, splits = materialize(spec)
+    tcfg = TrainConfig(
+        lr_max=opts.get("lr_max", 0.1), batch_size=opts.get("batch", 32),
+        max_epochs=opts.get("epochs", 250), patience=opts.get("patience", 30),
+        seed=opts["seeds"][0], dtype=opts.get("dtype", "f32"))
+    tcfg.validate()
+    out_dir = opts.get("out") or default_out
+    return opts, spec, _infer_data_shape(samples), splits, tcfg, out_dir
+
+
+def _write_run_manifest(out_dir, command, opts, spec, splits, **fields) -> None:
+    """Record the run in out_dir/run_manifest.json before any compute."""
+    os.makedirs(out_dir, exist_ok=True)
+    manifest = {"command": command, "version": __version__, "opts": opts,
+                "pipeline_config": spec["pipeline_config"],
+                "data_source": spec["data_source"],
+                "split_sizes": [len(s) for s in splits], **fields}
+    with open(os.path.join(out_dir, "run_manifest.json"), "w", encoding="utf-8") as f:
+        json.dump(manifest, f, sort_keys=True, indent=2)
+        f.write("\n")
+
+
+def _run_one_seed(spec, seed, run_dir, mcfg, tcfg, splits):
     os.makedirs(run_dir, exist_ok=True)
     train_set, val_set, test_set = splits
-    tcfg = TrainConfig(**{**asdict(tcfg_base), "seed": seed})
+    tcfg = replace(tcfg, seed=seed)
     model = build(mcfg, seed=seed, dtype=tcfg.dtype)
-    ckpt_path = os.path.join(run_dir, "checkpoint.bin")
-    extra = {"pipeline_config": asdict(pipeline), "data_source": source,
-             "limit": opts.get("limit") or 0, "version": __version__}
-    result = fit(model, train_set, val_set, tcfg, checkpoint_path=ckpt_path,
-                 extra_manifest=extra,
+    result = fit(model, train_set, val_set, tcfg,
+                 checkpoint_path=os.path.join(run_dir, "checkpoint.bin"),
+                 extra_manifest={**spec, "version": __version__},
                  log=lambda s: print(s, file=sys.stderr))
     with open(os.path.join(run_dir, "history.csv"), "w", encoding="utf-8") as f:
         f.write("\n".join(history_lines(result.history)) + "\n")
@@ -171,53 +202,21 @@ def _run_one_seed(opts, seed, run_dir, mcfg, tcfg_base, splits, pipeline, source
 
 
 def cmd_train(args) -> int:
-    if getattr(args, "replay", None):
-        with open(args.replay, "r", encoding="utf-8") as f:
-            manifest = json.load(f)
-        if manifest.get("command") != "train":
-            raise ConfigError(f"{args.replay} is not a train manifest")
-        opts = manifest["opts"]
-        if args.out:
-            opts = {**opts, "out": args.out}
-    else:
-        opts = _train_opts(args)
-    return _train_impl(opts)
-
-
-def _train_impl(opts: dict) -> int:
-    out_dir = opts.get("out") or "runs/train"
-    pipeline, source, samples, splits = _prepare_splits(opts)
-    c, n, num_classes = _infer_data_shape(samples)
-    mcfg = _model_config_from_opts(opts, c, num_classes)
-    if n < mcfg.k:
-        raise ConfigError(f"samples have N={n} points but k={mcfg.k}")
-    tcfg_base = TrainConfig(
-        lr_max=opts.get("lr_max", 0.1), batch_size=opts.get("batch", 32),
-        max_epochs=opts.get("epochs", 250), patience=opts.get("patience", 30),
-        seed=0, dtype=opts.get("dtype", "f32"))
-    tcfg_base.validate()
+    opts, spec, data_shape, splits, tcfg, out_dir = _start_run(args, "runs/train")
+    mcfg = _model_config_from_opts(
+        opts, data_shape, opts.get("variant", Variant.SEQUENTIAL_FF.value))
     seeds = opts["seeds"]
-
-    os.makedirs(out_dir, exist_ok=True)
-    manifest = {
-        "command": "train", "version": __version__, "opts": opts,
-        "pipeline_config": asdict(pipeline), "data_source": source,
-        "model_config": config_to_dict(mcfg),
-        "train_config": {**asdict(tcfg_base), "seed": None},
-        "seeds": seeds,
-        "layout": {"run_dir": "seed_<seed>" if len(seeds) > 1 else ".",
-                   "files": ["checkpoint.bin", "history.csv"]},
-        "split_sizes": [len(s) for s in splits],
-    }
-    with open(os.path.join(out_dir, "run_manifest.json"), "w", encoding="utf-8") as f:
-        json.dump(manifest, f, sort_keys=True, indent=2)
-        f.write("\n")
+    _write_run_manifest(
+        out_dir, "train", opts, spec, splits,
+        model_config=config_to_dict(mcfg),
+        train_config={**asdict(tcfg), "seed": None}, seeds=seeds,
+        layout={"run_dir": "seed_<seed>" if len(seeds) > 1 else ".",
+                "files": ["checkpoint.bin", "history.csv"]})
 
     accs = []
     for seed in seeds:
         run_dir = out_dir if len(seeds) == 1 else os.path.join(out_dir, f"seed_{seed}")
-        result, metrics = _run_one_seed(opts, seed, run_dir, mcfg, tcfg_base,
-                                        splits, pipeline, source)
+        result, metrics = _run_one_seed(spec, seed, run_dir, mcfg, tcfg, splits)
         accs.append(metrics.accuracy)
         print(f"seed {seed}: test acc {_pct(metrics.accuracy)}%  "
               f"pre {_pct(metrics.precision)}%  rec {_pct(metrics.recall)}%  "
@@ -228,6 +227,23 @@ def _train_impl(opts: dict) -> int:
         std = float(np.std(accs))
         print(f"summary over {len(seeds)} seeds: accuracy {_pct(mean)}% "
               f"± {100.0 * std:.2f}%")
+    return 0
+
+
+def cmd_ablate(args) -> int:
+    opts, spec, data_shape, splits, tcfg, out_dir = _start_run(args, "runs/ablate")
+    mcfgs = [_model_config_from_opts(opts, data_shape, v.value) for v in _ABLATION_ORDER]
+    _write_run_manifest(out_dir, "ablate", opts, spec, splits,
+                        train_config=asdict(tcfg),
+                        variants=[v.value for v in _ABLATION_ORDER])
+
+    print(f"{'method':<14} {'macs_g':>10} {'params_m':>10} {'accuracy':>9}")
+    n = data_shape[1]
+    for mcfg in mcfgs:
+        run_dir = os.path.join(out_dir, mcfg.variant.value)
+        _, metrics = _run_one_seed(spec, tcfg.seed, run_dir, mcfg, tcfg, splits)
+        print(f"{_VARIANT_LABELS[mcfg.variant]:<14} {count_macs(mcfg, n) / 1e9:>10.4f} "
+              f"{count_params(mcfg) / 1e6:>10.4f} {_pct(metrics.accuracy):>9}")
     return 0
 
 
@@ -244,31 +260,11 @@ def _model_from_checkpoint(path):
     return manifest, model
 
 
-def _splits_from_manifest(manifest: dict, data_override=None):
-    pd = dict(manifest["pipeline_config"])
-    pd["split_ratios"] = tuple(pd["split_ratios"])
-    pipeline = D.PipelineConfig(**pd)
-    if data_override:
-        sequences = D.read_manifest(data_override)
-    else:
-        source = manifest.get("data_source") or {}
-        if source.get("kind") == "manifest":
-            sequences = D.read_manifest(source["path"])
-        elif source.get("kind") == "synth":
-            spec = D.SynthSpec(**source["spec"])
-            sequences = D.synth_generate(spec, source["seed"])
-        else:
-            raise ConfigError("checkpoint records no data source; pass --data")
-    samples = D.build_samples(sequences, pipeline)
-    limit = manifest.get("limit") or 0
-    if limit:
-        samples = samples[:limit]
-    return pipeline, samples, D.split(samples, pipeline.split_ratios, pipeline.seed)
-
-
 def cmd_eval(args) -> int:
     manifest, model = _model_from_checkpoint(args.checkpoint)
-    pipeline, samples, splits = _splits_from_manifest(manifest, args.data)
+    if args.data:
+        manifest = {**manifest, "data_source": _source_from_opts({"data": args.data})}
+    samples, splits = materialize(manifest)
     chosen = {"train": splits[0], "val": splits[1], "test": splits[2],
               "all": samples}[args.split]
     if not chosen:
@@ -302,16 +298,12 @@ def cmd_eval(args) -> int:
 
 def cmd_infer(args) -> int:
     manifest, model = _model_from_checkpoint(args.checkpoint)
-    pd = manifest.get("pipeline_config")
-    if not pd:
-        raise ConfigError("checkpoint records no pipeline config; cannot assemble frames")
-    window = pd["window_frames"]
-    points = pd["points_per_frame"]
-    seed = pd["seed"]
+    pipeline = D.pipeline_from_dict(manifest.get("pipeline_config") or {})
     _echo_manifest({"command": "infer", "version": __version__,
                     "checkpoint": os.path.abspath(args.checkpoint),
-                    "window_frames": window, "points_per_frame": points,
-                    "seed": seed, "seq_id": args.seq_id})
+                    "window_frames": pipeline.window_frames,
+                    "points_per_frame": pipeline.points_per_frame,
+                    "seed": pipeline.seed, "seq_id": args.seq_id})
 
     stream = sys.stdin
     header_line = None
@@ -327,7 +319,8 @@ def cmd_infer(args) -> int:
         raise ConfigError(
             f"stream has C={c} channels, model expects {model.cfg.in_channels}")
 
-    assembler = D.StreamAssembler(window, points, seed=seed, seq_id=args.seq_id)
+    assembler = D.StreamAssembler(pipeline.window_frames, pipeline.points_per_frame,
+                                  seed=pipeline.seed, seq_id=args.seq_id)
     dtype = manifest.get("dtype", "f32")
     for line in stream:
         if not line.strip():
@@ -383,10 +376,10 @@ def cmd_cost(args) -> int:
     configs = []
     if args.k_sweep:
         for k in _parse_sweep(args.k_sweep, "--k-sweep"):
-            configs.append(ModelConfig(**{**config_kwargs(base), "k": k}))
+            configs.append(replace(base, k=k))
     elif args.head_sweep:
         for h in _parse_sweep(args.head_sweep, "--head-sweep"):
-            configs.append(ModelConfig(**{**config_kwargs(base), "num_heads": h}))
+            configs.append(replace(base, num_heads=h))
     else:
         configs.append(base)
     _echo_manifest({"command": "cost", "version": __version__,
@@ -401,84 +394,12 @@ def cmd_cost(args) -> int:
     return 0
 
 
-def config_kwargs(cfg: ModelConfig) -> dict:
-    d = config_to_dict(cfg)
-    d["variant"] = cfg.variant
-    d["stage_widths"] = tuple(d["stage_widths"])
-    d["fc_widths"] = tuple(d["fc_widths"])
-    return d
-
-
-# ---------------------------------------------------------------------
-# ablate
-# ---------------------------------------------------------------------
-
-def cmd_ablate(args) -> int:
-    if getattr(args, "replay", None):
-        with open(args.replay, "r", encoding="utf-8") as f:
-            manifest = json.load(f)
-        if manifest.get("command") != "ablate":
-            raise ConfigError(f"{args.replay} is not an ablate manifest")
-        opts = manifest["opts"]
-        if args.out:
-            opts = {**opts, "out": args.out}
-    else:
-        opts = {
-            "data": args.data, "preset": args.preset, "data_seed": args.data_seed,
-            "limit": args.limit, "k": args.k, "heads": args.heads,
-            "emb_dims": args.emb_dims, "lr_max": args.lr_max,
-            "epochs": args.epochs, "patience": args.patience,
-            "batch": args.batch, "seeds": [args.seed], "dtype": args.dtype,
-            "out": args.out,
-        }
-    return _ablate_impl(opts)
-
-
-def _ablate_impl(opts: dict) -> int:
-    out_dir = opts.get("out") or "runs/ablate"
-    pipeline, source, samples, splits = _prepare_splits(opts)
-    c, n, num_classes = _infer_data_shape(samples)
-    seed = opts["seeds"][0]
-    tcfg_base = TrainConfig(
-        lr_max=opts.get("lr_max", 0.1), batch_size=opts.get("batch", 32),
-        max_epochs=opts.get("epochs", 250), patience=opts.get("patience", 30),
-        seed=seed, dtype=opts.get("dtype", "f32"))
-    tcfg_base.validate()
-
-    os.makedirs(out_dir, exist_ok=True)
-    manifest = {
-        "command": "ablate", "version": __version__, "opts": opts,
-        "pipeline_config": asdict(pipeline), "data_source": source,
-        "train_config": asdict(tcfg_base),
-        "variants": [v.value for v in _ABLATION_ORDER],
-        "split_sizes": [len(s) for s in splits],
-    }
-    with open(os.path.join(out_dir, "run_manifest.json"), "w", encoding="utf-8") as f:
-        json.dump(manifest, f, sort_keys=True, indent=2)
-        f.write("\n")
-
-    rows = []
-    for variant in _ABLATION_ORDER:
-        mcfg = _model_config_from_opts({**opts, "variant": variant.value}, c, num_classes)
-        if n < mcfg.k:
-            raise ConfigError(f"samples have N={n} points but k={mcfg.k}")
-        run_dir = os.path.join(out_dir, variant.value)
-        result, metrics = _run_one_seed(opts, seed, run_dir, mcfg, tcfg_base,
-                                        splits, pipeline, source)
-        rows.append((variant, count_macs(mcfg, n), count_params(mcfg), metrics.accuracy))
-
-    print(f"{'method':<14} {'macs_g':>10} {'params_m':>10} {'accuracy':>9}")
-    for variant, macs, params, acc in rows:
-        print(f"{_VARIANT_LABELS[variant]:<14} {macs / 1e9:>10.4f} "
-              f"{params / 1e6:>10.4f} {_pct(acc):>9}")
-    return 0
-
-
 # ---------------------------------------------------------------------
 # parser / entry point
 # ---------------------------------------------------------------------
 
-def _add_data_flags(p: argparse.ArgumentParser) -> None:
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    """Flags that train and ablate share; every one is recorded in the run manifest."""
     p.add_argument("--data", help="dataset manifest (one frame-file path per line)")
     p.add_argument("--preset", choices=sorted(D.PRESETS),
                    help="pipeline preset; 'synth' also provides generated data")
@@ -486,9 +407,6 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
                    help="seed for synthesis, frame subsampling, and the split")
     p.add_argument("--limit", type=int, default=0,
                    help="cap the number of windowed samples (0 = no cap)")
-
-
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=20)
     p.add_argument("--heads", type=int, default=1)
     p.add_argument("--emb-dims", type=int, default=1024, dest="emb_dims")
@@ -498,6 +416,9 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--batch", type=int, default=32)
     p.add_argument("--dtype", choices=("f32", "f64"), default="f32")
     p.add_argument("--out", default=None, help="output directory")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--replay", default=None,
+                   help="rerun a previous run_manifest.json verbatim")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -508,15 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a model and save the best checkpoint")
-    _add_data_flags(p)
-    _add_train_flags(p)
+    _add_run_flags(p)
     p.add_argument("--variant", choices=[v.value for v in Variant],
                    default=Variant.SEQUENTIAL_FF.value)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--seeds", default=None,
                    help="comma list; runs once per seed and prints mean ± std")
-    p.add_argument("--replay", default=None,
-                   help="rerun a previous run_manifest.json verbatim")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint and print metrics")
@@ -552,10 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cost)
 
     p = sub.add_parser("ablate", help="train every variant under one budget")
-    _add_data_flags(p)
-    _add_train_flags(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--replay", default=None)
+    _add_run_flags(p)
     p.set_defaults(func=cmd_ablate)
 
     return parser

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import collections
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Deque, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -69,6 +69,18 @@ class PipelineConfig:
             raise ConfigError(f"split_ratios must sum to 1, got {self.split_ratios}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+
+
+def pipeline_from_dict(d: dict) -> PipelineConfig:
+    """Inverse of ``dataclasses.asdict`` for a PipelineConfig read back from a
+    checkpoint or run manifest; every field is required."""
+    try:
+        kwargs = {f.name: d[f.name] for f in fields(PipelineConfig)}
+    except KeyError as e:
+        raise ConfigError(f"pipeline config is missing field {e.args[0]!r}") from None
+    cfg = PipelineConfig(**{**kwargs, "split_ratios": tuple(kwargs["split_ratios"])})
+    cfg.validate()
+    return cfg
 
 
 def frame_rng(seed: int, seq_id: int, frame_index: int) -> np.random.Generator:

@@ -13,7 +13,7 @@ deep the feature path gets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Optional
 
@@ -224,39 +224,37 @@ def build(cfg: ModelConfig, seed: int, dtype: str = "f32") -> ActivityNet:
 
 
 def config_to_dict(cfg: ModelConfig) -> dict:
-    """JSON-ready form of a ModelConfig (variant by its string value)."""
-    return {
-        "in_channels": cfg.in_channels,
-        "k": cfg.k,
-        "num_heads": cfg.num_heads,
-        "stage_widths": list(cfg.stage_widths),
-        "emb_dims": cfg.emb_dims,
-        "fc_widths": list(cfg.fc_widths),
-        "num_classes": cfg.num_classes,
-        "variant": cfg.variant.value,
-        "dropout": cfg.dropout,
-        "leaky_slope": cfg.leaky_slope,
-        "mak_mid_channels": cfg.mak_mid_channels,
-    }
+    """JSON-ready form of a ModelConfig (tuples as lists, variant by its value)."""
+    d = {}
+    for f in fields(ModelConfig):
+        v = getattr(cfg, f.name)
+        if isinstance(v, Variant):
+            v = v.value
+        elif isinstance(v, tuple):
+            v = list(v)
+        d[f.name] = v
+    return d
 
 
 def config_from_dict(d: dict) -> ModelConfig:
+    """Inverse of :func:`config_to_dict`; every field is required, since the
+    dict usually comes from a checkpoint file. Each field is coerced to the
+    type of its default."""
+    kwargs = {}
     try:
-        cfg = ModelConfig(
-            in_channels=int(d["in_channels"]),
-            k=int(d["k"]),
-            num_heads=int(d["num_heads"]),
-            stage_widths=tuple(int(w) for w in d["stage_widths"]),
-            emb_dims=int(d["emb_dims"]),
-            fc_widths=tuple(int(w) for w in d["fc_widths"]),
-            num_classes=int(d["num_classes"]),
-            variant=Variant.from_string(d["variant"]),
-            dropout=float(d["dropout"]),
-            leaky_slope=float(d["leaky_slope"]),
-            mak_mid_channels=int(d["mak_mid_channels"]),
-        )
+        for f in fields(ModelConfig):
+            v = d[f.name]
+            if isinstance(f.default, Variant):
+                kwargs[f.name] = Variant.from_string(v)
+            elif isinstance(f.default, tuple):
+                kwargs[f.name] = tuple(int(w) for w in v)
+            else:
+                kwargs[f.name] = type(f.default)(v)
     except KeyError as e:
         raise ConfigError(f"model config is missing field {e.args[0]!r}") from None
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"model config field {f.name!r} is malformed: {e}") from None
+    cfg = ModelConfig(**kwargs)
     cfg.validate()
     return cfg
 

@@ -152,11 +152,40 @@ def test_train_replay_reproduces_bitwise(dataset, tmp_path):
     assert (first / "history.csv").read_text() == (second / "history.csv").read_text()
 
 
+def test_train_and_ablate_reject_negative_limit(dataset, tmp_path, capsys):
+    for command in ("train", "ablate"):
+        args = train_args(dataset, tmp_path / command, limit=-5)
+        args[0] = command
+        assert main(args) == 2
+        assert "limit must be >= 0" in capsys.readouterr().err
+
+
+def test_ablate_replay_reproduces_bitwise(dataset, tmp_path, capsys):
+    first = tmp_path / "first"
+    args = train_args(dataset, first)
+    args[0] = "ablate"
+    assert main(args) == 0
+    table = capsys.readouterr().out
+    second = tmp_path / "second"
+    assert main(["ablate", "--replay", str(first / "run_manifest.json"),
+                 "--out", str(second)]) == 0
+    assert capsys.readouterr().out == table
+    variants = json.loads((first / "run_manifest.json").read_text())["variants"]
+    assert len(variants) == 4
+    for variant in variants:
+        for name in ("checkpoint.bin", "history.csv"):
+            assert (first / variant / name).read_bytes() == \
+                   (second / variant / name).read_bytes()
+
+
 def test_replay_rejects_wrong_manifest_kind(dataset, tmp_path):
     out = tmp_path / "r"
     assert main(train_args(dataset, out)) == 0
     manifest = out / "run_manifest.json"
     assert main(["ablate", "--replay", str(manifest)]) == 2
+    for text in ("not json", "[1, 2]"):
+        manifest.write_text(text)
+        assert main(["train", "--replay", str(manifest)]) == 2
 
 
 # ---------------------------------------------------------------------
@@ -187,6 +216,24 @@ def test_eval_matches_training_history(dataset, tmp_path, capsys):
                  for ln in (out / "confusion.csv").read_text().strip().splitlines()]
     assert sum(sum(r) for r in confusion) == 2  # the val split size
     assert stderr.startswith("# manifest ")
+
+
+def test_eval_scores_the_test_split_training_held_out(tmp_path, capsys):
+    # --limit keeps evenly spaced samples; eval must rebuild the same
+    # selection and split rather than a prefix of the corpus
+    out = tmp_path / "run"
+    assert main(["train", "--preset", "synth", "--data-seed", "7", "--limit", "60",
+                 "--k", "4", "--emb-dims", "16", "--epochs", "2", "--batch", "8",
+                 "--lr-max", "0.05", "--out", str(out)]) == 0
+    trained = capsys.readouterr().out
+    assert main(["eval", "--checkpoint", str(out / "checkpoint.bin"),
+                 "--split", "test"]) == 0
+    acc, pre, rec, f1 = capsys.readouterr().out.strip().splitlines()[1].split()
+    assert f"test acc {acc}%  pre {pre}%  rec {rec}%  f1 {f1}%" in trained
+    confusion = (out / "confusion.csv").read_text().strip().splitlines()
+    total = sum(int(c) for ln in confusion for c in ln.split(","))
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert total == manifest["split_sizes"][2] == 6
 
 
 def test_eval_split_sizes(dataset, tmp_path, capsys):

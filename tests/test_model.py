@@ -1,6 +1,9 @@
 """Assembled-network tests: the cost model against built models and a
 hand-enumerated configuration, shared-graph plumbing, and symmetry checks."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -48,8 +51,19 @@ def test_config_dict_round_trip():
     cfg = small_cfg(variant=Variant.SANDWICH_FF, num_heads=3)
     again = config_from_dict(config_to_dict(cfg))
     assert again == cfg
+    # every field away from its default, so each one must survive on its own
+    odd = ModelConfig(in_channels=4, k=7, num_heads=2, stage_widths=(5, 6, 7, 8),
+                      emb_dims=9, fc_widths=(11, 3), num_classes=3,
+                      variant=Variant.MAK_FF, dropout=0.25, leaky_slope=0.1,
+                      mak_mid_channels=6)
+    default = ModelConfig()
+    assert all(getattr(odd, f.name) != getattr(default, f.name)
+               for f in dataclasses.fields(ModelConfig))
+    assert config_from_dict(json.loads(json.dumps(config_to_dict(odd)))) == odd
     with pytest.raises(ConfigError, match="missing field"):
         config_from_dict({"k": 5})
+    with pytest.raises(ConfigError, match="'k' is malformed"):
+        config_from_dict({**config_to_dict(cfg), "k": "five"})
 
 
 @pytest.mark.parametrize("variant", list(Variant))
