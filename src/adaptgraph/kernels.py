@@ -1,10 +1,16 @@
 """Multi-head adaptive kernels: per-neighbor filter matrices predicted on the fly.
 
-A small generator network looks at geometric edge features and emits, for
-every (point, neighbor) pair, H separate C_out x C_in filter matrices. Those
-are applied to the content features by batched matrix-vector products and
-summed over heads. A residual path (projected when channel counts differ)
-and output batch norm wrap the result.
+A small generator network looks at geometric edge features and defines, for
+every (point, neighbor) pair, H separate C_out x C_in filter matrices that
+are applied to the content features and summed over heads. A residual path
+(projected when channel counts differ) and output batch norm wrap the result.
+
+The matrices are never formed. The generator's last layer is affine in its
+mid-width output y, so each edge kernel is a y-weighted mix of a shared
+basis, and the head sum folds into a sum of that layer's weights. The
+operator contracts the outer product of features and [y, 1] with the summed
+basis in one pointwise linear map (the assembly PAConv uses). Working memory
+is B*N*k*C_in*(mid+1) values, independent of H and C_out.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ShapeError
-from .nn import BatchNorm, Module, Parameter, PointwiseLinear, glorot_uniform
+from .nn import BatchNorm, Module, PointwiseLinear
 from .tensor import Tensor
 
 
@@ -37,11 +43,14 @@ class MakConfig:
 
 
 class _KernelGenerator(Module):
-    """conv0 -> BN -> LeakyReLU -> conv_mid -> BN -> LeakyReLU -> conv1 (bare).
+    """conv0 -> BN -> LeakyReLU -> conv_mid -> BN -> LeakyReLU, plus the bare
+    last layer conv1.
 
-    The final stage has no normalization or activation so predicted kernels
-    can take either sign. Its output channel c encodes (out, in, head) as
-    c = (out * C_in + in) * H + head.
+    ``forward`` returns the mid-width coefficients y; conv1 is not applied
+    here but folded into :func:`apply_heads`. conv1 has no normalization or
+    activation, so predicted kernels can take either sign, and it is affine
+    in y: edge kernel channel c = conv1.weight[c] @ y + conv1.bias[c], where
+    c encodes (out, in, head) as c = (out * C_in + in) * H + head.
     """
 
     def __init__(self, cfg: MakConfig, rng: np.random.Generator,
@@ -58,43 +67,51 @@ class _KernelGenerator(Module):
 
     def forward(self, geo: Tensor) -> Tensor:
         y0 = T.leaky_relu(self.bn0(self.conv0(geo)), self.slope)
-        y1 = T.leaky_relu(self.bn_mid(self.conv_mid(y0)), self.slope)
-        b, mid, n, k = y1.shape
-        # run the wide final stage channels-last: the (B, N*k, mid) x
-        # (mid, full) product makes the six-axis bank reshape below a view
-        # instead of a quarter-gigabyte transpose
-        yt = T.permute(T.reshape(y1, (b, mid, n * k)), (0, 2, 1))
-        return T.matmul_bias(yt, T.permute(self.conv1.weight.value, (1, 0)),
-                             self.conv1.bias.value)  # (B, N*k, full)
+        return T.leaky_relu(self.bn_mid(self.conv_mid(y0)), self.slope)
 
 
-def apply_heads(bank: Tensor, x: Tensor) -> Tensor:
-    """Apply per-position kernel matrices and sum over heads.
+def apply_heads(coeffs: Tensor, x: Tensor, weight: Tensor, bias: Tensor,
+                heads: int) -> Tensor:
+    """Apply every edge's generated kernels to its features and sum over heads,
+    without forming the kernels.
 
-    bank: (B, N, k, C_out, C_in, H); x: (B, C_in, N, k).
-    Returns (B, C_out, N, k) with out[b,:,n,j] = sum_h W[b,n,j,:,:,h] @ x[b,:,n,j].
+    coeffs: (B, mid, N, k) generator coefficients y; x: (B, C_in, N, k);
+    weight: (C_out * C_in * H, mid) and bias: (C_out * C_in * H,), the
+    generator's last layer in the channel layout c = (o * C_in + i) * H + h.
+    C_out is inferred as rows / (C_in * H). Returns (B, C_out, N, k) with
+
+        out[b,:,n,j] = sum_h W_h[b,n,j] @ x[b,:,n,j],
+        W_h[b,n,j][o,i] = weight[(o*C_in+i)*H+h] @ y[b,:,n,j] + bias[(o*C_in+i)*H+h].
+
+    Heads fold exactly into summed weights A = sum_h A_h, b = sum_h b_h, and
+    out = (x outer [y, 1]) contracted with [A, b]: one pointwise linear map
+    over C_in * (mid + 1) channels. Memory does not grow with H.
     """
-    if bank.ndim != 6:
-        raise ShapeError(f"kernel bank must be rank 6, got {bank.shape}")
-    if x.ndim != 4:
-        raise ShapeError(f"features must be (B, C_in, N, k), got {x.shape}")
-    b, n, k, c_out, c_in, heads = bank.shape
     if heads < 1:
         raise ConfigError("head count must be at least 1")
+    if coeffs.ndim != 4:
+        raise ShapeError(f"coefficients must be (B, mid, N, k), got {coeffs.shape}")
+    if x.ndim != 4:
+        raise ShapeError(f"features must be (B, C_in, N, k), got {x.shape}")
+    b, mid, n, k = coeffs.shape
+    c_in = x.shape[1]
     if x.shape != (b, c_in, n, k):
         raise ShapeError(
-            f"features {x.shape} do not match bank (B={b}, C_in={c_in}, N={n}, k={k})")
+            f"features {x.shape} do not match coefficients (B={b}, N={n}, k={k})")
+    if weight.ndim != 2 or weight.shape[1] != mid or weight.shape[0] % (c_in * heads):
+        raise ShapeError(
+            f"weight must be (C_out*{c_in}*{heads}, {mid}), got {weight.shape}")
+    c_out = weight.shape[0] // (c_in * heads)
+    if bias.shape != (weight.shape[0],):
+        raise ShapeError(f"bias must be ({weight.shape[0]},), got {bias.shape}")
 
-    xp = T.reshape(T.permute(x, (0, 2, 3, 1)), (b, n, k, c_in, 1))
-    total = None
-    for h in range(heads):
-        if heads == 1:
-            w_h = T.reshape(bank, (b, n, k, c_out, c_in))
-        else:
-            w_h = T.reshape(T.slice_axis(bank, 5, h, h + 1), (b, n, k, c_out, c_in))
-        out_h = T.matmul_batched(w_h, xp)  # (B, N, k, C_out, 1)
-        total = out_h if total is None else T.add(total, out_h)
-    return T.permute(T.reshape(total, (b, n, k, c_out)), (0, 3, 1, 2))
+    a_sum = T.reduce_sum(T.reshape(weight, (c_out, c_in, heads, mid)), axis=2)
+    b_sum = T.reduce_sum(T.reshape(bias, (c_out, c_in, heads, 1)), axis=2)
+    basis = T.reshape(T.concat([a_sum, b_sum], axis=2), (c_out, c_in * (mid + 1)))
+    ones = Tensor(np.ones((b, 1, n, k)), dtype=coeffs.dtype)
+    y1 = T.reshape(T.concat([coeffs, ones], axis=1), (b, 1, mid + 1, n, k))
+    outer = T.mul(T.reshape(x, (b, c_in, 1, n, k)), y1)  # (B, C_in, mid+1, N, k)
+    return T.pointwise_linear(T.reshape(outer, (b, c_in * (mid + 1), n, k)), basis)
 
 
 class MultiHeadAdaptiveKernel(Module):
@@ -115,16 +132,17 @@ class MultiHeadAdaptiveKernel(Module):
         self.bn_out = BatchNorm(cfg.out_channels, dtype=dtype)
 
     def generate_kernels(self, geo: Tensor) -> Tensor:
-        """(B, C_geo, N, k) -> kernel bank (B, N, k, C_out, C_in, H)."""
+        """(B, C_geo, N, k) -> per-edge kernel coefficients y, (B, mid, N, k).
+
+        Edge (n, j)'s kernels are the generator's last layer applied to
+        y[:, :, n, j]; :func:`apply_heads` uses them without forming them.
+        """
         if geo.ndim != 4:
             raise ShapeError(f"generator input must be (B, C, N, k), got {geo.shape}")
         if geo.shape[1] != self.cfg.gen_in_channels:
             raise ShapeError(
                 f"generator expects {self.cfg.gen_in_channels} channels, got {geo.shape[1]}")
-        b, _, n, k = geo.shape
-        flat = self.gen(geo)
-        c = self.cfg
-        return T.reshape(flat, (b, n, k, c.out_channels, c.in_channels, c.num_heads))
+        return self.gen(geo)
 
     def forward(self, geo: Tensor, feat: Tensor) -> Tensor:
         cfg = self.cfg
@@ -134,7 +152,9 @@ class MultiHeadAdaptiveKernel(Module):
         if feat.shape[0] != geo.shape[0] or feat.shape[2:] != geo.shape[2:]:
             raise ShapeError(
                 f"geometry {geo.shape} and features {feat.shape} disagree on B/N/k")
-        out = apply_heads(self.generate_kernels(geo), feat)
+        conv1 = self.gen.conv1
+        out = apply_heads(self.generate_kernels(geo), feat, conv1.weight.value,
+                          conv1.bias.value, cfg.num_heads)
         if cfg.residual:
             if cfg.in_channels == cfg.out_channels:
                 identity = feat

@@ -297,6 +297,13 @@ def count_macs(cfg: ModelConfig, n_points: int) -> int:
     every pointwise affine map over its grid, and the per-neighbor kernel
     application. Comparisons (top-k, max-pool) and BN/activation arithmetic
     are excluded.
+
+    This is the paper's cost formula, which generates every edge's H kernels
+    and applies them; it is not the work executed. The operator folds the
+    heads and the generator's last stage into one map of about
+    C_in * (mid + 1) * C_out MACs per edge instead of mid * full + full, so a
+    throughput computed from this count (GMAC/s) reads higher than the
+    arithmetic actually done.
     """
     cfg.validate()
     if n_points < cfg.k:

@@ -24,9 +24,7 @@ class Parameter:
     __slots__ = ("value", "name", "momentum_buffer")
 
     def __init__(self, value: Tensor, name: str = ""):
-        value.requires_grad = True
-        if value.grad is None:
-            value.grad = np.zeros_like(value.data)
+        value.requires_grad = True  # grad stays None until the first backward
         self.value = value
         self.name = name
         self.momentum_buffer: Optional[np.ndarray] = None

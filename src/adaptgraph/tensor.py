@@ -351,28 +351,6 @@ def matmul_batched(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), back)
 
 
-def matmul_bias(a: Tensor, b: Tensor, bias: Tensor) -> Tensor:
-    """Fused (..., m, p) @ (..., p, n) + bias(n): one output pass instead of two."""
-    if a.dtype != b.dtype or a.dtype != bias.dtype:
-        raise UsageError("dtype mismatch in matmul_bias")
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"inner dimensions disagree: {a.shape} @ {b.shape}")
-    if bias.shape != (b.shape[-1],):
-        raise ShapeError(f"bias must be ({b.shape[-1]},), got {bias.shape}")
-    data = np.matmul(a.data, b.data)
-    data += bias.data
-
-    def back(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        gbias = g.sum(axis=tuple(range(g.ndim - 1)))
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape), gbias
-
-    return _make(data, (a, b, bias), back)
-
-
 def pointwise_linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Per-position affine map over the channel axis.
 
@@ -644,7 +622,9 @@ def _topo(root: Tensor) -> list:
 
 def _leaf_accumulate(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype, copy=True)
+        # C order: a transposed upstream gradient would otherwise make every
+        # later in-place update stride through memory
+        t.grad = np.array(g, dtype=t.data.dtype, copy=True, order="C")
     else:
         t.grad += g
 

@@ -174,6 +174,8 @@ def _stack_batch(samples, indices, dtype: str) -> Tensor:
 
 def predict(model, samples: Sequence, batch_size: int = 32, dtype: str = "f32") -> np.ndarray:
     """Eval-mode argmax class ids (np.argmax: lowest index wins ties)."""
+    if batch_size < 1:
+        raise ConfigError(f"batch size must be >= 1, got {batch_size}")
     model.eval()
     preds = []
     with T.no_grad():

@@ -254,6 +254,16 @@ def test_eval_missing_checkpoint(tmp_path):
     assert main(["eval", "--checkpoint", str(tmp_path / "nope.bin")]) == 3
 
 
+def test_eval_rejects_a_batch_below_one(dataset, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(train_args(dataset, out)) == 0
+    capsys.readouterr()
+    for batch in ("0", "-3"):
+        assert main(["eval", "--checkpoint", str(out / "checkpoint.bin"),
+                     "--batch", batch]) == 2
+        assert "batch size must be >= 1" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------
 # infer
 # ---------------------------------------------------------------------

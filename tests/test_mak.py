@@ -1,9 +1,11 @@
-"""Adaptive-kernel operator checked against an explicit scalar loop nest, plus
-head decomposition, residual behaviour, and parameter-count structure."""
+"""Adaptive-kernel operator checked against an explicit scalar loop nest and
+against the dense per-edge kernel bank, plus head decomposition, residual
+behaviour, and parameter-count structure."""
 
 import numpy as np
 import pytest
 
+from adaptgraph import kernels
 from adaptgraph import tensor as T
 from adaptgraph.errors import ConfigError, ShapeError
 from adaptgraph.kernels import MakConfig, MultiHeadAdaptiveKernel, apply_heads
@@ -111,53 +113,136 @@ def test_forward_matches_loop_nest_without_residual():
                                loop_nest_forward(op, geo, feat), atol=1e-10)
 
 
+def dense_bank(coeffs, weight, bias, heads, c_in):
+    """Every edge's kernels, formed explicitly: (B, N, k, C_out, C_in, H) with
+    bank[b,n,j,o,i,h] = weight[c] @ y[b,:,n,j] + bias[c], c = (o*C_in+i)*H+h."""
+    b, _, n, k = coeffs.shape
+    c_out = weight.shape[0] // (c_in * heads)
+    flat = T.pointwise_linear(coeffs, weight, bias)  # (B, C_out*C_in*H, N, k)
+    return T.permute(T.reshape(flat, (b, c_out, c_in, heads, n, k)), (0, 4, 5, 1, 2, 3))
+
+
+def dense_apply_heads(coeffs, x, weight, bias, heads):
+    """Oracle for ``apply_heads``: expand the bank, then sum_h W_h @ x per edge,
+    one head at a time."""
+    b, c_in, n, k = x.shape
+    bank = dense_bank(coeffs, weight, bias, heads, c_in)
+    c_out = bank.shape[3]
+    xp = T.reshape(T.permute(x, (0, 2, 3, 1)), (b, n, k, c_in, 1))
+    total = None
+    for h in range(heads):
+        w_h = T.reshape(T.slice_axis(bank, 5, h, h + 1), (b, n, k, c_out, c_in))
+        out_h = T.matmul_batched(w_h, xp)  # (B, N, k, C_out, 1)
+        total = out_h if total is None else T.add(total, out_h)
+    return T.permute(T.reshape(total, (b, n, k, c_out)), (0, 3, 1, 2))
+
+
+def rand_head_inputs(b, mid, n, k, ci, co, heads, seed):
+    rng = np.random.default_rng(seed)
+    return (Tensor(rng.normal(size=(b, mid, n, k))), Tensor(rng.normal(size=(b, ci, n, k))),
+            Tensor(rng.normal(size=(co * ci * heads, mid))),
+            Tensor(rng.normal(size=(co * ci * heads,))))
+
+
 def test_kernel_bank_shape():
     op = build_op(ci=6, co=64, gen_in=6, heads=3, mid=8)
     geo = np.random.default_rng(0).normal(size=(2, 6, 32, 20))
-    bank = op.generate_kernels(Tensor(geo))
+    coeffs = op.generate_kernels(Tensor(geo))
+    assert coeffs.shape == (2, 8, 32, 20)
+    conv1 = op.gen.conv1
+    bank = dense_bank(coeffs, conv1.weight.value, conv1.bias.value, 3, 6)
     assert bank.shape == (2, 32, 20, 64, 6, 3)
+    feat = Tensor(np.zeros((2, 6, 32, 20)))
+    out = apply_heads(coeffs, feat, conv1.weight.value, conv1.bias.value, 3)
+    assert out.shape == (2, 64, 32, 20)
 
 
 def test_apply_heads_fixture():
-    # single position, 2x2 kernel [[1,2],[3,4]] applied to [5,6] plus a second
-    # head of all ones: [1*5+2*6, 3*5+4*6] + [11, 11] = [28, 50]... checked by hand
-    bank = np.zeros((1, 1, 1, 2, 2, 2))
-    bank[0, 0, 0, :, :, 0] = [[1.0, 2.0], [3.0, 4.0]]
-    bank[0, 0, 0, :, :, 1] = 1.0
+    # single position, mid 1 with y = 2. Head 0's kernel [[1,2],[3,4]] comes
+    # from the weight (half of it, times y), head 1's all-ones kernel from the
+    # bias. Applied to [5,6]: [1*5+2*6, 3*5+4*6] + [11, 11] = [28, 50].
+    coeffs = np.full((1, 1, 1, 1), 2.0)
+    weight = np.zeros((8, 1))   # row (o*2 + i)*2 + h
+    bias = np.zeros(8)
+    for o in range(2):
+        for i in range(2):
+            weight[(o * 2 + i) * 2 + 0, 0] = [[1.0, 2.0], [3.0, 4.0]][o][i] / 2.0
+            bias[(o * 2 + i) * 2 + 1] = 1.0
     x = np.array([5.0, 6.0]).reshape(1, 2, 1, 1)
-    out = apply_heads(Tensor(bank), Tensor(x))
+    out = apply_heads(Tensor(coeffs), Tensor(x), Tensor(weight), Tensor(bias), 2)
     np.testing.assert_array_equal(out.data.ravel(), [28.0, 50.0])
 
 
 def test_apply_heads_sums_over_heads():
-    rng = np.random.default_rng(12)
-    bank = rng.normal(size=(2, 4, 3, 5, 3, 3))
-    x = rng.normal(size=(2, 3, 4, 3))
-    full = apply_heads(Tensor(bank), Tensor(x)).data
-    parts = sum(apply_heads(Tensor(bank[..., h:h + 1]), Tensor(x)).data
-                for h in range(3))
+    coeffs, x, weight, bias = rand_head_inputs(2, 4, 4, 3, ci=3, co=5, heads=3, seed=12)
+    full = apply_heads(coeffs, x, weight, bias, 3).data
+    # rows h::H are head h's generator layer in the one-head layout
+    parts = sum(apply_heads(coeffs, x, Tensor(weight.data[h::3]), Tensor(bias.data[h::3]),
+                            1).data for h in range(3))
     np.testing.assert_allclose(full, parts, atol=1e-12)
 
 
 def test_apply_heads_is_linear_in_features():
-    rng = np.random.default_rng(13)
-    bank = Tensor(rng.normal(size=(1, 3, 2, 4, 3, 2)))
-    xa, xb = rng.normal(size=(2, 1, 3, 3, 2))
-    lhs = apply_heads(bank, Tensor(xa + 2.0 * xb)).data
-    rhs = apply_heads(bank, Tensor(xa)).data + 2.0 * apply_heads(bank, Tensor(xb)).data
-    np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+    coeffs, _, weight, bias = rand_head_inputs(1, 3, 3, 2, ci=3, co=4, heads=2, seed=13)
+    xa, xb = np.random.default_rng(14).normal(size=(2, 1, 3, 3, 2))
+
+    def run(x):
+        return apply_heads(coeffs, Tensor(x), weight, bias, 2).data
+
+    np.testing.assert_allclose(run(xa + 2.0 * xb), run(xa) + 2.0 * run(xb), atol=1e-12)
 
 
 def test_apply_heads_validation():
-    bank = Tensor(np.zeros((1, 2, 2, 3, 2, 1)))
+    # C_in=2, C_out=3, H=1, mid=4 over B=1, N=2, k=2
+    coeffs = Tensor(np.zeros((1, 4, 2, 2)))
+    x = Tensor(np.zeros((1, 2, 2, 2)))
+    weight, bias = Tensor(np.zeros((6, 4))), Tensor(np.zeros(6))
+    assert apply_heads(coeffs, x, weight, bias, 1).shape == (1, 3, 2, 2)
     with pytest.raises(ShapeError):
-        apply_heads(bank, Tensor(np.zeros((1, 2, 2, 2, 1))))
+        apply_heads(coeffs, Tensor(np.zeros((1, 2, 2, 2, 1))), weight, bias, 1)
     with pytest.raises(ShapeError):
-        apply_heads(bank, Tensor(np.zeros((1, 3, 2, 2))))  # C_in mismatch
+        apply_heads(coeffs, Tensor(np.zeros((1, 4, 2, 2))), weight, bias, 1)  # C_in mismatch
     with pytest.raises(ShapeError):
-        apply_heads(Tensor(np.zeros((1, 2, 2, 3, 2))), Tensor(np.zeros((1, 2, 2, 2))))
+        apply_heads(coeffs, Tensor(np.zeros((1, 2, 3, 2))), weight, bias, 1)  # N mismatch
+    with pytest.raises(ShapeError):
+        apply_heads(Tensor(np.zeros((1, 4, 2))), x, weight, bias, 1)
+    with pytest.raises(ShapeError):
+        apply_heads(coeffs, x, Tensor(np.zeros((6, 3))), bias, 1)  # mid mismatch
+    with pytest.raises(ShapeError):
+        apply_heads(coeffs, x, weight, Tensor(np.zeros(5)), 1)
+    with pytest.raises(ShapeError):
+        apply_heads(coeffs, x, weight, bias, 2)  # 6 rows are not C_out * 2 * 2
     with pytest.raises(ConfigError):
-        apply_heads(Tensor(np.zeros((1, 2, 2, 3, 2, 0))), Tensor(np.zeros((1, 2, 2, 2))))
+        apply_heads(coeffs, x, weight, bias, 0)
+
+
+@pytest.mark.parametrize("heads", [1, 3])
+@pytest.mark.parametrize("residual", ["projected", "identity", "none"])
+def test_operator_matches_dense_bank_values_and_gradients(heads, residual, monkeypatch):
+    ci, co = (3, 5) if residual == "projected" else (3, 3)
+    op = build_op(ci=ci, co=co, heads=heads, residual=residual != "none", seed=heads + 40)
+    geo, feat = rand_inputs(op, b=2, n=5, k=3, seed=heads + 60)
+    weights = np.random.default_rng(61).normal(size=(2, co, 5, 3))
+
+    def run():
+        for _, p in op.named_parameters():
+            p.value.grad = None
+        g, f = Tensor(geo, requires_grad=True), Tensor(feat, requires_grad=True)
+        out = op(g, f)
+        T.reduce_sum(T.mul(out, Tensor(weights))).backward()
+        grads = {name: p.value.grad for name, p in op.named_parameters()}
+        return out.data, g.grad, f.grad, grads
+
+    got = run()
+    monkeypatch.setattr(kernels, "apply_heads", dense_apply_heads)
+    want = run()
+    for a, b in zip(got[:3], want[:3]):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
+    assert got[3].keys() == want[3].keys()
+    for name in want[3]:
+        assert want[3][name] is not None, name
+        np.testing.assert_allclose(got[3][name], want[3][name], rtol=0, atol=1e-10,
+                                   err_msg=name)
 
 
 def test_zeroed_generator_leaves_only_the_residual():

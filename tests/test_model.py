@@ -3,10 +3,15 @@ hand-enumerated configuration, shared-graph plumbing, and symmetry checks."""
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import adaptgraph
 from adaptgraph import graph, network
 from adaptgraph import tensor as T
 from adaptgraph.errors import ConfigError, InvalidInputError, UsageError
@@ -236,3 +241,35 @@ def test_dtype_threads_through_model():
     assert all(p.value.dtype == "f64" for _, p in model.named_parameters())
     out = model.eval()(Tensor(cloud(dtype=np.float64)))
     assert out.dtype == "f64"
+
+
+# one mak-only H=4 train step at the synth preset's batch, in a child process
+# capped at 4 GB of address space; prints the child's peak RSS in KiB
+_MEMORY_PROBE = textwrap.dedent("""
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+    import numpy as np
+    from adaptgraph import tensor as T
+    from adaptgraph.network import ModelConfig, Variant, build
+    from adaptgraph.tensor import Tensor
+    cfg = ModelConfig(num_heads=4, variant=Variant.MAK_ONLY)
+    model = build(cfg, seed=0)
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.uniform(-1.0, 1.0, size=(32, 3, 20)).astype(np.float32))
+    logits = model(x, rng=rng)
+    T.softmax_cross_entropy(logits, np.arange(32) % cfg.num_classes).backward()
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+""")
+
+
+def test_mak_only_four_heads_trains_at_synth_batch_in_bounded_memory():
+    # B=32 N=20 k=20: a dense per-edge kernel bank for stage 4 alone would
+    # take 13 GB, so this also pins that the bank is never formed
+    src = os.path.dirname(os.path.dirname(os.path.abspath(adaptgraph.__file__)))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", _MEMORY_PROBE], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    peak_gb = int(done.stdout.split()[-1]) / (1 << 20)
+    assert peak_gb < 2.0, f"peak RSS {peak_gb:.2f} GB"

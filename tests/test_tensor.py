@@ -380,8 +380,6 @@ def test_grad_matmul():
                 [rand(2, 3, 4), rand(2, 4, 1, seed=1)])
     check_grads(lambda a, b: T.matmul_batched(a, b),
                 [rand(2, 1, 4), rand(2, 4, 5, seed=1)])
-    check_grads(lambda a, b, c: T.matmul_bias(a, b, c),
-                [rand(2, 3, 4), rand(4, 5, seed=1), rand(5, seed=2)])
 
 
 def test_grad_shape_ops():
