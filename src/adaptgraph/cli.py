@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -45,16 +45,14 @@ def _echo_manifest(manifest: dict) -> None:
 
 def _pipeline_from_opts(opts: dict) -> D.PipelineConfig:
     base = D.preset(opts["preset"]) if opts.get("preset") else D.PipelineConfig()
-    cfg = replace(base, seed=opts.get("data_seed", 0))
-    cfg.validate()
-    return cfg
+    return replace(base, seed=opts.get("data_seed", 0))
 
 
 def _source_from_opts(opts: dict) -> dict:
     if opts.get("data"):
         return {"kind": "manifest", "path": os.path.abspath(opts["data"])}
     if opts.get("preset") == "synth":
-        return {"kind": "synth", "spec": asdict(D.SynthSpec()),
+        return {"kind": "synth", "spec": config_to_dict(D.SynthSpec()),
                 "seed": opts.get("data_seed", 0)}
     raise ConfigError("a dataset is required: pass --data or --preset synth")
 
@@ -63,7 +61,8 @@ def _read_source(source: dict) -> list:
     if source.get("kind") == "manifest":
         return D.read_manifest(source["path"])
     if source.get("kind") == "synth":
-        return D.synth_generate(D.SynthSpec(**source["spec"]), source["seed"])
+        return D.synth_generate(config_from_dict(source.get("spec"), D.SynthSpec),
+                                source["seed"])
     raise ConfigError(f"no usable data source recorded ({source!r}); "
                       "eval can name one with --data")
 
@@ -75,7 +74,7 @@ def materialize(spec: dict):
     ``limit``: train and ablate build it from their flags, eval reads it from
     the checkpoint and --replay from the run manifest, so every command
     selects the same samples and cuts the same splits."""
-    pipeline = D.pipeline_from_dict(spec.get("pipeline_config") or {})
+    pipeline = config_from_dict(spec.get("pipeline_config"), D.PipelineConfig)
     limit = spec.get("limit") or 0
     if limit < 0:
         raise ConfigError(f"limit must be >= 0, got {limit}")
@@ -107,7 +106,6 @@ def _model_config_from_opts(opts: dict, data_shape: tuple, variant: str) -> Mode
         emb_dims=opts.get("emb_dims", 1024),
         num_classes=num_classes,
         variant=Variant.from_string(variant))
-    cfg.validate()
     if n < cfg.k:
         raise ConfigError(f"samples have N={n} points but k={cfg.k}")
     return cfg
@@ -160,7 +158,7 @@ def _start_run(args, default_out: str):
         opts = {k: v for k, v in vars(args).items()
                 if k not in ("command", "func", "replay", "seed")}
         opts["seeds"] = _parse_seeds(args)
-        spec = {"pipeline_config": asdict(_pipeline_from_opts(opts)),
+        spec = {"pipeline_config": config_to_dict(_pipeline_from_opts(opts)),
                 "data_source": _source_from_opts(opts)}
     spec["limit"] = opts.get("limit") or 0
     samples, splits = materialize(spec)
@@ -168,7 +166,6 @@ def _start_run(args, default_out: str):
         lr_max=opts.get("lr_max", 0.1), batch_size=opts.get("batch", 32),
         max_epochs=opts.get("epochs", 250), patience=opts.get("patience", 30),
         seed=opts["seeds"][0], dtype=opts.get("dtype", "f32"))
-    tcfg.validate()
     out_dir = opts.get("out") or default_out
     return opts, spec, _infer_data_shape(samples), splits, tcfg, out_dir
 
@@ -209,7 +206,7 @@ def cmd_train(args) -> int:
     _write_run_manifest(
         out_dir, "train", opts, spec, splits,
         model_config=config_to_dict(mcfg),
-        train_config={**asdict(tcfg), "seed": None}, seeds=seeds,
+        train_config={**config_to_dict(tcfg), "seed": None}, seeds=seeds,
         layout={"run_dir": "seed_<seed>" if len(seeds) > 1 else ".",
                 "files": ["checkpoint.bin", "history.csv"]})
 
@@ -234,7 +231,7 @@ def cmd_ablate(args) -> int:
     opts, spec, data_shape, splits, tcfg, out_dir = _start_run(args, "runs/ablate")
     mcfgs = [_model_config_from_opts(opts, data_shape, v.value) for v in _ABLATION_ORDER]
     _write_run_manifest(out_dir, "ablate", opts, spec, splits,
-                        train_config=asdict(tcfg),
+                        train_config=config_to_dict(tcfg),
                         variants=[v.value for v in _ABLATION_ORDER])
 
     print(f"{'method':<14} {'macs_g':>10} {'params_m':>10} {'accuracy':>9}")
@@ -298,7 +295,7 @@ def cmd_eval(args) -> int:
 
 def cmd_infer(args) -> int:
     manifest, model = _model_from_checkpoint(args.checkpoint)
-    pipeline = D.pipeline_from_dict(manifest.get("pipeline_config") or {})
+    pipeline = config_from_dict(manifest.get("pipeline_config"), D.PipelineConfig)
     _echo_manifest({"command": "infer", "version": __version__,
                     "checkpoint": os.path.abspath(args.checkpoint),
                     "window_frames": pipeline.window_frames,
@@ -313,7 +310,7 @@ def cmd_infer(args) -> int:
             break
     if header_line is None:
         return 0  # empty input: nothing to do
-    header = D._parse_header(header_line.strip(), "<stdin>")
+    header = D.parse_header(header_line.strip(), "<stdin>")
     c = header["C"]
     if c != model.cfg.in_channels:
         raise ConfigError(
@@ -325,14 +322,9 @@ def cmd_infer(args) -> int:
     for line in stream:
         if not line.strip():
             continue
-        tokens = line.split()
         try:
-            m = int(tokens[1])
-            values = [float(v) for v in tokens[2:]]
-            if m < 0 or len(values) != m * c:
-                raise ValueError(f"expected {m}*{c} values, got {len(values)}")
-            frame = np.asarray(values, dtype=np.float32).reshape(m, c)
-        except (IndexError, ValueError) as e:
+            _, frame = D.parse_frame_line(line, c)
+        except DataError as e:
             print(f"warning: skipping malformed frame line: {e}", file=sys.stderr)
             continue
         emitted_at = assembler.frames_seen  # index assigned to this frame
@@ -370,7 +362,6 @@ def cmd_cost(args) -> int:
         in_channels=args.in_channels, k=args.k, num_heads=args.heads,
         emb_dims=args.emb_dims, num_classes=args.classes,
         variant=Variant.from_string(args.variant))
-    base.validate()
     if args.k_sweep and args.head_sweep:
         raise ConfigError("pass only one of --k-sweep / --head-sweep")
     configs = []

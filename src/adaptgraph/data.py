@@ -3,7 +3,7 @@
 On-disk format (one sequence per file, UTF-8, newline-terminated):
 
     C=<int> rate=<float> label=<int> subject=<int>
-    <frame_index> <point_count> <point_count * C floats>
+    <frame_index> <point_count> <point_count * C finite floats>
     ...
 
 Frame indices must run 0, 1, 2, ... with no gaps; subject -1 means unknown.
@@ -18,8 +18,9 @@ it is met in batch windowing, an overlapping window, or the live stream.
 from __future__ import annotations
 
 import collections
+import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import Deque, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -56,6 +57,9 @@ class PipelineConfig:
     split_ratios: Tuple[float, float, float] = (0.8, 0.1, 0.1)
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         if self.window_frames < 1:
             raise ConfigError(f"window_frames must be >= 1, got {self.window_frames}")
@@ -63,24 +67,13 @@ class PipelineConfig:
             raise ConfigError(f"window_stride must be >= 1, got {self.window_stride}")
         if self.points_per_frame < 1:
             raise ConfigError(f"points_per_frame must be >= 1, got {self.points_per_frame}")
-        if len(self.split_ratios) != 3 or any(r <= 0 for r in self.split_ratios):
-            raise ConfigError(f"split_ratios must be 3 positive fractions, got {self.split_ratios}")
+        if len(self.split_ratios) != 3 or not all(0 < r < math.inf for r in self.split_ratios):
+            raise ConfigError(
+                f"split_ratios must be 3 positive finite fractions, got {self.split_ratios}")
         if abs(sum(self.split_ratios) - 1.0) > 1e-9:
             raise ConfigError(f"split_ratios must sum to 1, got {self.split_ratios}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-
-
-def pipeline_from_dict(d: dict) -> PipelineConfig:
-    """Inverse of ``dataclasses.asdict`` for a PipelineConfig read back from a
-    checkpoint or run manifest; every field is required."""
-    try:
-        kwargs = {f.name: d[f.name] for f in fields(PipelineConfig)}
-    except KeyError as e:
-        raise ConfigError(f"pipeline config is missing field {e.args[0]!r}") from None
-    cfg = PipelineConfig(**{**kwargs, "split_ratios": tuple(kwargs["split_ratios"])})
-    cfg.validate()
-    return cfg
 
 
 def frame_rng(seed: int, seq_id: int, frame_index: int) -> np.random.Generator:
@@ -126,7 +119,6 @@ def make_windows(seq: FrameSequence, window_frames: int, stride: int,
 
 
 def build_samples(sequences: Sequence[FrameSequence], cfg: PipelineConfig) -> List[Sample]:
-    cfg.validate()
     out = []
     for seq in sequences:
         out.extend(make_windows(seq, cfg.window_frames, cfg.window_stride,
@@ -171,13 +163,18 @@ class SynthSpec:
     noise: float = 0.05
     frame_rate: float = 30.0
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         if self.classes < 2:
             raise ConfigError(f"need at least 2 classes, got {self.classes}")
         if self.sequences_per_class < 1 or self.frames < 1 or self.points < 1:
             raise ConfigError("sequences_per_class, frames, points must be >= 1")
-        if self.noise < 0:
-            raise ConfigError(f"noise must be >= 0, got {self.noise}")
+        if not 0 <= self.noise < math.inf:
+            raise ConfigError(f"noise must be finite and >= 0, got {self.noise}")
+        if not 0 < self.frame_rate < math.inf:
+            raise ConfigError(f"frame_rate must be finite and > 0, got {self.frame_rate}")
 
 
 _DRIFT_STEP = 0.22          # per-frame centroid displacement magnitude (xy)
@@ -196,7 +193,6 @@ def class_drift(g: int, classes: int) -> np.ndarray:
 def synth_generate(spec: SynthSpec, seed: int) -> List[FrameSequence]:
     """Deterministic labeled sequences; class-g kinematics per class_drift plus
     rotation at rate g*_SPIN_STEP, isotropic noise on every point."""
-    spec.validate()
     sequences = []
     seq_id = 0
     for g in range(spec.classes):
@@ -282,7 +278,8 @@ def write_frame_file(path, seq: FrameSequence) -> None:
             f.write(f"{i} {frame.shape[0]}{' ' if vals else ''}{vals}\n")
 
 
-def _parse_header(line: str, path) -> dict:
+def parse_header(line: str, path) -> dict:
+    """A frame file's header line -> {"C", "rate", "label", "subject"}."""
     fields = {}
     for part in line.split():
         if "=" not in part:
@@ -300,12 +297,32 @@ def _parse_header(line: str, path) -> dict:
         raise DataError(f"{path}: bad header {line!r}: {e}") from None
 
 
+def parse_frame_line(line: str, c: int) -> Tuple[int, np.ndarray]:
+    """One frame line -> (frame index, (m, c) float32 points).
+
+    Raises DataError for a malformed line, a point count that disagrees with
+    the values given, or a value that is not finite in float32."""
+    tokens = line.split()
+    try:
+        idx, m = int(tokens[0]), int(tokens[1])
+        values = [float(v) for v in tokens[2:]]
+    except (IndexError, ValueError):
+        raise DataError("malformed frame line") from None
+    if m < 0 or len(values) != m * c:
+        raise DataError(f"expected {m}*{c} values, got {len(values)}")
+    with np.errstate(over="ignore"):  # beyond float32 range -> inf, rejected below
+        points = np.asarray(values, dtype=np.float32).reshape(m, c)
+    if not np.isfinite(points).all():
+        raise DataError("non-finite point value")
+    return idx, points
+
+
 def read_frame_file(path, seq_id: int = 0) -> FrameSequence:
     with open(path, "r", encoding="utf-8") as f:
         lines = [ln.rstrip("\n") for ln in f]
     if not lines or not lines[0].strip():
         raise DataError(f"{path}: missing header line")
-    header = _parse_header(lines[0], path)
+    header = parse_header(lines[0], path)
     c = header["C"]
     if c < 1:
         raise DataError(f"{path}: channel count must be >= 1, got {c}")
@@ -313,19 +330,14 @@ def read_frame_file(path, seq_id: int = 0) -> FrameSequence:
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        tokens = line.split()
         try:
-            idx, m = int(tokens[0]), int(tokens[1])
-            values = [float(v) for v in tokens[2:]]
-        except (IndexError, ValueError):
-            raise DataError(f"{path}:{lineno}: malformed frame line") from None
+            idx, points = parse_frame_line(line, c)
+        except DataError as e:
+            raise DataError(f"{path}:{lineno}: {e}") from None
         if idx != len(frames):
             raise DataError(
                 f"{path}:{lineno}: frame index {idx} out of order (expected {len(frames)})")
-        if m < 0 or len(values) != m * c:
-            raise DataError(
-                f"{path}:{lineno}: expected {m}*{c} values, got {len(values)}")
-        frames.append(np.asarray(values, dtype=np.float32).reshape(m, c))
+        frames.append(points)
     if not frames:
         raise DataError(f"{path}: sequence has no frames")
     return FrameSequence(

@@ -34,6 +34,9 @@ class MakConfig:
     mid_channels: int = 8     # hidden width of the generator
     residual: bool = True
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         for field in ("in_channels", "out_channels", "gen_in_channels",
                       "num_heads", "mid_channels"):
@@ -121,7 +124,6 @@ class MultiHeadAdaptiveKernel(Module):
     def __init__(self, cfg: MakConfig, rng: np.random.Generator,
                  dtype: str = "f32", leaky_slope: float = 0.2):
         super().__init__()
-        cfg.validate()
         self.cfg = cfg
         self.slope = leaky_slope
         self.gen = _KernelGenerator(cfg, rng, dtype=dtype, leaky_slope=leaky_slope)

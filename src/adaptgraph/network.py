@@ -65,6 +65,9 @@ class ModelConfig:
     leaky_slope: float = 0.2
     mak_mid_channels: int = 8
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         def positive(name):
             v = getattr(self, name)
@@ -119,7 +122,6 @@ class ActivityNet(Module):
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator, dtype: str = "f32"):
         super().__init__()
-        cfg.validate()
         self.cfg = cfg
         self.dtype = dtype
         self.slope = cfg.leaky_slope
@@ -150,8 +152,7 @@ class ActivityNet(Module):
             prev = w
         self.head = PointwiseLinear(prev, cfg.num_classes, rng, bias=True, dtype=dtype)
 
-    def forward(self, x: Tensor, rng: Optional[np.random.Generator] = None,
-                trace: Optional[dict] = None) -> Tensor:
+    def forward(self, x: Tensor, rng: Optional[np.random.Generator] = None) -> Tensor:
         cfg = self.cfg
         if x.ndim != 3:
             raise ShapeError(f"input must be (B, C, N), got {x.shape}")
@@ -165,20 +166,13 @@ class ActivityNet(Module):
 
         idx = graph.knn(x, cfg.k)              # computed once, shared below
         geo = graph.graph_feature(x, idx)      # (B, 2C, N, k), anchored to x
-        if trace is not None:
-            trace["neighbor_index"] = idx
-            trace["geo"] = geo
 
         outs = []
         prev = None
         for name, kind in self._stages:
             feat = geo if prev is None else graph.graph_feature(prev, idx)
-            if trace is not None:
-                trace[f"{name}.feat"] = feat
             stage = getattr(self, name)
             if kind == "mak":
-                if trace is not None:
-                    trace[f"{name}.gen_input"] = geo
                 y = stage(geo, feat)
             else:
                 y = stage(feat)
@@ -187,8 +181,6 @@ class ActivityNet(Module):
             prev = pooled
 
         fused = outs[-1] if cfg.variant is Variant.MAK_ONLY else T.concat(outs, 1)
-        if trace is not None:
-            trace["fused"] = fused
         emb = T.leaky_relu(self.fuse_bn(self.fuse(fused)), self.slope)  # (B, emb, N)
         pooled = T.concat([T.reduce(emb, 2, "max"), T.reduce(emb, 2, "mean")], 1)
 
@@ -216,19 +208,19 @@ class _ConvBlock(Module):
 
 def build(cfg: ModelConfig, seed: int, dtype: str = "f32") -> ActivityNet:
     """Construct a model with deterministic, seed-keyed initialization."""
-    cfg.validate()
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     model = ActivityNet(cfg, rng, dtype=dtype)
     finalize_names(model)
     return model
 
 
-def config_to_dict(cfg: ModelConfig) -> dict:
-    """JSON-ready form of a ModelConfig (tuples as lists, variant by its value)."""
+def config_to_dict(cfg) -> dict:
+    """JSON-ready form of a config dataclass (ModelConfig, PipelineConfig,
+    SynthSpec, TrainConfig, ...): enums by value, tuples as lists."""
     d = {}
-    for f in fields(ModelConfig):
+    for f in fields(cfg):
         v = getattr(cfg, f.name)
-        if isinstance(v, Variant):
+        if isinstance(v, Enum):
             v = v.value
         elif isinstance(v, tuple):
             v = list(v)
@@ -236,27 +228,41 @@ def config_to_dict(cfg: ModelConfig) -> dict:
     return d
 
 
-def config_from_dict(d: dict) -> ModelConfig:
-    """Inverse of :func:`config_to_dict`; every field is required, since the
-    dict usually comes from a checkpoint file. Each field is coerced to the
-    type of its default."""
+def _decode_field(v, default):
+    """Coerce one JSON value to the type of a field's default."""
+    if isinstance(default, Variant):
+        return Variant.from_string(v)
+    if isinstance(default, tuple):
+        if not isinstance(v, (list, tuple)):
+            raise TypeError(f"expected a list, got {type(v).__name__}")
+        return tuple(type(default[0])(w) for w in v)
+    return type(default)(v)
+
+
+def config_from_dict(d: dict, cls=ModelConfig):
+    """Inverse of :func:`config_to_dict` for the dataclass ``cls``.
+
+    The dict usually comes from a checkpoint or run manifest, so every field
+    is required, an unknown key is an error, and each value is coerced to the
+    type of its field's default (tuple elements to the type of the default's
+    elements). Any failure, including the config's own validation, raises
+    ConfigError naming the field."""
+    name = cls.__name__
+    if not isinstance(d, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {type(d).__name__}")
+    known = [f.name for f in fields(cls)]
+    for key in d:
+        if key not in known:
+            raise ConfigError(f"{name} has unknown field {key!r}")
     kwargs = {}
-    try:
-        for f in fields(ModelConfig):
-            v = d[f.name]
-            if isinstance(f.default, Variant):
-                kwargs[f.name] = Variant.from_string(v)
-            elif isinstance(f.default, tuple):
-                kwargs[f.name] = tuple(int(w) for w in v)
-            else:
-                kwargs[f.name] = type(f.default)(v)
-    except KeyError as e:
-        raise ConfigError(f"model config is missing field {e.args[0]!r}") from None
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"model config field {f.name!r} is malformed: {e}") from None
-    cfg = ModelConfig(**kwargs)
-    cfg.validate()
-    return cfg
+    for f in fields(cls):
+        if f.name not in d:
+            raise ConfigError(f"{name} is missing field {f.name!r}")
+        try:
+            kwargs[f.name] = _decode_field(d[f.name], f.default)
+        except (TypeError, ValueError, OverflowError) as e:
+            raise ConfigError(f"{name} field {f.name!r} is malformed: {e}") from None
+    return cls(**kwargs)
 
 
 # ---------------------------------------------------------------------
@@ -265,7 +271,6 @@ def config_from_dict(d: dict) -> ModelConfig:
 
 def count_params(cfg: ModelConfig) -> int:
     """Closed-form trainable-parameter total; equals the built model exactly."""
-    cfg.validate()
     mid = cfg.mak_mid_channels
     gen_in = 2 * cfg.in_channels
     total = 0
@@ -305,7 +310,6 @@ def count_macs(cfg: ModelConfig, n_points: int) -> int:
     throughput computed from this count (GMAC/s) reads higher than the
     arithmetic actually done.
     """
-    cfg.validate()
     if n_points < cfg.k:
         raise InvalidInputError(f"N={n_points} is smaller than k={cfg.k}")
     mid = cfg.mak_mid_channels

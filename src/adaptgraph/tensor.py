@@ -1,9 +1,9 @@
 """Minimal numpy-backed tensors with reverse-mode automatic differentiation.
 
-Just enough machinery for point-cloud networks: batched matmul, per-position
-affine maps, batch norm, leaky relu, axis reductions, gather, dropout and a
-stable softmax cross entropy. Every differentiable op builds a closure-based
-graph node; ``backward`` walks the graph once in reverse topological order.
+Just enough machinery for point-cloud networks: per-position affine maps,
+batch norm, leaky relu, axis reductions, gather, dropout and a stable softmax
+cross entropy. Every differentiable op builds a closure-based graph node;
+``backward`` walks the graph once in reverse topological order.
 
 Shapes follow the (B, C, ...) convention used throughout the package: batch
 first, channels second, grid axes last. dtype is tagged "f32" or "f64"; f64
@@ -35,10 +35,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
-
-
-def grad_enabled() -> bool:
-    return _grad_enabled
 
 
 class _Node:
@@ -103,9 +99,6 @@ class Tensor:
         v.flags.writeable = False
         return v
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, dtype=self.dtype)
-
     def zero_grad(self) -> None:
         if self.grad is not None:
             self.grad[...] = 0
@@ -127,17 +120,8 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul_batched(self, other)
-
     def reshape(self, shape) -> "Tensor":
         return reshape(self, shape)
-
-    def permute(self, axes) -> "Tensor":
-        return permute(self, axes)
 
     def backward(self) -> None:
         backward(self)
@@ -219,13 +203,6 @@ def mul(a, b) -> Tensor:
     return _make(data, (a, b), back)
 
 
-def neg(a: Tensor) -> Tensor:
-    def back(g):
-        return (-g,)
-
-    return _make(-a.data, (a,), back)
-
-
 # ---------------------------------------------------------------------
 # shape manipulation
 # ---------------------------------------------------------------------
@@ -241,18 +218,6 @@ def reshape(a: Tensor, shape) -> Tensor:
         return (g.reshape(a.shape),)
 
     return _make(data, (a,), back)
-
-
-def permute(a: Tensor, axes) -> Tensor:
-    axes = tuple(int(x) for x in axes)
-    if sorted(axes) != list(range(a.ndim)):
-        raise ShapeError(f"permute axes {axes} are not a permutation of 0..{a.ndim - 1}")
-    inv = np.argsort(axes)
-
-    def back(g):
-        return (np.transpose(g, inv),)
-
-    return _make(np.ascontiguousarray(np.transpose(a.data, axes)), (a,), back)
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -280,23 +245,6 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     return _make(data, tuple(tensors), back)
 
 
-def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    axis = _check_axis(axis, a.ndim)
-    n = a.shape[axis]
-    if not (0 <= start < stop <= n):
-        raise InvalidInputError(f"slice [{start}:{stop}] out of range for axis extent {n}")
-    sl = [slice(None)] * a.ndim
-    sl[axis] = slice(start, stop)
-    sl = tuple(sl)
-
-    def back(g):
-        full = np.zeros_like(a.data)
-        full[sl] = g
-        return (full,)
-
-    return _make(np.ascontiguousarray(a.data[sl]), (a,), back)
-
-
 def broadcast_to(a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
     try:
@@ -319,37 +267,6 @@ def _check_axis(axis: int, ndim: int) -> int:
 # ---------------------------------------------------------------------
 # linear algebra
 # ---------------------------------------------------------------------
-
-def matmul_batched(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product over the trailing two axes.
-
-    A (..., m, p) @ B (..., p, n) -> (..., m, n); leading axes broadcast.
-    """
-    if not isinstance(b, Tensor):
-        b = _wrap(b, a)
-    elif a.dtype != b.dtype:
-        raise UsageError(f"dtype mismatch: {a.dtype} vs {b.dtype}")
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"inner dimensions disagree: {a.shape} @ {b.shape}")
-    data = np.matmul(a.data, b.data)
-
-    def back(g):
-        # singleton contractions are plain outer products; broadcasting them
-        # skips a huge batch of degenerate BLAS calls
-        if b.data.shape[-1] == 1:
-            ga = g * np.swapaxes(b.data, -1, -2)
-        else:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        if a.data.shape[-2] == 1:
-            gb = np.swapaxes(a.data, -1, -2) * g
-        else:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
-
-    return _make(data, (a, b), back)
-
 
 def pointwise_linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Per-position affine map over the channel axis.

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -32,6 +32,9 @@ class TrainConfig:
     patience: int = 30
     seed: int = 0
     dtype: str = "f32"
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         if not self.lr_max > self.lr_min >= 0:
@@ -254,7 +257,6 @@ def fit(model, train_samples: Sequence, val_samples: Sequence,
     to checkpoint_path when given). A non-finite loss raises DivergenceError
     with the partial history attached; the last written checkpoint survives.
     """
-    cfg.validate()
     if not train_samples or not val_samples:
         raise DataError("fit needs non-empty train and val splits")
     num_classes = model.cfg.num_classes
@@ -317,7 +319,7 @@ def fit(model, train_samples: Sequence, val_samples: Sequence,
                     "val_loss": val_loss,
                     "val_accuracy": val_acc,
                     "dtype": cfg.dtype,
-                    "train_config": asdict(cfg),
+                    "train_config": config_to_dict(cfg),
                     "model_config": config_to_dict(model.cfg),
                 }
                 if extra_manifest:

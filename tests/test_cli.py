@@ -11,7 +11,7 @@ import pytest
 from adaptgraph.cli import main
 from adaptgraph.data import (FrameSequence, SynthSpec, synth_generate,
                              write_dataset, write_frame_file)
-from adaptgraph.network import ModelConfig, count_macs, count_params
+from adaptgraph.network import ModelConfig, config_to_dict, count_macs, count_params
 
 # pipeline preset "synth": 5-frame windows, stride 66, 4 points per frame.
 # sequences below are 5 frames long, so each contributes exactly one sample.
@@ -188,6 +188,35 @@ def test_replay_rejects_wrong_manifest_kind(dataset, tmp_path):
         assert main(["train", "--replay", str(manifest)]) == 2
 
 
+def test_replay_rejects_malformed_configs_with_exit_2(dataset, tmp_path, capsys):
+    out = tmp_path / "r"
+    assert main(train_args(dataset, out)) == 0
+    recorded = json.loads((out / "run_manifest.json").read_text())
+    synth = {"kind": "synth", "spec": config_to_dict(TINY), "seed": 0}
+    cases = [
+        ("pipeline_config", "window_frames", "five"),
+        ("pipeline_config", "split_ratios", 5),
+        ("pipeline_config", "split_ratios", [float("nan"), 0.1, 0.1]),
+        ("spec", "colour", "red"),
+        ("spec", "classes", "five"),
+        ("spec", "noise", float("nan")),
+    ]
+    manifest = tmp_path / "bad.json"
+    for section, key, value in cases:
+        bad = json.loads(json.dumps(recorded))
+        if section == "spec":
+            bad["data_source"] = json.loads(json.dumps(synth))
+            bad["data_source"]["spec"][key] = value
+        else:
+            bad[section][key] = value
+        manifest.write_text(json.dumps(bad))
+        capsys.readouterr()
+        assert main(["train", "--replay", str(manifest)]) == 2, (section, key, value)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, err
+        assert key in err, err
+
+
 # ---------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------
@@ -324,10 +353,12 @@ def test_infer_skips_malformed_lines(dataset, tmp_path, capsys, monkeypatch):
     seq = synth_generate(SynthSpec(2, 1, 6, 6, noise=0.02), seed=4)[0]
     text = frames_as_text(seq).splitlines()
     text.insert(3, "2 banana 0.0")  # malformed point count, mid stream
+    text.insert(5, "3 1 0.0 nan 0.0")  # a non-finite point
     monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(text) + "\n"))
     assert main(["infer", "--checkpoint", ckpt]) == 0
     out, err = capsys.readouterr()
     assert "skipping malformed frame line" in err
+    assert "non-finite" in err
     assert len(out.strip().splitlines()) == 2  # 6 good frames, window 5
 
 

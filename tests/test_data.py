@@ -296,6 +296,8 @@ def test_frame_file_empty_frames_allowed(tmp_path):
     ("C=3 rate=30.0 label=0 subject=-1\n0 one 1.0 2.0 3.0\n", "malformed frame"),
     ("C=3 rate=30.0 label=0 subject=-1\n1 1 1.0 2.0 3.0\n", "out of order"),
     ("C=3 rate=30.0 label=0 subject=-1\n0 2 1.0 2.0 3.0\n", "expected 2\\*3"),
+    ("C=3 rate=30.0 label=0 subject=-1\n0 1 1.0 2.0 3.0\n1 1 1.0 nan 3.0\n",
+     "bad.txt:3: non-finite"),
 ])
 def test_frame_file_rejects_malformed_input(tmp_path, text, msg):
     path = tmp_path / "bad.txt"

@@ -114,27 +114,21 @@ def test_forward_matches_loop_nest_without_residual():
 
 
 def dense_bank(coeffs, weight, bias, heads, c_in):
-    """Every edge's kernels, formed explicitly: (B, N, k, C_out, C_in, H) with
-    bank[b,n,j,o,i,h] = weight[c] @ y[b,:,n,j] + bias[c], c = (o*C_in+i)*H+h."""
+    """Every edge's kernels, formed explicitly: (B, C_out, C_in, H, N, k) with
+    bank[b,o,i,h,n,j] = weight[c] @ y[b,:,n,j] + bias[c], c = (o*C_in+i)*H+h."""
     b, _, n, k = coeffs.shape
     c_out = weight.shape[0] // (c_in * heads)
     flat = T.pointwise_linear(coeffs, weight, bias)  # (B, C_out*C_in*H, N, k)
-    return T.permute(T.reshape(flat, (b, c_out, c_in, heads, n, k)), (0, 4, 5, 1, 2, 3))
+    return T.reshape(flat, (b, c_out, c_in, heads, n, k))
 
 
 def dense_apply_heads(coeffs, x, weight, bias, heads):
-    """Oracle for ``apply_heads``: expand the bank, then sum_h W_h @ x per edge,
-    one head at a time."""
+    """Oracle for ``apply_heads``: expand the bank, multiply every edge's
+    kernels by its features, then sum over inputs and heads."""
     b, c_in, n, k = x.shape
     bank = dense_bank(coeffs, weight, bias, heads, c_in)
-    c_out = bank.shape[3]
-    xp = T.reshape(T.permute(x, (0, 2, 3, 1)), (b, n, k, c_in, 1))
-    total = None
-    for h in range(heads):
-        w_h = T.reshape(T.slice_axis(bank, 5, h, h + 1), (b, n, k, c_out, c_in))
-        out_h = T.matmul_batched(w_h, xp)  # (B, N, k, C_out, 1)
-        total = out_h if total is None else T.add(total, out_h)
-    return T.permute(T.reshape(total, (b, n, k, c_out)), (0, 3, 1, 2))
+    products = T.mul(bank, T.reshape(x, (b, 1, c_in, 1, n, k)))
+    return T.reduce_sum(T.reduce_sum(products, axis=3), axis=2)  # (B, C_out, N, k)
 
 
 def rand_head_inputs(b, mid, n, k, ci, co, heads, seed):
@@ -151,7 +145,7 @@ def test_kernel_bank_shape():
     assert coeffs.shape == (2, 8, 32, 20)
     conv1 = op.gen.conv1
     bank = dense_bank(coeffs, conv1.weight.value, conv1.bias.value, 3, 6)
-    assert bank.shape == (2, 32, 20, 64, 6, 3)
+    assert bank.shape == (2, 64, 6, 3, 32, 20)
     feat = Tensor(np.zeros((2, 6, 32, 20)))
     out = apply_heads(coeffs, feat, conv1.weight.value, conv1.bias.value, 3)
     assert out.shape == (2, 64, 32, 20)

@@ -3,6 +3,7 @@ hand-enumerated configuration, shared-graph plumbing, and symmetry checks."""
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,11 +11,15 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import adaptgraph
 from adaptgraph import graph, network
 from adaptgraph import tensor as T
+from adaptgraph.data import PipelineConfig, SynthSpec
 from adaptgraph.errors import ConfigError, InvalidInputError, UsageError
+from adaptgraph.kernels import MultiHeadAdaptiveKernel
 from adaptgraph.network import (ActivityNet, ModelConfig, Variant, build,
                                 config_from_dict, config_to_dict, count_macs,
                                 count_params)
@@ -69,6 +74,118 @@ def test_config_dict_round_trip():
         config_from_dict({"k": 5})
     with pytest.raises(ConfigError, match="'k' is malformed"):
         config_from_dict({**config_to_dict(cfg), "k": "five"})
+
+
+def test_config_codec_names_unknown_and_malformed_fields():
+    d = config_to_dict(PipelineConfig())
+    with pytest.raises(ConfigError, match="unknown field 'colour'"):
+        config_from_dict({**d, "colour": "red"}, PipelineConfig)
+    with pytest.raises(ConfigError, match="'split_ratios' is malformed"):
+        config_from_dict({**d, "split_ratios": 5}, PipelineConfig)
+    with pytest.raises(ConfigError, match="JSON object"):
+        config_from_dict(None, SynthSpec)
+
+
+# --- codec properties: every config the checkpoints and manifests carry ---
+
+_POS = st.integers(1, 10**6)
+_UNIT = st.floats(0.0, 1.0, exclude_max=True)
+
+
+@st.composite
+def _ratios(draw):
+    parts = [draw(st.integers(1, 1000)) for _ in range(3)]
+    return tuple(p / sum(parts) for p in parts)
+
+
+_VALID = {
+    ModelConfig: st.builds(
+        ModelConfig, in_channels=_POS, k=_POS, num_heads=_POS,
+        stage_widths=st.tuples(_POS, _POS, _POS, _POS), emb_dims=_POS,
+        fc_widths=st.lists(_POS, min_size=1, max_size=4).map(tuple),
+        num_classes=st.integers(2, 10**6), variant=st.sampled_from(Variant),
+        dropout=_UNIT, leaky_slope=_UNIT, mak_mid_channels=_POS),
+    PipelineConfig: st.builds(
+        PipelineConfig, window_frames=_POS, window_stride=_POS,
+        points_per_frame=_POS, split_ratios=_ratios(), seed=st.integers(0, 2**63)),
+    SynthSpec: st.builds(
+        SynthSpec, classes=st.integers(2, 10**6), sequences_per_class=_POS,
+        frames=_POS, points=_POS, noise=st.floats(0.0, 1e6),
+        frame_rate=st.floats(1e-3, 1e6)),
+}
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_SCALAR = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+           | st.sampled_from([10**400, "5", "0.5", "1e999", "nan", "five", "mak-ff"]))
+_JSON = st.recursive(
+    _SCALAR,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=4), inner,
+                                                               max_size=3),
+    max_leaves=8)
+
+
+def _like(v):
+    """Arbitrary JSON values, and lists as long as v when v is a list."""
+    if isinstance(v, list):
+        return st.lists(_SCALAR, min_size=len(v), max_size=len(v)) | _JSON
+    return _SCALAR | _JSON
+
+
+@st.composite
+def _json_objects(draw, cls):
+    """A valid config's dict with one float (or float list element) made
+    non-finite, or with one or two fields replaced by arbitrary JSON and
+    sometimes a field dropped or an unknown key added; or, one time in ten,
+    a wholly arbitrary JSON object."""
+    branch = draw(st.integers(0, 9))
+    if branch == 0:
+        return draw(st.dictionaries(st.text(max_size=6), _JSON, max_size=4))
+    d = config_to_dict(draw(_VALID[cls]))
+    if branch <= 3:
+        slots = [(k, None) for k, v in d.items() if isinstance(v, float)]
+        slots += [(k, i) for k, v in d.items() if isinstance(v, list)
+                  for i, w in enumerate(v) if isinstance(w, float)]
+        name, i = draw(st.sampled_from(slots))
+        if i is None:
+            d[name] = draw(_NON_FINITE)
+        else:
+            d[name][i] = draw(_NON_FINITE)
+        return d
+    for name in draw(st.lists(st.sampled_from(sorted(d)), min_size=1, max_size=2,
+                              unique=True)):
+        d[name] = draw(_like(d[name]))
+    if draw(st.integers(0, 7)) == 0:
+        d.pop(draw(st.sampled_from(sorted(d))))
+    if draw(st.integers(0, 7)) == 0:
+        d[draw(st.text(max_size=6))] = draw(_JSON)
+    return d
+
+
+def _floats(v):
+    return list(v) if isinstance(v, tuple) else [v]
+
+
+@pytest.mark.parametrize("cls", list(_VALID), ids=lambda c: c.__name__)
+@settings(deadline=None)
+@given(data=st.data())
+def test_config_codec_round_trips_valid_configs_through_json(cls, data):
+    cfg = data.draw(_VALID[cls])
+    assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg))), cls) == cfg
+
+
+@pytest.mark.parametrize("cls", list(_VALID), ids=lambda c: c.__name__)
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_config_codec_decodes_any_json_to_a_finite_config_or_config_error(cls, data):
+    d = data.draw(_json_objects(cls))
+    try:
+        cfg = config_from_dict(json.loads(json.dumps(d)), cls)
+    except ConfigError:
+        return
+    assert type(cfg) is cls
+    for f in dataclasses.fields(cfg):
+        for v in _floats(getattr(cfg, f.name)):
+            assert not isinstance(v, float) or math.isfinite(v), (f.name, v)
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -127,17 +244,31 @@ def test_variant_stage_layout():
     assert plans[Variant.SEQUENTIAL_FF] == ["mak", "mak", "conv", "conv"]
 
 
-def test_fusion_width_depends_on_variant():
+def capture_fused(model, x, monkeypatch):
+    """Run model on x and return the fused stage outputs: the input of its
+    fusion layer."""
+    seen = []
+    real = model.fuse.forward
+
+    def recording(v):
+        seen.append(v)
+        return real(v)
+
+    monkeypatch.setattr(model.fuse, "forward", recording)
+    model(x)
+    return seen[0]
+
+
+def test_fusion_width_depends_on_variant(monkeypatch):
     cfg_all = small_cfg(variant=Variant.MAK_FF)
     cfg_last = small_cfg(variant=Variant.MAK_ONLY)
     model_all = build(cfg_all, seed=0)
     model_last = build(cfg_last, seed=0)
-    tr_all, tr_last = {}, {}
     x = Tensor(cloud())
-    model_all.eval()(x, trace=tr_all)
-    model_last.eval()(x, trace=tr_last)
-    assert tr_all["fused"].shape[1] == sum(SMALL["stage_widths"])
-    assert tr_last["fused"].shape[1] == SMALL["stage_widths"][-1]
+    fused_all = capture_fused(model_all.eval(), x, monkeypatch)
+    fused_last = capture_fused(model_last.eval(), x, monkeypatch)
+    assert fused_all.shape[1] == sum(SMALL["stage_widths"])
+    assert fused_last.shape[1] == SMALL["stage_widths"][-1]
 
 
 def test_build_is_seed_deterministic():
@@ -165,15 +296,30 @@ def test_knn_runs_once_per_forward(monkeypatch):
     assert calls == [SMALL["k"]]
 
 
-def test_every_kernel_stage_reads_raw_geometry():
+def test_every_kernel_stage_reads_raw_geometry(monkeypatch):
     model = build(small_cfg(variant=Variant.MAK_ONLY), seed=0).eval()
-    tr = {}
-    model(Tensor(cloud()), trace=tr)
+    features, stage_inputs = [], {}
+    real_feature = graph.graph_feature
+    real_forward = MultiHeadAdaptiveKernel.forward
+
+    def recording_feature(x, idx):
+        features.append(real_feature(x, idx))
+        return features[-1]
+
+    def recording_forward(stage, geo, feat):
+        stage_inputs[stage] = (geo, feat)
+        return real_forward(stage, geo, feat)
+
+    monkeypatch.setattr(graph, "graph_feature", recording_feature)
+    monkeypatch.setattr(MultiHeadAdaptiveKernel, "forward", recording_forward)
+    model(Tensor(cloud()))
+    geo = features[0]  # the edge features of the raw input
     for pos in (2, 3, 4):
-        assert tr[f"mak{pos}.gen_input"] is tr["geo"]
+        assert stage_inputs[getattr(model, f"mak{pos}")][0] is geo
     # while the content features come from the previous stage, not geometry
-    assert tr["mak2.feat"] is not tr["geo"]
-    assert tr["mak2.feat"].shape[1] == 2 * SMALL["stage_widths"][0]
+    feat2 = stage_inputs[model.mak2][1]
+    assert feat2 is not geo
+    assert feat2.shape[1] == 2 * SMALL["stage_widths"][0]
 
 
 def test_logits_invariant_to_point_permutation():

@@ -118,25 +118,6 @@ def test_gradient_of_linear_map_is_the_fixed_factor():
 # frozen numeric fixtures
 # ---------------------------------------------------------------------
 
-def test_matmul_fixture():
-    a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    b = Tensor([[5.0, 6.0], [7.0, 8.0]])
-    np.testing.assert_array_equal((a @ b).data, [[19.0, 22.0], [43.0, 50.0]])
-
-
-def test_matmul_identity_and_zero():
-    b = Tensor([[3.0], [4.0]])
-    np.testing.assert_array_equal((Tensor(np.eye(2)) @ b).data, b.data)
-    z = T.matmul_batched(Tensor(np.zeros((1, 3, 2), dtype=np.float32)),
-                         Tensor(rand(1, 2, 4).astype(np.float32)))
-    np.testing.assert_array_equal(z.data, np.zeros((1, 3, 4)))
-
-
-def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(ShapeError, match=r"2, 3.*4, 2"):
-        T.matmul_batched(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
-
-
 def test_pointwise_linear_fixture():
     x = Tensor(np.ones((1, 2, 1, 1), dtype=np.float32))
     w = Tensor([[1.0, 1.0], [2.0, 2.0]])
@@ -286,32 +267,28 @@ def test_softmax_cross_entropy_guards():
 # shape ops
 # ---------------------------------------------------------------------
 
-def test_reshape_permute_round_trip():
+def test_reshape_round_trip():
     x = rand(2, 3, 4)
     t = Tensor(x)
-    back = T.permute(T.permute(t, (2, 0, 1)), (1, 2, 0))
-    np.testing.assert_array_equal(back.data, x)
     r = T.reshape(T.reshape(t, (4, 6)), (2, 3, 4))
     np.testing.assert_array_equal(r.data, t.data)
-    # multiset of values is preserved by any reshape/permute
-    assert sorted(T.permute(t, (1, 0, 2)).data.ravel()) == sorted(x.ravel())
+    # row-major order of the values is preserved by any reshape
+    np.testing.assert_array_equal(T.reshape(t, (6, 4)).data.ravel(), x.ravel())
 
 
-def test_reshape_and_permute_errors():
+def test_reshape_errors():
     with pytest.raises(ShapeError):
         T.reshape(Tensor(np.zeros((2, 3))), (4, 4))
-    with pytest.raises(ShapeError):
-        T.permute(Tensor(np.zeros((2, 3))), (0, 0))
 
 
 def test_concat_and_slice_round_trip():
     a, b = Tensor(rand(2, 3)), Tensor(rand(2, 2, seed=1))
     joined = T.concat([a, b], axis=1)
     assert joined.shape == (2, 5)
-    np.testing.assert_array_equal(T.slice_axis(joined, 1, 0, 3).data, a.data)
-    np.testing.assert_array_equal(T.slice_axis(joined, 1, 3, 5).data, b.data)
+    np.testing.assert_array_equal(joined.data[:, :3], a.data)
+    np.testing.assert_array_equal(joined.data[:, 3:], b.data)
     with pytest.raises(InvalidInputError):
-        T.slice_axis(a, 1, 2, 7)
+        T.concat([a, b], axis=2)
     with pytest.raises(UsageError):
         T.concat([a, Tensor(rand(2, 2), dtype="f32")], axis=1)
 
@@ -358,7 +335,7 @@ def test_grad_arithmetic():
     check_grads(lambda a, b: T.add(a, b), [rand(3, 4), rand(3, 4, seed=1)])
     check_grads(lambda a, b: T.sub(a, b), [rand(3, 4), rand(3, 4, seed=1)])
     check_grads(lambda a, b: T.mul(a, b), [rand(3, 4), rand(3, 4, seed=1)])
-    check_grads(lambda a: T.neg(a), [rand(5)])
+    check_grads(lambda a: T.sub(0.0, a), [rand(5)])
 
 
 def test_grad_broadcast_arithmetic():
@@ -367,26 +344,9 @@ def test_grad_broadcast_arithmetic():
     check_grads(lambda a: T.broadcast_to(a, (2, 3, 4)), [rand(3, 1)])
 
 
-def test_grad_matmul():
-    check_grads(lambda a, b: T.matmul_batched(a, b), [rand(3, 4), rand(4, 5, seed=1)])
-    check_grads(lambda a, b: T.matmul_batched(a, b),
-                [rand(2, 3, 4), rand(2, 4, 5, seed=1)])
-    # broadcast over the leading axis
-    check_grads(lambda a, b: T.matmul_batched(a, b), [rand(2, 3, 4), rand(4, 5, seed=1)])
-    # singleton contractions take the outer-product fast path
-    check_grads(lambda a, b: T.matmul_batched(a, b),
-                [rand(2, 3, 1), rand(2, 1, 5, seed=1)])
-    check_grads(lambda a, b: T.matmul_batched(a, b),
-                [rand(2, 3, 4), rand(2, 4, 1, seed=1)])
-    check_grads(lambda a, b: T.matmul_batched(a, b),
-                [rand(2, 1, 4), rand(2, 4, 5, seed=1)])
-
-
 def test_grad_shape_ops():
     check_grads(lambda a: T.reshape(a, (6, 2)), [rand(3, 4)])
-    check_grads(lambda a: T.permute(a, (2, 0, 1)), [rand(2, 3, 4)])
     check_grads(lambda a, b: T.concat([a, b], 1), [rand(2, 3), rand(2, 2, seed=1)])
-    check_grads(lambda a: T.slice_axis(a, 1, 1, 3), [rand(2, 4)])
 
 
 def test_grad_reductions():
@@ -430,4 +390,4 @@ def test_grad_softmax_cross_entropy():
 
 def test_grad_fanout_shares_upstream():
     # the same tensor feeding two consumers must accumulate both contributions
-    check_grads(lambda a: T.add(T.mul(a, a), T.permute(a, (0, 1))), [rand(3, 3)])
+    check_grads(lambda a: T.add(T.mul(a, a), T.reshape(a, (3, 3))), [rand(3, 3)])
