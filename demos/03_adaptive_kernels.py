@@ -48,7 +48,7 @@ print("same point, neighbor 1 sees a different kernel, max |delta| =",
       f"{np.abs(w_edge0 - w_edge1).max():.3f}")
 
 filtered = apply_heads(coeffs, feat, op.gen.conv1.weight.value,
-                       op.gen.conv1.bias.value, heads)
+                       op.gen.conv1.bias.value, heads, c_out)
 direct = w_edge0 @ feat.data[0, :, 0, 0]
 print("apply_heads on that edge equals W_edge @ x:",
       np.allclose(filtered.data[0, :, 0, 0], direct, rtol=1e-4, atol=1e-5))

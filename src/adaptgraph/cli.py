@@ -61,8 +61,10 @@ def _read_source(source: dict) -> list:
     if source.get("kind") == "manifest":
         return D.read_manifest(source["path"])
     if source.get("kind") == "synth":
-        return D.synth_generate(config_from_dict(source.get("spec"), D.SynthSpec),
-                                source["seed"])
+        seed = source.get("seed")
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ConfigError(f"data source seed must be an integer >= 0, got {seed!r}")
+        return D.synth_generate(config_from_dict(source.get("spec"), D.SynthSpec), seed)
     raise ConfigError(f"no usable data source recorded ({source!r}); "
                       "eval can name one with --data")
 
@@ -76,6 +78,8 @@ def materialize(spec: dict):
     selects the same samples and cuts the same splits."""
     pipeline = config_from_dict(spec.get("pipeline_config"), D.PipelineConfig)
     limit = spec.get("limit") or 0
+    if isinstance(limit, bool) or not isinstance(limit, int):
+        raise ConfigError(f"limit must be an integer, got {limit!r}")
     if limit < 0:
         raise ConfigError(f"limit must be >= 0, got {limit}")
     samples = D.build_samples(_read_source(spec.get("data_source") or {}), pipeline)

@@ -287,7 +287,7 @@ def parse_header(line: str, path) -> dict:
         key, val = part.split("=", 1)
         fields[key] = val
     try:
-        return {
+        header = {
             "C": int(fields["C"]),
             "rate": float(fields["rate"]),
             "label": int(fields["label"]),
@@ -295,6 +295,9 @@ def parse_header(line: str, path) -> dict:
         }
     except (KeyError, ValueError) as e:
         raise DataError(f"{path}: bad header {line!r}: {e}") from None
+    if not math.isfinite(header["rate"]):
+        raise DataError(f"{path}: bad header {line!r}: rate must be finite")
+    return header
 
 
 def parse_frame_line(line: str, c: int) -> Tuple[int, np.ndarray]:

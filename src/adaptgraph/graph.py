@@ -32,6 +32,10 @@ class NeighborIndex:
         if idx.ndim != 3 or idx.shape[2] != self.k or idx.shape[1] != self.n_points:
             raise ShapeError(
                 f"indices shape {idx.shape} inconsistent with N={self.n_points}, k={self.k}")
+        if not np.issubdtype(idx.dtype, np.integer):
+            raise InvalidInputError("indices must be integer-typed")
+        if idx.size and (idx.min() < 0 or idx.max() >= self.n_points):
+            raise InvalidInputError(f"indices must lie in [0, {self.n_points})")
 
 
 def pairwise_similarity(x: Tensor) -> Tensor:
@@ -83,6 +87,18 @@ def knn(x: Tensor, k: int) -> NeighborIndex:
     return NeighborIndex(indices=np.ascontiguousarray(order[:, :, :k]), k=k, n_points=n)
 
 
+def _check_points(x: Tensor, idx: NeighborIndex, op: str) -> None:
+    if x.ndim != 3:
+        raise ShapeError(f"{op} expects (B, C, N), got {x.shape}")
+    b, _, n = x.shape
+    if idx.n_points != n:
+        raise InvalidInputError(
+            f"neighbor index built for N={idx.n_points}, input has N={n}")
+    if idx.indices.shape[0] != b:
+        raise ShapeError(
+            f"neighbor index batch {idx.indices.shape[0]} != input batch {b}")
+
+
 def graph_feature(x: Tensor, idx: NeighborIndex) -> Tensor:
     """Concatenated edge features: offsets to neighbors plus the center point.
 
@@ -93,15 +109,43 @@ def graph_feature(x: Tensor, idx: NeighborIndex) -> Tensor:
         (B, 2C, N, k); channels [0, C) hold x_j - x_i for each neighbor j,
         channels [C, 2C) repeat x_i along the neighbor axis.
     """
-    if x.ndim != 3:
-        raise ShapeError(f"graph_feature expects (B, C, N), got {x.shape}")
+    _check_points(x, idx, "graph_feature")
     b, c, n = x.shape
-    if idx.n_points != n:
-        raise InvalidInputError(
-            f"neighbor index built for N={idx.n_points}, input has N={n}")
-    if idx.indices.shape[0] != b:
-        raise ShapeError(
-            f"neighbor index batch {idx.indices.shape[0]} != input batch {b}")
     neighbors = T.gather_points(x, idx.indices)  # (B, C, N, k)
     center = T.broadcast_to(T.reshape(x, (b, c, n, 1)), (b, c, n, idx.k))
     return T.concat([T.sub(neighbors, center), center], axis=1)
+
+
+def edge_linear(x: Tensor, idx: NeighborIndex, weight: Tensor) -> Tensor:
+    """``pointwise_linear(graph_feature(x, idx), weight)`` without forming
+    either edge tensor.
+
+    Args:
+        x: point features, (B, C, N)
+        idx: neighborhood structure over the same N points
+        weight: (C_out, 2C) = [W_a | W_b], acting on [x_j - x_i, x_i]
+    Returns:
+        (B, C_out, N, k). The map is linear in [x_j - x_i, x_i], so it equals
+        W_a x_j + (W_b - W_a) x_i: one (2 C_out, C) product per point, then
+        a gather, k times fewer multiply-accumulates than per edge.
+    """
+    _check_points(x, idx, "edge_linear")
+    b, c, n = x.shape
+    if weight.ndim != 2 or weight.shape[1] != 2 * c:
+        raise ShapeError(f"weight must be (C_out, {2 * c}), got {weight.shape}")
+    c_out = weight.shape[0]
+    w_a = weight.data[:, :c]
+    stacked = np.concatenate([w_a, weight.data[:, c:] - w_a])  # (2 C_out, C)
+    per_point = np.matmul(stacked, x.data)  # (B, 2 C_out, N): W_a x, then (W_b - W_a) x
+    out = T._gather(per_point[:, :c_out], idx.indices)
+    out += per_point[:, c_out:, :, None]
+
+    def back(g):
+        d_point = np.concatenate(
+            [T._scatter_add(g, idx.indices, n), g.sum(axis=3)], axis=1)
+        dx = np.matmul(stacked.T, d_point)
+        d_stacked = np.einsum("bon,bcn->oc", d_point, x.data, optimize=True)
+        d_a, d_diff = d_stacked[:c_out], d_stacked[c_out:]
+        return dx, np.concatenate([d_a - d_diff, d_diff], axis=1)
+
+    return T._make(out, (x, weight), back)

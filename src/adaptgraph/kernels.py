@@ -74,14 +74,14 @@ class _KernelGenerator(Module):
 
 
 def apply_heads(coeffs: Tensor, x: Tensor, weight: Tensor, bias: Tensor,
-                heads: int) -> Tensor:
+                heads: int, out_channels: int) -> Tensor:
     """Apply every edge's generated kernels to its features and sum over heads,
     without forming the kernels.
 
     coeffs: (B, mid, N, k) generator coefficients y; x: (B, C_in, N, k);
     weight: (C_out * C_in * H, mid) and bias: (C_out * C_in * H,), the
-    generator's last layer in the channel layout c = (o * C_in + i) * H + h.
-    C_out is inferred as rows / (C_in * H). Returns (B, C_out, N, k) with
+    generator's last layer in the channel layout c = (o * C_in + i) * H + h,
+    with C_out = ``out_channels``. Returns (B, C_out, N, k) with
 
         out[b,:,n,j] = sum_h W_h[b,n,j] @ x[b,:,n,j],
         W_h[b,n,j][o,i] = weight[(o*C_in+i)*H+h] @ y[b,:,n,j] + bias[(o*C_in+i)*H+h].
@@ -92,21 +92,25 @@ def apply_heads(coeffs: Tensor, x: Tensor, weight: Tensor, bias: Tensor,
     """
     if heads < 1:
         raise ConfigError("head count must be at least 1")
+    if out_channels < 1:
+        raise ConfigError("out_channels must be at least 1")
     if coeffs.ndim != 4:
         raise ShapeError(f"coefficients must be (B, mid, N, k), got {coeffs.shape}")
     if x.ndim != 4:
         raise ShapeError(f"features must be (B, C_in, N, k), got {x.shape}")
     b, mid, n, k = coeffs.shape
     c_in = x.shape[1]
+    c_out = out_channels
     if x.shape != (b, c_in, n, k):
         raise ShapeError(
             f"features {x.shape} do not match coefficients (B={b}, N={n}, k={k})")
-    if weight.ndim != 2 or weight.shape[1] != mid or weight.shape[0] % (c_in * heads):
+    rows = c_out * c_in * heads
+    if weight.shape != (rows, mid):
         raise ShapeError(
-            f"weight must be (C_out*{c_in}*{heads}, {mid}), got {weight.shape}")
-    c_out = weight.shape[0] // (c_in * heads)
-    if bias.shape != (weight.shape[0],):
-        raise ShapeError(f"bias must be ({weight.shape[0]},), got {bias.shape}")
+            f"weight must be ({c_out}*{c_in}*{heads}, {mid}) = ({rows}, {mid}), "
+            f"got {weight.shape}")
+    if bias.shape != (rows,):
+        raise ShapeError(f"bias must be ({rows},), got {bias.shape}")
 
     a_sum = T.reduce_sum(T.reshape(weight, (c_out, c_in, heads, mid)), axis=2)
     b_sum = T.reduce_sum(T.reshape(bias, (c_out, c_in, heads, 1)), axis=2)
@@ -156,7 +160,7 @@ class MultiHeadAdaptiveKernel(Module):
                 f"geometry {geo.shape} and features {feat.shape} disagree on B/N/k")
         conv1 = self.gen.conv1
         out = apply_heads(self.generate_kernels(geo), feat, conv1.weight.value,
-                          conv1.bias.value, cfg.num_heads)
+                          conv1.bias.value, cfg.num_heads, cfg.out_channels)
         if cfg.residual:
             if cfg.in_channels == cfg.out_channels:
                 identity = feat

@@ -170,12 +170,12 @@ class ActivityNet(Module):
         outs = []
         prev = None
         for name, kind in self._stages:
-            feat = geo if prev is None else graph.graph_feature(prev, idx)
             stage = getattr(self, name)
             if kind == "mak":
+                feat = geo if prev is None else graph.graph_feature(prev, idx)
                 y = stage(geo, feat)
             else:
-                y = stage(feat)
+                y = stage(x if prev is None else prev, idx)
             pooled = T.reduce(y, 3, "max")     # (B, width, N)
             outs.append(pooled)
             prev = pooled
@@ -193,7 +193,10 @@ class ActivityNet(Module):
 
 
 class _ConvBlock(Module):
-    """Conventional stage: pointwise conv + BN + LeakyReLU on edge features."""
+    """Conventional stage: pointwise conv + BN + LeakyReLU on edge features.
+
+    The conv acts on the edge features of its input points, applied per point
+    by :func:`graph.edge_linear` instead of per edge."""
 
     def __init__(self, in_channels: int, out_channels: int,
                  rng: np.random.Generator, dtype: str, slope: float):
@@ -202,8 +205,9 @@ class _ConvBlock(Module):
         self.conv = PointwiseLinear(in_channels, out_channels, rng, bias=False, dtype=dtype)
         self.bn = BatchNorm(out_channels, dtype=dtype)
 
-    def forward(self, x: Tensor) -> Tensor:
-        return T.leaky_relu(self.bn(self.conv(x)), self.slope)
+    def forward(self, points: Tensor, idx: graph.NeighborIndex) -> Tensor:
+        edges = graph.edge_linear(points, idx, self.conv.weight.value)  # (B, C_out, N, k)
+        return T.leaky_relu(self.bn(edges), self.slope)
 
 
 def build(cfg: ModelConfig, seed: int, dtype: str = "f32") -> ActivityNet:
@@ -306,9 +310,11 @@ def count_macs(cfg: ModelConfig, n_points: int) -> int:
     This is the paper's cost formula, which generates every edge's H kernels
     and applies them; it is not the work executed. The operator folds the
     heads and the generator's last stage into one map of about
-    C_in * (mid + 1) * C_out MACs per edge instead of mid * full + full, so a
-    throughput computed from this count (GMAC/s) reads higher than the
-    arithmetic actually done.
+    C_in * (mid + 1) * C_out MACs per edge instead of mid * full + full, and
+    a conv stage applies its weight per point (:func:`graph.edge_linear`),
+    C_in * C_out MACs per point instead of per edge, k times fewer. A
+    throughput computed from this count (GMAC/s) therefore reads higher than
+    the arithmetic actually done.
     """
     if n_points < cfg.k:
         raise InvalidInputError(f"N={n_points} is smaller than k={cfg.k}")

@@ -139,13 +139,19 @@ def _wrap(other, like: Tensor) -> Tensor:
     return Tensor(np.asarray(other), dtype=like.dtype)
 
 
+def _recording(*parents: Tensor) -> bool:
+    """True when an op on ``parents`` records a graph node. Ops build state
+    that only their backward needs (masks, argmax indices) only then."""
+    return _grad_enabled and any(p.requires_grad or p.node is not None for p in parents)
+
+
 def _make(data: np.ndarray, parents, backward_fn) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.requires_grad = False
     out.grad = None
     out.node = None
-    if _grad_enabled and any(p.requires_grad or p.node is not None for p in parents):
+    if _recording(*parents):
         out.node = _Node(tuple(parents), backward_fn)
     return out
 
@@ -311,6 +317,15 @@ def pointwise_linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -
 # normalization / activation
 # ---------------------------------------------------------------------
 
+def _channel_sums(a: np.ndarray) -> np.ndarray:
+    """Per-channel float64 sums of a (B, C, G) array.
+
+    numpy sums each contiguous G row pairwise in the input dtype; the B
+    partial sums are then added in float64. A reduction over axes (0, 2) would
+    add the B rows in the input dtype, so this is at least as accurate."""
+    return a.sum(axis=2).sum(axis=0, dtype=np.float64)
+
+
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                running_mean: Optional[np.ndarray], running_var: Optional[np.ndarray],
                mode: str, momentum: float = 0.1, epsilon: float = 1e-5) -> Tensor:
@@ -329,16 +344,21 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     c = x.shape[1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"gamma/beta must be ({c},), got {gamma.shape} and {beta.shape}")
-    axes = (0,) + tuple(range(2, x.ndim))
-    bshape = (1, c) + (1,) * (x.ndim - 2)
     xd = x.data
+    dt = xd.dtype
     m = xd.size // c if c else 0
+    # channels in the middle of a contiguous (B, C, G) view: every per-channel
+    # statistic is a sum over its outer and inner axes
+    x3 = xd.reshape(x.shape[0], c, int(np.prod(x.shape[2:], dtype=np.int64)))
+    cshape = (1, c, 1)
 
     if mode == "train":
         if m == 0:
             raise InvalidInputError("batch_norm in train mode needs a non-empty batch")
-        mu = xd.mean(axis=axes)
-        var = xd.var(axis=axes)
+        mu = (_channel_sums(x3) / m).astype(dt)
+        centred = x3 - mu.reshape(cshape)
+        out = np.square(centred)  # scratch for the variance, then the output
+        var = (_channel_sums(out) / m).astype(dt)
         if running_mean is not None:
             running_mean *= 1.0 - momentum
             running_mean += momentum * mu.astype(running_mean.dtype)
@@ -348,42 +368,63 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     else:
         if running_mean is None or running_var is None:
             raise InvalidInputError("batch_norm in eval mode needs populated running stats")
-        mu = np.asarray(running_mean, dtype=xd.dtype)
-        var = np.asarray(running_var, dtype=xd.dtype)
+        mu = np.asarray(running_mean, dtype=dt)
+        var = np.asarray(running_var, dtype=dt)
+        centred = x3 - mu.reshape(cshape)
+        out = np.empty_like(centred) if _recording(x, gamma, beta) else centred
 
-    ivar = 1.0 / np.sqrt(var + np.asarray(epsilon, dtype=xd.dtype))
-    xhat = (xd - mu.reshape(bshape)) * ivar.reshape(bshape)
-    out = gamma.data.reshape(bshape) * xhat + beta.data.reshape(bshape)
+    # xhat = centred * ivar is never formed: ivar folds into per-channel
+    # factors here and in the backward pass, which keeps only ``centred``
+    ivar = 1.0 / np.sqrt(var + np.asarray(epsilon, dtype=dt))
+    scale = (gamma.data * ivar).reshape(cshape)
+    np.multiply(centred, scale, out=out)
+    out += beta.data.reshape(cshape)
 
-    if mode == "train":
-        def back(g):
-            dbeta = g.sum(axis=axes)
-            dgamma = (g * xhat).sum(axis=axes)
-            dxhat = g * gamma.data.reshape(bshape)
-            # classic fused form: only xhat and ivar are retained
-            t = dxhat.sum(axis=axes, keepdims=True)
-            u = (dxhat * xhat).sum(axis=axes, keepdims=True)
-            dx = (ivar.reshape(bshape) / m) * (m * dxhat - t - xhat * u)
-            return dx, dgamma, dbeta
-    else:
-        def back(g):
-            dbeta = g.sum(axis=axes)
-            dgamma = (g * xhat).sum(axis=axes)
-            dx = g * (gamma.data.reshape(bshape) * ivar.reshape(bshape))
-            return dx, dgamma, dbeta
+    def back(g):
+        g3 = g.reshape(centred.shape)
+        dbeta = _channel_sums(g3)
+        dx = np.multiply(g3, centred)
+        dgamma = _channel_sums(dx) * ivar  # sum of g * xhat
+        if mode == "train":
+            # fused per-channel form of d/dx through the batch statistics:
+            # gamma * ivar * (g - dbeta / m - xhat * dgamma / m)
+            np.multiply(centred, (-dgamma * ivar / m).astype(dt).reshape(cshape), out=dx)
+            dx += g3
+            dx += (-dbeta / m).astype(dt).reshape(cshape)
+            dx *= scale
+        else:
+            np.multiply(g3, scale, out=dx)
+        return dx.reshape(x.shape), dgamma.astype(dt), dbeta.astype(dt)
 
-    return _make(out, (x, gamma, beta), back)
+    return _make(out.reshape(x.shape), (x, gamma, beta), back)
 
 
 def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
-    """x if x >= 0 else slope * x; the point x == 0 takes the positive branch."""
+    """x if x >= 0 else slope * x; the point x == 0 takes the positive branch.
+
+    Computed branch-free and bit for bit equal to that select: for
+    0 < slope < 1, slope * x >= x exactly when x < 0, so max(x, slope * x)
+    picks the branch. At slope 0 the max would turn +inf * 0 = nan into the
+    result, so there x is multiplied by its 0/1 sign mask instead.
+    """
     if not 0 <= slope < 1:
         raise InvalidInputError(f"slope must be in [0, 1), got {slope}")
-    neg_mask = x.data < 0
-    out = np.where(neg_mask, x.data * np.asarray(slope, dtype=x.data.dtype), x.data)
+    xd = x.data
+    s = np.asarray(slope, dtype=xd.dtype)
+    if slope:
+        out = xd * s
+        np.maximum(xd, out, out=out)
+    else:
+        out = xd * (xd >= 0)
+    if not _recording(x):
+        return _make(out, (x,), None)
+    neg_mask = xd < 0
 
     def back(g):
-        return (np.where(neg_mask, g * np.asarray(slope, dtype=g.dtype), g),)
+        factor = neg_mask * s  # slope where x < 0, else 1
+        factor += ~neg_mask
+        factor *= g
+        return (factor,)
 
     return _make(out, (x,), back)
 
@@ -416,6 +457,8 @@ def reduce(x: Tensor, axis: int, kind: str) -> Tensor:
     if n == 0:
         raise InvalidInputError(f"cannot reduce empty axis {axis} of shape {x.shape}")
     if kind == "max":
+        if not _recording(x):
+            return _make(x.data.max(axis=axis), (x,), None)
         am = np.argmax(x.data, axis=axis)  # np.argmax takes the first maximum
         out = np.take_along_axis(x.data, np.expand_dims(am, axis), axis).squeeze(axis)
 
@@ -456,6 +499,41 @@ def reduce_sum(x: Tensor, axis: Optional[int] = None, keepdims: bool = False) ->
 # gather / loss
 # ---------------------------------------------------------------------
 
+def _gather(xd: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """out[b, :, m, j] = xd[b, :, index[b, m, j]]: (B, C, N) -> (B, C, M, k).
+
+    Callers have checked that every index lies in [0, N); mode "clip" then
+    changes nothing but lets np.take write ``out`` without buffering."""
+    out = np.empty(xd.shape[:2] + index.shape[1:], dtype=xd.dtype)
+    for b in range(xd.shape[0]):
+        np.take(xd[b], index[b], axis=1, out=out[b], mode="clip")
+    return out
+
+
+def _scatter_add(g: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
+    """Adjoint of :func:`_gather`: (B, C, M, k) -> (B, C, n), adding
+    g[b, :, m, j] into point index[b, m, j].
+
+    A segment sum: edges are sorted by destination point and every run of
+    one destination is summed by one np.add.reduceat. The sort index lives
+    only for this call, so the forward pass keeps nothing but ``index``.
+    """
+    b_dim, c = g.shape[:2]
+    flat = (index + (np.arange(b_dim, dtype=index.dtype) * n)[:, None, None]).ravel()
+    counts = np.bincount(flat, minlength=b_dim * n)
+    dest = np.flatnonzero(counts)
+    starts = np.zeros(dest.size, dtype=np.intp)
+    np.cumsum(counts[dest][:-1], out=starts[1:])
+    # (C, E) so each run is contiguous, edges in the order of their destination
+    rows = g.reshape(b_dim, c, index.shape[1] * index.shape[2])
+    rows = rows.transpose(1, 0, 2).reshape(c, flat.size)
+    rows = np.take(rows, np.argsort(flat, kind="stable"), axis=1, mode="clip")
+    out = np.zeros((c, b_dim * n), dtype=g.dtype)
+    if dest.size:
+        out[:, dest] = np.add.reduceat(rows, starts, axis=1)
+    return out.reshape(c, b_dim, n).transpose(1, 0, 2)
+
+
 def gather_points(x: Tensor, index: np.ndarray) -> Tensor:
     """Gather per-point neighbors: x (B, C, N), index (B, M, k) of int ->
     (B, C, M, k). The backward pass scatter-adds into the source points."""
@@ -466,22 +544,14 @@ def gather_points(x: Tensor, index: np.ndarray) -> Tensor:
         raise ShapeError(f"index must be (B, M, k) with B={x.shape[0]}, got {index.shape}")
     if not np.issubdtype(index.dtype, np.integer):
         raise InvalidInputError("index must be integer-typed")
-    b_dim, c, n = x.shape
-    _, m, k = index.shape
+    n = x.shape[2]
     if index.size and (index.min() < 0 or index.max() >= n):
         raise InvalidInputError(f"index values must lie in [0, {n})")
 
-    flat = (index + (np.arange(b_dim, dtype=index.dtype) * n)[:, None, None]).reshape(-1)
-    xt = np.ascontiguousarray(x.data.transpose(0, 2, 1)).reshape(b_dim * n, c)
-    out = xt[flat].reshape(b_dim, m, k, c).transpose(0, 3, 1, 2)
-
     def back(g):
-        gt = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, c)
-        acc = np.zeros((b_dim * n, c), dtype=g.dtype)
-        np.add.at(acc, flat, gt)
-        return (acc.reshape(b_dim, n, c).transpose(0, 2, 1),)
+        return (_scatter_add(g, index, n),)
 
-    return _make(np.ascontiguousarray(out), (x,), back)
+    return _make(_gather(x.data, index), (x,), back)
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:

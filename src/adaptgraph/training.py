@@ -8,6 +8,7 @@ runs produce bitwise-identical histories and checkpoints.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
@@ -37,6 +38,16 @@ class TrainConfig:
         self.validate()
 
     def validate(self) -> None:
+        # values can come from a hand-edited run manifest, so check types
+        # before comparing
+        for name, kind in (("lr_max", numbers.Real), ("lr_min", numbers.Real),
+                           ("momentum", numbers.Real), ("weight_decay", numbers.Real),
+                           ("batch_size", numbers.Integral), ("max_epochs", numbers.Integral),
+                           ("patience", numbers.Integral), ("seed", numbers.Integral)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, kind):
+                what = "an integer" if kind is numbers.Integral else "a number"
+                raise ConfigError(f"{name} must be {what}, got {v!r}")
         if not self.lr_max > self.lr_min >= 0:
             raise ConfigError(
                 f"need lr_max > lr_min >= 0, got lr_max={self.lr_max}, lr_min={self.lr_min}")

@@ -217,6 +217,23 @@ def test_replay_rejects_malformed_configs_with_exit_2(dataset, tmp_path, capsys)
         assert key in err, err
 
 
+def test_replay_rejects_mistyped_opts_and_seed_with_exit_2(dataset, tmp_path, capsys):
+    out = tmp_path / "r"
+    assert main(train_args(dataset, out)) == 0
+    recorded = json.loads((out / "run_manifest.json").read_text())
+    synth = {"kind": "synth", "spec": config_to_dict(TINY), "seed": "five"}
+    manifest = tmp_path / "bad.json"
+    for key, bad in (("limit", {**recorded, "opts": {**recorded["opts"], "limit": "five"}}),
+                     ("lr_max", {**recorded, "opts": {**recorded["opts"], "lr_max": "five"}}),
+                     ("seed", {**recorded, "data_source": synth})):
+        manifest.write_text(json.dumps(bad))
+        capsys.readouterr()
+        assert main(["train", "--replay", str(manifest)]) == 2, key
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, err
+        assert key in err and "five" in err, err
+
+
 # ---------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------

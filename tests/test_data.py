@@ -292,6 +292,8 @@ def test_frame_file_empty_frames_allowed(tmp_path):
     ("C=3 rate=30.0 label=0\n0 1 1.0 2.0 3.0\n", "bad header"),
     ("C=x rate=30.0 label=0 subject=-1\n", "bad header"),
     ("C=3 rate30 label=0 subject=-1\n", "malformed header token"),
+    ("C=3 rate=nan label=0 subject=-1\n0 1 1.0 2.0 3.0\n", "bad.txt: bad header.*finite"),
+    ("C=3 rate=inf label=0 subject=-1\n0 1 1.0 2.0 3.0\n", "bad.txt: bad header.*finite"),
     ("C=3 rate=30.0 label=0 subject=-1\n", "no frames"),
     ("C=3 rate=30.0 label=0 subject=-1\n0 one 1.0 2.0 3.0\n", "malformed frame"),
     ("C=3 rate=30.0 label=0 subject=-1\n1 1 1.0 2.0 3.0\n", "out of order"),

@@ -134,6 +134,10 @@ def test_knn_validation():
 def test_neighbor_index_validation():
     with pytest.raises(ShapeError):
         NeighborIndex(indices=np.zeros((2, 5), dtype=np.int64), k=5, n_points=5)
+    with pytest.raises(InvalidInputError):
+        NeighborIndex(indices=np.full((1, 5, 2), 5, dtype=np.int64), k=2, n_points=5)
+    with pytest.raises(InvalidInputError):
+        NeighborIndex(indices=np.full((1, 5, 2), -1, dtype=np.int64), k=2, n_points=5)
 
 
 def test_graph_feature_line_fixture():

@@ -113,20 +113,19 @@ def test_forward_matches_loop_nest_without_residual():
                                loop_nest_forward(op, geo, feat), atol=1e-10)
 
 
-def dense_bank(coeffs, weight, bias, heads, c_in):
+def dense_bank(coeffs, weight, bias, heads, c_in, c_out):
     """Every edge's kernels, formed explicitly: (B, C_out, C_in, H, N, k) with
     bank[b,o,i,h,n,j] = weight[c] @ y[b,:,n,j] + bias[c], c = (o*C_in+i)*H+h."""
     b, _, n, k = coeffs.shape
-    c_out = weight.shape[0] // (c_in * heads)
     flat = T.pointwise_linear(coeffs, weight, bias)  # (B, C_out*C_in*H, N, k)
     return T.reshape(flat, (b, c_out, c_in, heads, n, k))
 
 
-def dense_apply_heads(coeffs, x, weight, bias, heads):
+def dense_apply_heads(coeffs, x, weight, bias, heads, c_out):
     """Oracle for ``apply_heads``: expand the bank, multiply every edge's
     kernels by its features, then sum over inputs and heads."""
     b, c_in, n, k = x.shape
-    bank = dense_bank(coeffs, weight, bias, heads, c_in)
+    bank = dense_bank(coeffs, weight, bias, heads, c_in, c_out)
     products = T.mul(bank, T.reshape(x, (b, 1, c_in, 1, n, k)))
     return T.reduce_sum(T.reduce_sum(products, axis=3), axis=2)  # (B, C_out, N, k)
 
@@ -144,10 +143,10 @@ def test_kernel_bank_shape():
     coeffs = op.generate_kernels(Tensor(geo))
     assert coeffs.shape == (2, 8, 32, 20)
     conv1 = op.gen.conv1
-    bank = dense_bank(coeffs, conv1.weight.value, conv1.bias.value, 3, 6)
+    bank = dense_bank(coeffs, conv1.weight.value, conv1.bias.value, 3, 6, 64)
     assert bank.shape == (2, 64, 6, 3, 32, 20)
     feat = Tensor(np.zeros((2, 6, 32, 20)))
-    out = apply_heads(coeffs, feat, conv1.weight.value, conv1.bias.value, 3)
+    out = apply_heads(coeffs, feat, conv1.weight.value, conv1.bias.value, 3, 64)
     assert out.shape == (2, 64, 32, 20)
 
 
@@ -163,16 +162,16 @@ def test_apply_heads_fixture():
             weight[(o * 2 + i) * 2 + 0, 0] = [[1.0, 2.0], [3.0, 4.0]][o][i] / 2.0
             bias[(o * 2 + i) * 2 + 1] = 1.0
     x = np.array([5.0, 6.0]).reshape(1, 2, 1, 1)
-    out = apply_heads(Tensor(coeffs), Tensor(x), Tensor(weight), Tensor(bias), 2)
+    out = apply_heads(Tensor(coeffs), Tensor(x), Tensor(weight), Tensor(bias), 2, 2)
     np.testing.assert_array_equal(out.data.ravel(), [28.0, 50.0])
 
 
 def test_apply_heads_sums_over_heads():
     coeffs, x, weight, bias = rand_head_inputs(2, 4, 4, 3, ci=3, co=5, heads=3, seed=12)
-    full = apply_heads(coeffs, x, weight, bias, 3).data
+    full = apply_heads(coeffs, x, weight, bias, 3, 5).data
     # rows h::H are head h's generator layer in the one-head layout
     parts = sum(apply_heads(coeffs, x, Tensor(weight.data[h::3]), Tensor(bias.data[h::3]),
-                            1).data for h in range(3))
+                            1, 5).data for h in range(3))
     np.testing.assert_allclose(full, parts, atol=1e-12)
 
 
@@ -181,7 +180,7 @@ def test_apply_heads_is_linear_in_features():
     xa, xb = np.random.default_rng(14).normal(size=(2, 1, 3, 3, 2))
 
     def run(x):
-        return apply_heads(coeffs, Tensor(x), weight, bias, 2).data
+        return apply_heads(coeffs, Tensor(x), weight, bias, 2, 4).data
 
     np.testing.assert_allclose(run(xa + 2.0 * xb), run(xa) + 2.0 * run(xb), atol=1e-12)
 
@@ -191,23 +190,31 @@ def test_apply_heads_validation():
     coeffs = Tensor(np.zeros((1, 4, 2, 2)))
     x = Tensor(np.zeros((1, 2, 2, 2)))
     weight, bias = Tensor(np.zeros((6, 4))), Tensor(np.zeros(6))
-    assert apply_heads(coeffs, x, weight, bias, 1).shape == (1, 3, 2, 2)
+    assert apply_heads(coeffs, x, weight, bias, 1, 3).shape == (1, 3, 2, 2)
     with pytest.raises(ShapeError):
-        apply_heads(coeffs, Tensor(np.zeros((1, 2, 2, 2, 1))), weight, bias, 1)
+        apply_heads(coeffs, Tensor(np.zeros((1, 2, 2, 2, 1))), weight, bias, 1, 3)
     with pytest.raises(ShapeError):
-        apply_heads(coeffs, Tensor(np.zeros((1, 4, 2, 2))), weight, bias, 1)  # C_in mismatch
+        apply_heads(coeffs, Tensor(np.zeros((1, 4, 2, 2))), weight, bias, 1, 3)  # C_in mismatch
     with pytest.raises(ShapeError):
-        apply_heads(coeffs, Tensor(np.zeros((1, 2, 3, 2))), weight, bias, 1)  # N mismatch
+        apply_heads(coeffs, Tensor(np.zeros((1, 2, 3, 2))), weight, bias, 1, 3)  # N mismatch
     with pytest.raises(ShapeError):
-        apply_heads(Tensor(np.zeros((1, 4, 2))), x, weight, bias, 1)
+        apply_heads(Tensor(np.zeros((1, 4, 2))), x, weight, bias, 1, 3)
     with pytest.raises(ShapeError):
-        apply_heads(coeffs, x, Tensor(np.zeros((6, 3))), bias, 1)  # mid mismatch
+        apply_heads(coeffs, x, Tensor(np.zeros((6, 3))), bias, 1, 3)  # mid mismatch
     with pytest.raises(ShapeError):
-        apply_heads(coeffs, x, weight, Tensor(np.zeros(5)), 1)
+        apply_heads(coeffs, x, weight, Tensor(np.zeros(5)), 1, 3)
     with pytest.raises(ShapeError):
-        apply_heads(coeffs, x, weight, bias, 2)  # 6 rows are not C_out * 2 * 2
+        apply_heads(coeffs, x, weight, bias, 2, 3)  # 6 rows are not 3 * 2 * 2
+    with pytest.raises(ShapeError):
+        apply_heads(coeffs, x, weight, bias, 1, 2)  # 6 rows are not 2 * 2 * 1
+    with pytest.raises(ShapeError):
+        # 3-channel features with H=2 divide the 6 rows (1 * 3 * 2), so only
+        # the caller's C_out=3 can tell them apart from the C_in=2, H=1 layout
+        apply_heads(coeffs, Tensor(np.zeros((1, 3, 2, 2))), weight, bias, 2, 3)
     with pytest.raises(ConfigError):
-        apply_heads(coeffs, x, weight, bias, 0)
+        apply_heads(coeffs, x, weight, bias, 0, 3)
+    with pytest.raises(ConfigError):
+        apply_heads(coeffs, x, weight, bias, 1, 0)
 
 
 @pytest.mark.parametrize("heads", [1, 3])

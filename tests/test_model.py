@@ -419,3 +419,17 @@ def test_mak_only_four_heads_trains_at_synth_batch_in_bounded_memory():
     assert done.returncode == 0, done.stderr
     peak_gb = int(done.stdout.split()[-1]) / (1 << 20)
     assert peak_gb < 2.0, f"peak RSS {peak_gb:.2f} GB"
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_eval_logits_under_no_grad_equal_recorded_forward_bitwise(variant):
+    # no_grad skips backward-only state (argmax, masks); the values must not move
+    model = build(small_cfg(variant=variant), seed=5).eval()
+    x = Tensor(cloud(b=3, n=12, seed=9))
+    recorded = model(x)
+    assert recorded.node is not None
+    with T.no_grad():
+        untracked = model(x)
+    assert untracked.node is None
+    np.testing.assert_array_equal(untracked.data.view(np.uint32),
+                                  recorded.data.view(np.uint32))

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from adaptgraph import graph
 from adaptgraph import tensor as T
 from adaptgraph.errors import InvalidInputError, ShapeError, UsageError
 from adaptgraph.tensor import Tensor
@@ -174,6 +175,34 @@ def test_batch_norm_train_statistics():
     assert np.abs(var - 1.0).max() < 1e-4
 
 
+def test_batch_norm_train_matches_f64_reference_at_an_edge_shape():
+    rng = np.random.default_rng(13)
+    shape = (32, 64, 20, 20)
+    x = (3.0 + rng.normal(size=shape)).astype(np.float32)
+    gamma = (1.0 + 0.1 * rng.normal(size=64)).astype(np.float32)
+    beta = rng.normal(size=64).astype(np.float32)
+    g = rng.normal(size=shape).astype(np.float32)
+    xt, gt, bt = (Tensor(a, requires_grad=True) for a in (x, gamma, beta))
+    rm, rv = np.zeros(64, np.float32), np.ones(64, np.float32)
+    out = T.batch_norm(xt, gt, bt, rm, rv, "train")
+    dx, dgamma, dbeta = out.node.backward_fn(g)
+
+    axes, b = (0, 2, 3), (1, 64, 1, 1)
+    x64, g64, gamma64 = x.astype(np.float64), g.astype(np.float64), gamma.astype(np.float64)
+    mu, var = x64.mean(axis=axes), x64.var(axis=axes)
+    xhat = (x64 - mu.reshape(b)) / np.sqrt(var.reshape(b) + 1e-5)
+    m = x.size // 64
+    want_dbeta = g64.sum(axis=axes)
+    want_dgamma = (g64 * xhat).sum(axis=axes)
+    want_dx = (gamma64 / np.sqrt(var + 1e-5)).reshape(b) * (
+        g64 - want_dbeta.reshape(b) / m - xhat * want_dgamma.reshape(b) / m)
+    for got, want in ((out.data, gamma64.reshape(b) * xhat + beta.reshape(b)),
+                      (dx, want_dx), (dgamma, want_dgamma), (dbeta, want_dbeta),
+                      (rm, 0.1 * mu), (rv, 0.9 + 0.1 * var)):
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5 * np.abs(want).max())
+
+
 def test_batch_norm_updates_running_stats():
     x = Tensor(rand(8, 2))
     rm = np.zeros(2)
@@ -206,6 +235,36 @@ def test_leaky_relu_fixtures():
     np.testing.assert_allclose(x.grad, [0.2])
     with pytest.raises(InvalidInputError):
         T.leaky_relu(Tensor([1.0]), 1.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("slope", [0.2, 0.0])
+def test_leaky_relu_is_bitwise_the_select(dtype, slope):
+    # the branch-free forms must pick np.where's branch bit for bit, on the
+    # values where max(x, slope * x) and mask arithmetic could differ from it
+    info = np.finfo(dtype)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, info.smallest_subnormal,
+               -info.smallest_subnormal, 3 * info.smallest_subnormal,
+               -3 * info.smallest_subnormal, info.tiny, -info.tiny, info.max, -info.max]
+    rng = np.random.default_rng(3)
+    x = np.concatenate([np.array(special, dtype=dtype),
+                        rng.normal(size=64).astype(dtype)])
+    g = np.roll(x, 5)  # upstream gradients with the same specials
+    s = np.asarray(slope, dtype=dtype)
+    neg = x < 0
+    bits = np.uint32 if dtype == np.float32 else np.uint64
+    with np.errstate(invalid="ignore"):  # inf * 0
+        want_out = np.where(neg, x * s, x)
+        want_grad = np.where(neg, g * s, g)
+        t = Tensor(x.copy(), requires_grad=True)
+        out = T.leaky_relu(t, slope)
+        (got_grad,) = out.node.backward_fn(g)
+        with T.no_grad():
+            untracked = T.leaky_relu(t, slope)
+    np.testing.assert_array_equal(out.data.view(bits), want_out.view(bits))
+    np.testing.assert_array_equal(got_grad.view(bits), want_grad.view(bits))
+    np.testing.assert_array_equal(untracked.data.view(bits), want_out.view(bits))
+    assert untracked.node is None
 
 
 def test_reduce_fixtures():
@@ -312,6 +371,36 @@ def test_gather_points_values_and_guards():
         T.gather_points(x, np.array([[[0, 6]]]))
     with pytest.raises(InvalidInputError):
         T.gather_points(x, idx.astype(np.float32))
+
+
+def test_gather_points_backward_equals_add_at_with_repeated_indices():
+    rng = np.random.default_rng(11)
+    x = leaf(rng.normal(size=(3, 5, 7)))
+    idx = rng.integers(0, 3, size=(3, 7, 6))  # 42 edges per batch onto 3 points
+    idx[1] = 2  # every edge of batch 1 lands on one point
+    g = rng.normal(size=(3, 5, 7, 6))
+    out = T.gather_points(x, idx)
+    (got,) = out.node.backward_fn(g)
+    want = np.zeros((3 * 7, 5))
+    flat = (idx + (np.arange(3) * 7)[:, None, None]).ravel()
+    np.add.at(want, flat, g.transpose(0, 2, 3, 1).reshape(-1, 5))
+    np.testing.assert_allclose(got, want.reshape(3, 7, 5).transpose(0, 2, 1),
+                               rtol=1e-12, atol=1e-12)
+    assert (got[:, :, 3:] == 0).all()  # points nobody gathers get zero
+
+
+def test_edge_linear_equals_linear_map_of_graph_feature():
+    rng = np.random.default_rng(12)
+    x, w = rng.normal(size=(2, 3, 6)), rng.normal(size=(4, 6))
+    indices = rng.integers(0, 3, size=(2, 6, 4))  # neighbours repeat heavily
+    idx = graph.NeighborIndex(indices=indices, k=4, n_points=6)
+    got = graph.edge_linear(Tensor(x), idx, Tensor(w)).data
+    want = T.pointwise_linear(graph.graph_feature(Tensor(x), idx), Tensor(w)).data
+    assert got.shape == (2, 4, 6, 4)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    check_grads(lambda x, w: graph.edge_linear(x, idx, w), [x, w])
+    with pytest.raises(ShapeError):
+        graph.edge_linear(Tensor(x), idx, Tensor(rng.normal(size=(4, 5))))
 
 
 def test_dropout_scaling_and_determinism():
