@@ -9,6 +9,7 @@ round-trips are bitwise exact. Payloads are little-endian regardless of host.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from typing import Dict, Tuple
 
@@ -89,8 +90,44 @@ def save_checkpoint(path, state: Dict[str, np.ndarray], manifest: dict) -> None:
             f.write(raw)
 
 
+def _blob_header(path, blob, pos: int) -> Tuple[str, np.dtype, tuple, int]:
+    """Check one "blobs" entry: (name, dtype, shape, nbytes) or DataError."""
+    where = f"{path}: blob {pos}"
+    if not isinstance(blob, dict):
+        raise DataError(f"{where} is not a JSON object")
+    for key in ("name", "dtype", "shape", "nbytes"):
+        if key not in blob:
+            raise DataError(f"{where} has no {key!r}")
+    name, tag, shape, nbytes = blob["name"], blob["dtype"], blob["shape"], blob["nbytes"]
+    if not isinstance(name, str):
+        raise DataError(f"{where}: name must be a string, got {name!r}")
+    if not isinstance(tag, str) or tag not in _BLOB_DTYPES:
+        raise DataError(f"{where} ({name!r}): unknown dtype {tag!r}, "
+                        f"expected one of {sorted(_BLOB_DTYPES)}")
+
+    def count(v):
+        return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+    if not isinstance(shape, list) or not all(count(d) for d in shape):
+        raise DataError(f"{where} ({name!r}): shape must be a list of integers >= 0, "
+                        f"got {shape!r}")
+    if not count(nbytes):
+        raise DataError(f"{where} ({name!r}): nbytes must be an integer >= 0, got {nbytes!r}")
+    dtype = _BLOB_DTYPES[tag]
+    expected = int(np.prod(shape, dtype=object)) * dtype.itemsize
+    if nbytes != expected:
+        raise DataError(f"{where} ({name!r}): nbytes {nbytes} does not match shape "
+                        f"{shape} of {tag} ({expected} bytes)")
+    return name, dtype, tuple(shape), nbytes
+
+
 def load_checkpoint(path) -> Tuple[dict, Dict[str, np.ndarray]]:
-    """Read a checkpoint file back into (manifest, state). Bitwise faithful."""
+    """Read a checkpoint file back into (manifest, state). Bitwise faithful.
+
+    The header is checked before any payload is read: a manifest that is not
+    a JSON object, a "blobs" entry with a missing or mistyped key, an unknown
+    dtype tag, an nbytes that disagrees with the shape, a repeated name, and
+    bytes after the last blob all raise DataError naming the file."""
     with open(path, "rb") as f:
         prefix = f.read(4)
         if len(prefix) != 4:
@@ -101,17 +138,30 @@ def load_checkpoint(path) -> Tuple[dict, Dict[str, np.ndarray]]:
             raise DataError(f"{path}: truncated manifest")
         try:
             manifest = json.loads(encoded.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
             raise DataError(f"{path}: bad manifest: {e}") from None
-        if manifest.get("format_version") != FORMAT_VERSION:
+        if not isinstance(manifest, dict):
             raise DataError(
-                f"{path}: unsupported format version {manifest.get('format_version')!r}")
+                f"{path}: bad manifest: expected a JSON object, got {type(manifest).__name__}")
+        version = manifest.get("format_version")
+        if type(version) is not int or version != FORMAT_VERSION:
+            raise DataError(
+                f"{path}: unsupported format version {version!r}")
+        blobs = manifest.get("blobs")
+        if not isinstance(blobs, list):
+            raise DataError(f"{path}: manifest \"blobs\" must be a list, got {blobs!r}")
+        headers = [_blob_header(path, blob, pos) for pos, blob in enumerate(blobs)]
+        remaining = os.fstat(f.fileno()).st_size - f.tell()
         state = {}
-        for blob in manifest.get("blobs", []):
-            raw = f.read(blob["nbytes"])
-            if len(raw) != blob["nbytes"]:
-                raise DataError(f"{path}: truncated blob {blob['name']!r}")
-            arr = np.frombuffer(raw, dtype=_BLOB_DTYPES[blob["dtype"]])
-            state[blob["name"]] = arr.reshape(blob["shape"]).astype(
-                arr.dtype.newbyteorder("="), copy=True)
+        for name, dtype, shape, nbytes in headers:
+            if name in state:
+                raise DataError(f"{path}: blob {name!r} appears twice")
+            if nbytes > remaining:
+                raise DataError(f"{path}: truncated blob {name!r}")
+            remaining -= nbytes
+            raw = f.read(nbytes)
+            arr = np.frombuffer(raw, dtype=dtype)
+            state[name] = arr.reshape(shape).astype(arr.dtype.newbyteorder("="), copy=True)
+        if f.read(1):
+            raise DataError(f"{path}: trailing bytes after the last blob")
     return manifest, state

@@ -58,7 +58,11 @@ def _source_from_opts(opts: dict) -> dict:
 
 
 def _read_source(source: dict) -> list:
+    if not isinstance(source, dict):
+        raise ConfigError(f"data source must be a JSON object, got {source!r}")
     if source.get("kind") == "manifest":
+        if not isinstance(source.get("path"), str):
+            raise ConfigError(f"data source path must be a string, got {source.get('path')!r}")
         return D.read_manifest(source["path"])
     if source.get("kind") == "synth":
         seed = source.get("seed")
@@ -254,8 +258,11 @@ def cmd_ablate(args) -> int:
 
 def _model_from_checkpoint(path):
     manifest, state = load_checkpoint(path)
-    mcfg = config_from_dict(manifest["model_config"])
-    model = build(mcfg, seed=0, dtype=manifest.get("dtype", "f32"))
+    mcfg = config_from_dict(manifest.get("model_config"))
+    dtype = manifest.get("dtype", "f32")
+    if dtype not in ("f32", "f64"):
+        raise ConfigError(f"{path}: checkpoint dtype must be 'f32' or 'f64', got {dtype!r}")
+    model = build(mcfg, seed=0, dtype=dtype)
     load_state(model, state)
     model.eval()
     return manifest, model
@@ -323,6 +330,7 @@ def cmd_infer(args) -> int:
     assembler = D.StreamAssembler(pipeline.window_frames, pipeline.points_per_frame,
                                   seed=pipeline.seed, seq_id=args.seq_id)
     dtype = manifest.get("dtype", "f32")
+    skipped = windows = 0
     for line in stream:
         if not line.strip():
             continue
@@ -330,6 +338,7 @@ def cmd_infer(args) -> int:
             _, frame = D.parse_frame_line(line, c)
         except DataError as e:
             print(f"warning: skipping malformed frame line: {e}", file=sys.stderr)
+            skipped += 1
             continue
         emitted_at = assembler.frames_seen  # index assigned to this frame
         sample = assembler.push(frame)
@@ -340,6 +349,9 @@ def cmd_infer(args) -> int:
         probs = _softmax(logits.data[0])
         pred = int(np.argmax(probs))
         print(f"{emitted_at} {pred} " + " ".join(f"{p:.4f}" for p in probs))
+        windows += 1
+    print(f"infer: {assembler.frames_seen} frames read, {skipped} lines skipped "
+          f"(malformed or non-finite), {windows} windows emitted", file=sys.stderr)
     return 0
 
 

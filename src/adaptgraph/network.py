@@ -171,11 +171,8 @@ class ActivityNet(Module):
         prev = None
         for name, kind in self._stages:
             stage = getattr(self, name)
-            if kind == "mak":
-                feat = geo if prev is None else graph.graph_feature(prev, idx)
-                y = stage(geo, feat)
-            else:
-                y = stage(x if prev is None else prev, idx)
+            points = x if prev is None else prev
+            y = stage(geo, points, idx) if kind == "mak" else stage(points, idx)
             pooled = T.reduce(y, 3, "max")     # (B, width, N)
             outs.append(pooled)
             prev = pooled
@@ -308,10 +305,13 @@ def count_macs(cfg: ModelConfig, n_points: int) -> int:
     are excluded.
 
     This is the paper's cost formula, which generates every edge's H kernels
-    and applies them; it is not the work executed. The operator folds the
-    heads and the generator's last stage into one map of about
-    C_in * (mid + 1) * C_out MACs per edge instead of mid * full + full, and
-    a conv stage applies its weight per point (:func:`graph.edge_linear`),
+    and applies them; it is not the work executed. An adaptive stage folds
+    the heads and the generator's last stage into one map, and works from
+    its input points (C_p = C_in / 2 channels) rather than their edge
+    features: about C_p * (mid + 1) * C_out MACs per edge for the neighbor
+    term plus (mid + 1) * C_out for the center term, instead of
+    mid * full + full, and its projected residual runs per point. A conv
+    stage applies its weight per point (:func:`graph.edge_linear`),
     C_in * C_out MACs per point instead of per edge, k times fewer. A
     throughput computed from this count (GMAC/s) therefore reads higher than
     the arithmetic actually done.

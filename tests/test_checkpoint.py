@@ -6,6 +6,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptgraph.checkpoint import (FORMAT_VERSION, load_checkpoint, load_state,
                                    save_checkpoint, state_dict)
@@ -132,3 +134,139 @@ def test_version_mismatch_is_detected(tmp_path):
     path.write_bytes(struct.pack("<I", len(body)) + body)
     with pytest.raises(DataError, match="version"):
         load_checkpoint(path)
+
+
+# ---------------------------------------------------------------------
+# header schema: every malformed header is a DataError, never a traceback
+# ---------------------------------------------------------------------
+
+def write_raw(path, header, payload=b""):
+    body = json.dumps(header).encode()
+    path.write_bytes(struct.pack("<I", len(body)) + body + payload)
+    return path
+
+
+def good_header(**blob):
+    entry = {"name": "w", "dtype": "f32", "shape": [2, 3], "nbytes": 24}
+    entry.update(blob)
+    return {"format_version": FORMAT_VERSION, "blobs": [entry]}
+
+
+PAYLOAD = np.arange(6, dtype="<f4").tobytes()
+
+
+def test_well_formed_raw_header_loads(tmp_path):
+    _, state = load_checkpoint(write_raw(tmp_path / "ok.bin", good_header(), PAYLOAD))
+    np.testing.assert_array_equal(state["w"], np.arange(6, dtype=np.float32).reshape(2, 3))
+
+
+def test_unknown_blob_dtype_is_a_data_error(tmp_path):
+    path = write_raw(tmp_path / "x.bin", good_header(dtype="i8"), PAYLOAD)
+    with pytest.raises(DataError, match=r"x\.bin.*unknown dtype 'i8'"):
+        load_checkpoint(path)
+
+
+def test_shape_disagreeing_with_nbytes_is_a_data_error(tmp_path):
+    path = write_raw(tmp_path / "x.bin", good_header(shape=[4, 3]), PAYLOAD)
+    with pytest.raises(DataError, match=r"x\.bin.*nbytes 24 does not match shape"):
+        load_checkpoint(path)
+
+
+def test_blobs_that_are_not_a_list_are_a_data_error(tmp_path):
+    path = write_raw(tmp_path / "x.bin", {"format_version": FORMAT_VERSION, "blobs": 5})
+    with pytest.raises(DataError, match=r"x\.bin.*\"blobs\" must be a list"):
+        load_checkpoint(path)
+
+
+def test_manifest_that_is_not_an_object_is_a_data_error(tmp_path):
+    path = write_raw(tmp_path / "x.bin", [FORMAT_VERSION, []])
+    with pytest.raises(DataError, match=r"x\.bin.*expected a JSON object, got list"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key", ["name", "dtype", "shape", "nbytes"])
+def test_blob_missing_a_key_is_a_data_error(tmp_path, key):
+    header = good_header()
+    del header["blobs"][0][key]
+    path = write_raw(tmp_path / "x.bin", header, PAYLOAD)
+    with pytest.raises(DataError, match=rf"x\.bin: blob 0 has no '{key}'"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("blob", [
+    {"name": 7}, {"dtype": ["f32"]}, {"shape": "2x3"}, {"shape": [2, -3]},
+    {"shape": [2.0, 3]}, {"nbytes": "24"}, {"nbytes": True}, {"nbytes": -24}])
+def test_blob_with_a_mistyped_key_is_a_data_error(tmp_path, blob):
+    path = write_raw(tmp_path / "x.bin", good_header(**blob), PAYLOAD)
+    with pytest.raises(DataError, match=r"x\.bin: blob 0"):
+        load_checkpoint(path)
+
+
+def test_blob_that_is_not_an_object_is_a_data_error(tmp_path):
+    path = write_raw(tmp_path / "x.bin", {"format_version": FORMAT_VERSION, "blobs": [3]})
+    with pytest.raises(DataError, match="not a JSON object"):
+        load_checkpoint(path)
+
+
+def test_repeated_blob_name_is_a_data_error(tmp_path):
+    header = good_header()
+    header["blobs"].append(dict(header["blobs"][0]))
+    path = write_raw(tmp_path / "x.bin", header, PAYLOAD + PAYLOAD)
+    with pytest.raises(DataError, match="appears twice"):
+        load_checkpoint(path)
+
+
+def test_trailing_bytes_are_a_data_error(tmp_path):
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, some_state(), {"kind": "checkpoint"})
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(DataError, match=r"ck\.bin: trailing bytes"):
+        load_checkpoint(path)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids,
+                                                              max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def mutated_checkpoint(draw):
+    """A valid two-blob checkpoint whose header has one key replaced or
+    deleted, and whose payload may be cut or extended."""
+    header = {"format_version": FORMAT_VERSION, "kind": "checkpoint", "blobs": [
+        {"name": "a", "dtype": "f32", "shape": [2, 3], "nbytes": 24},
+        {"name": "b", "dtype": "f64", "shape": [2], "nbytes": 16}]}
+    payload = PAYLOAD + np.array([1.5, -2.5], dtype="<f8").tobytes()
+    where = draw(st.sampled_from(["top", "blob", "whole blob", "payload"]))
+    if where == "top":
+        key = draw(st.sampled_from(["format_version", "kind", "blobs"]))
+    elif where in ("blob", "whole blob"):
+        pos = draw(st.integers(0, 1))
+        target = header["blobs"] if where == "whole blob" else header["blobs"][pos]
+        key = pos if where == "whole blob" else draw(
+            st.sampled_from(["name", "dtype", "shape", "nbytes"]))
+    if where == "payload":
+        cut = draw(st.integers(-len(payload), 8))
+        payload = payload[:cut] if cut < 0 else payload + b"\1" * cut
+    else:
+        target = header if where == "top" else target
+        if draw(st.booleans()) and where != "whole blob":
+            del target[key]
+        else:
+            target[key] = draw(_JSON)
+    return header, payload
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_checkpoint())
+def test_mutated_header_loads_or_raises_data_error(tmp_path_factory, case):
+    header, payload = case
+    path = write_raw(tmp_path_factory.mktemp("fuzz") / "ck.bin", header, payload)
+    try:
+        _, state = load_checkpoint(path)
+    except DataError:
+        return
+    for blob in header["blobs"]:
+        assert state[blob["name"]].shape == tuple(blob["shape"])

@@ -4,14 +4,17 @@ cost table, and the streaming-inference loop. Everything runs in process."""
 import io
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
 
+from adaptgraph.checkpoint import save_checkpoint, state_dict
 from adaptgraph.cli import main
-from adaptgraph.data import (FrameSequence, SynthSpec, synth_generate,
+from adaptgraph.data import (FrameSequence, SynthSpec, preset, synth_generate,
                              write_dataset, write_frame_file)
-from adaptgraph.network import ModelConfig, config_to_dict, count_macs, count_params
+from adaptgraph.network import (ModelConfig, build, config_to_dict, count_macs,
+                                count_params)
 
 # pipeline preset "synth": 5-frame windows, stride 66, 4 points per frame.
 # sequences below are 5 frames long, so each contributes exactly one sample.
@@ -377,6 +380,9 @@ def test_infer_skips_malformed_lines(dataset, tmp_path, capsys, monkeypatch):
     assert "skipping malformed frame line" in err
     assert "non-finite" in err
     assert len(out.strip().splitlines()) == 2  # 6 good frames, window 5
+    assert err.strip().splitlines()[-1] == (
+        "infer: 6 frames read, 2 lines skipped (malformed or non-finite), "
+        "2 windows emitted")
 
 
 # ---------------------------------------------------------------------
@@ -399,3 +405,52 @@ def test_bad_preset_choice_exits_via_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["train", "--preset", "kinect"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------
+# malformed checkpoint headers reach the documented exit codes
+# ---------------------------------------------------------------------
+
+def _raw_checkpoint(path, header, payload=b""):
+    body = json.dumps(header).encode()
+    path.write_bytes(struct.pack("<I", len(body)) + body + payload)
+    return str(path)
+
+
+_BLOB = {"name": "w", "dtype": "f32", "shape": [2], "nbytes": 8}
+
+
+@pytest.mark.parametrize("header", [
+    {"format_version": 1, "blobs": [{**_BLOB, "dtype": "i8"}]},
+    {"format_version": 1, "blobs": [{**_BLOB, "shape": [3]}]},
+    {"format_version": 1, "blobs": 5},
+    [1, []],
+    {"format_version": 1, "blobs": [{k: v for k, v in _BLOB.items() if k != "nbytes"}]},
+], ids=["dtype", "nbytes", "blobs", "list", "no-nbytes"])
+def test_eval_rejects_a_malformed_checkpoint_header(tmp_path, capsys, header):
+    path = _raw_checkpoint(tmp_path / "ck.bin", header, b"\0" * 8)
+    assert main(["eval", "--checkpoint", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "ck.bin" in err
+
+
+def test_eval_rejects_a_missing_or_malformed_recorded_config(tmp_path, capsys):
+    cfg = ModelConfig(in_channels=3, k=3, stage_widths=(4, 4, 6, 6), emb_dims=8,
+                      fc_widths=(8,), num_classes=3, mak_mid_channels=4)
+    state = state_dict(build(cfg, seed=0))
+    good = config_to_dict(cfg)
+    pipeline = config_to_dict(preset("synth"))
+    for manifest, match in (({}, "ModelConfig must be a JSON object"),
+                            ({"model_config": 5}, "JSON object"),
+                            ({"model_config": {**good, "k": "five"}}, "'k' is malformed"),
+                            ({"model_config": good, "dtype": "i8"}, "dtype"),
+                            ({"model_config": good, "pipeline_config": [1]}, "JSON object"),
+                            ({"model_config": good, "pipeline_config": pipeline,
+                              "data_source": 5}, "data source must be a JSON object"),
+                            ({"model_config": good, "pipeline_config": pipeline,
+                              "data_source": {"kind": "manifest"}}, "path must be a string")):
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, state, manifest)
+        assert main(["eval", "--checkpoint", str(path)]) == 2, manifest
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and match in err, err

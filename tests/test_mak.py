@@ -5,11 +5,12 @@ behaviour, and parameter-count structure."""
 import numpy as np
 import pytest
 
-from adaptgraph import kernels
+from adaptgraph import graph, kernels
 from adaptgraph import tensor as T
 from adaptgraph.errors import ConfigError, ShapeError
 from adaptgraph.kernels import MakConfig, MultiHeadAdaptiveKernel, apply_heads
 from adaptgraph.tensor import Tensor
+from test_tensor import check_grads
 
 EPS = 1e-5
 SLOPE = 0.2
@@ -322,3 +323,88 @@ def test_kernels_depend_on_geometry_not_features():
     other_geo = geo + 0.5
     bank3 = op.generate_kernels(Tensor(other_geo)).data
     assert np.abs(bank3 - bank1).max() > 1e-6
+
+
+# ---------------------------------------------------------------------
+# per-point form: point features plus the neighbor index
+# ---------------------------------------------------------------------
+
+def repeated_index(b, n, k, seed):
+    """Neighbor index over n points whose rows repeat neighbors heavily."""
+    indices = np.random.default_rng(seed).integers(0, max(2, n // 2), size=(b, n, k))
+    indices[:, :, 0] = np.arange(n)  # every point sees itself first
+    return graph.NeighborIndex(indices=indices, k=k, n_points=n)
+
+
+@pytest.mark.parametrize("chunk", [None, 1])
+@pytest.mark.parametrize("heads", [1, 3])
+def test_apply_heads_on_points_equals_edge_form(heads, chunk, monkeypatch):
+    if chunk is not None:  # one batch item per chunk
+        monkeypatch.setattr(kernels, "_CHUNK_VALUES", chunk)
+    b, cp, n, k, mid, co = 2, 2, 5, 3, 3, 3
+    idx = repeated_index(b, n, k, seed=heads)
+    coeffs, _, weight, bias = rand_head_inputs(b, mid, n, k, ci=2 * cp, co=co,
+                                               heads=heads, seed=heads + 20)
+    points = np.random.default_rng(heads + 21).normal(size=(b, cp, n))
+    got = apply_heads(coeffs, Tensor(points), weight, bias, heads, co, idx=idx).data
+    want = apply_heads(coeffs, graph.graph_feature(Tensor(points), idx), weight, bias,
+                       heads, co).data
+    assert got.shape == (b, co, n, k)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    check_grads(lambda c, x, w, bi: apply_heads(c, x, w, bi, heads, co, idx=idx),
+                [coeffs.data, points, weight.data, bias.data])
+
+
+@pytest.mark.parametrize("residual", ["projected", "identity", "none"])
+def test_operator_on_points_equals_edge_form(residual, monkeypatch):
+    # B=3 in chunks of two batch items: the last chunk is a short one
+    monkeypatch.setattr(kernels, "_CHUNK_VALUES", 2 * 2 * 5 * 5 * 3)
+    cp = 2
+    co = 5 if residual == "projected" else 2 * cp
+    op = build_op(ci=2 * cp, co=co, heads=2, residual=residual != "none", seed=70)
+    op.train()
+    b, n, k = 3, 5, 3
+    idx = repeated_index(b, n, k, seed=71)
+    rng = np.random.default_rng(72)
+    geo, points = rng.normal(size=(b, op.cfg.gen_in_channels, n, k)), rng.normal(size=(b, cp, n))
+    weights = rng.normal(size=(b, co, n, k))
+
+    def run(per_point):
+        for _, p in op.named_parameters():
+            p.value.grad = None
+        g, x = Tensor(geo, requires_grad=True), Tensor(points, requires_grad=True)
+        out = op(g, x, idx) if per_point else op(g, graph.graph_feature(x, idx))
+        T.reduce_sum(T.mul(out, Tensor(weights))).backward()
+        return out.data, g.grad, x.grad, {name: p.value.grad
+                                          for name, p in op.named_parameters()}
+
+    got, want = run(True), run(False)
+    for a, w in zip(got[:3], want[:3]):
+        np.testing.assert_allclose(a, w, rtol=1e-9, atol=1e-10)
+    assert got[3].keys() == want[3].keys()
+    for name in want[3]:
+        assert want[3][name] is not None, name
+        np.testing.assert_allclose(got[3][name], want[3][name], rtol=1e-9, atol=1e-10,
+                                   err_msg=name)
+
+
+def test_point_features_must_match_the_index():
+    b, cp, n, k, mid, co = 2, 2, 5, 3, 3, 3
+    idx = repeated_index(b, n, k, seed=80)
+    coeffs, _, weight, bias = rand_head_inputs(b, mid, n, k, ci=2 * cp, co=co, heads=1,
+                                               seed=81)
+    assert apply_heads(coeffs, Tensor(np.zeros((b, cp, n))), weight, bias, 1, co,
+                       idx=idx).shape == (b, co, n, k)
+    for shape in ((b, cp, n + 1), (b + 1, cp, n), (b, cp + 1, n), (b, cp, n, k)):
+        with pytest.raises(ShapeError):
+            apply_heads(coeffs, Tensor(np.zeros(shape)), weight, bias, 1, co, idx=idx)
+    with pytest.raises(ShapeError):  # coefficients and points agree, the index does not
+        apply_heads(coeffs, Tensor(np.zeros((b, cp, n))), weight, bias, 1, co,
+                    idx=repeated_index(b + 1, n, k, seed=82))
+
+    op = build_op(ci=2 * cp, co=co, seed=83)
+    geo = Tensor(np.zeros((b, op.cfg.gen_in_channels, n, k)))
+    assert op(geo, Tensor(np.zeros((b, cp, n))), idx).shape == (b, co, n, k)
+    for shape in ((b, cp, n + 1), (b + 1, cp, n), (b, 2 * cp, n), (b, cp, n, k)):
+        with pytest.raises(ShapeError):
+            op(geo, Tensor(np.zeros(shape)), idx)

@@ -306,20 +306,27 @@ def test_every_kernel_stage_reads_raw_geometry(monkeypatch):
         features.append(real_feature(x, idx))
         return features[-1]
 
-    def recording_forward(stage, geo, feat):
-        stage_inputs[stage] = (geo, feat)
-        return real_forward(stage, geo, feat)
+    def recording_forward(stage, geo, feat, idx=None):
+        stage_inputs[stage] = (geo, feat, idx)
+        return real_forward(stage, geo, feat, idx)
 
     monkeypatch.setattr(graph, "graph_feature", recording_feature)
     monkeypatch.setattr(MultiHeadAdaptiveKernel, "forward", recording_forward)
-    model(Tensor(cloud()))
+    x = Tensor(cloud())
+    model(x)
     geo = features[0]  # the edge features of the raw input
-    for pos in (2, 3, 4):
+    for pos in (1, 2, 3, 4):
         assert stage_inputs[getattr(model, f"mak{pos}")][0] is geo
-    # while the content features come from the previous stage, not geometry
+    # while the content features are the previous stage's points, not
+    # geometry, filtered through the one shared neighbor index
+    assert stage_inputs[model.mak1][1] is x
     feat2 = stage_inputs[model.mak2][1]
     assert feat2 is not geo
-    assert feat2.shape[1] == 2 * SMALL["stage_widths"][0]
+    assert feat2.shape == (x.shape[0], SMALL["stage_widths"][0], x.shape[2])
+    idx = stage_inputs[model.mak1][2]
+    assert idx is not None
+    for pos in (2, 3, 4):
+        assert stage_inputs[getattr(model, f"mak{pos}")][2] is idx
 
 
 def test_logits_invariant_to_point_permutation():
