@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -330,7 +331,8 @@ def cmd_infer(args) -> int:
     assembler = D.StreamAssembler(pipeline.window_frames, pipeline.points_per_frame,
                                   seed=pipeline.seed, seq_id=args.seq_id)
     dtype = manifest.get("dtype", "f32")
-    skipped = windows = 0
+    skipped = 0
+    latencies = []  # model seconds per emitted window
     for line in stream:
         if not line.strip():
             continue
@@ -344,14 +346,20 @@ def cmd_infer(args) -> int:
         sample = assembler.push(frame)
         if sample is None:
             continue
+        start = time.perf_counter()
         with T.no_grad():
             logits = model(Tensor(sample.tensor[None, :, :], dtype=dtype))
+        latencies.append(time.perf_counter() - start)
         probs = _softmax(logits.data[0])
         pred = int(np.argmax(probs))
         print(f"{emitted_at} {pred} " + " ".join(f"{p:.4f}" for p in probs))
-        windows += 1
-    print(f"infer: {assembler.frames_seen} frames read, {skipped} lines skipped "
-          f"(malformed or non-finite), {windows} windows emitted", file=sys.stderr)
+    summary = (f"infer: {assembler.frames_seen} frames read, {skipped} lines skipped "
+               f"(malformed or non-finite), {len(latencies)} windows emitted")
+    if latencies:
+        p50, p95 = np.percentile(latencies, [50, 95]) * 1e3
+        summary += (f", model latency p50 {p50:.3f} ms, p95 {p95:.3f} ms, "
+                    f"max {max(latencies) * 1e3:.3f} ms")
+    print(summary, file=sys.stderr)
     return 0
 
 
@@ -391,11 +399,11 @@ def cmd_cost(args) -> int:
         configs.append(base)
     _echo_manifest({"command": "cost", "version": __version__,
                     "points": args.points, "base": config_to_dict(base)})
+    # every row is priced before any is printed, so an error leaves no partial table
+    rows = [(cfg, count_macs(cfg, args.points), count_params(cfg)) for cfg in configs]
     print(f"{'k':>4} {'heads':>5} {'variant':<14} {'macs':>15} {'params':>12} "
           f"{'macs_g':>10} {'params_m':>10}")
-    for cfg in configs:
-        macs = count_macs(cfg, args.points)
-        params = count_params(cfg)
+    for cfg, macs, params in rows:
         print(f"{cfg.k:>4} {cfg.num_heads:>5} {cfg.variant.value:<14} "
               f"{macs:>15} {params:>12} {macs / 1e9:>10.4f} {params / 1e6:>10.4f}")
     return 0

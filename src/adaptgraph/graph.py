@@ -72,7 +72,8 @@ def knn(x: Tensor, k: int) -> NeighborIndex:
     """Indices of the k nearest points to each point (self included).
 
     Ties and the point itself resolve to the lowest index. Raises when
-    k is larger than the number of points; nothing is clamped silently.
+    k is larger than the number of points, and InvalidInputError when a
+    pairwise distance is not finite; nothing is clamped silently.
     """
     if x.ndim != 3:
         raise ShapeError(f"knn expects (B, C, N), got {x.shape}")
@@ -81,10 +82,32 @@ def knn(x: Tensor, k: int) -> NeighborIndex:
         raise InvalidInputError(f"k must satisfy 1 <= k <= N={n}, got k={k}")
     with T.no_grad():
         sim = pairwise_similarity(x).data
-    # stable argsort of the negated similarity = distance-ascending,
-    # lowest index first among ties
-    order = np.argsort(-sim, axis=2, kind="stable")
-    return NeighborIndex(indices=np.ascontiguousarray(order[:, :, :k]), k=k, n_points=n)
+    if not np.isfinite(sim).all():
+        raise InvalidInputError("knn needs finite pairwise distances; the points are "
+                                "non-finite or too large")
+    dist = np.negative(sim, out=sim)
+    if k == n:
+        # stable argsort = distance-ascending, lowest index first among ties
+        order = np.argsort(dist, axis=2, kind="stable")
+        return NeighborIndex(indices=order, k=k, n_points=n)
+    # the same k columns without sorting whole rows. A partition finds each
+    # row's k-th distance v and k columns nearer than or at v; it is right
+    # unless it dropped a lower-index column at v for a higher one, so only
+    # rows with more columns at v than it kept are redone by the tie rule
+    cols = np.argpartition(dist, k - 1, axis=2)[:, :, :k]
+    v = np.take_along_axis(dist, cols[:, :, k - 1:k], 2)
+    at_v = dist == v
+    kept_at_v = (np.take_along_axis(dist, cols, 2) == v).sum(axis=2)
+    redo = np.nonzero(at_v.sum(axis=2) > kept_at_v)
+    if redo[0].size:
+        rows_at_v = at_v[redo]
+        short = kept_at_v[redo][:, None]  # columns at v that a row keeps
+        keep = rows_at_v & (np.cumsum(rows_at_v, axis=1) <= short)
+        keep |= dist[redo] < v[redo]
+        cols[redo] = np.nonzero(keep)[1].reshape(-1, k)
+    cols.sort(axis=2)
+    order = np.argsort(np.take_along_axis(dist, cols, 2), axis=2, kind="stable")
+    return NeighborIndex(indices=np.take_along_axis(cols, order, 2), k=k, n_points=n)
 
 
 def _check_points(x: Tensor, idx: NeighborIndex, op: str) -> None:

@@ -269,10 +269,16 @@ class MultiHeadAdaptiveKernel(Module):
 
     def forward(self, geo: Tensor, feat: Tensor,
                 idx: Optional[graph.NeighborIndex] = None) -> Tensor:
-        """geo: (B, C_geo, N, k) generator input. Without ``idx``, feat holds
-        edge features (B, C_in, N, k); with it, point features (B, C_in / 2, N)
-        whose edge features ``graph_feature(feat, idx)`` are filtered without
-        being formed (the residual forms them only for an identity path)."""
+        """geo: (B, C_geo, N, k) generator input.
+
+        Without ``idx``, feat holds edge features (B, C_in, N, k) and the
+        result is per edge, (B, C_out, N, k). With it, the stage maps points
+        to points, as the network uses it: feat holds point features
+        (B, C_in / 2, N) whose edge features ``graph_feature(feat, idx)`` are
+        filtered without being formed (the residual forms them only for an
+        identity path), and the result is ``reduce(edge result, 3, "max")``,
+        (B, C_out, N), with BN, activation and max in one op that normalizes
+        only the edges the max keeps."""
         cfg = self.cfg
         conv1 = self.gen.conv1
         if idx is None:
@@ -299,4 +305,6 @@ class MultiHeadAdaptiveKernel(Module):
             else:
                 identity = self.proj_bn(graph.edge_linear(feat, idx, self.proj.weight.value))
             out = T.add(out, identity)
-        return T.leaky_relu(self.bn_out(out), self.slope)
+        if idx is None:
+            return T.leaky_relu(self.bn_out(out), self.slope)
+        return self.bn_out.leaky_max(out, self.slope)

@@ -2,9 +2,12 @@
 
 The input cloud (B, C, N) is turned into edge features over a single shared
 KNN structure. Four stages (adaptive-kernel or conventional graph-conv,
-depending on the variant) each produce per-point features that are max-pooled
-over the neighbor axis. Stage outputs are fused by channel concatenation,
-embedded, globally max+mean pooled, and classified by a small FC stack.
+depending on the variant) each map points to points: from the previous
+stage's (B, C, N) features and the neighbor index they compute per-edge
+responses, then batch-normalize, activate and max-pool them over the
+neighbor axis in one op that normalizes only the edges the max keeps. Stage
+outputs are fused by channel concatenation, embedded, globally max+mean
+pooled, and classified by a small FC stack.
 
 Kernel-generating stages always see the edge features of the raw input
 coordinates, so geometry stays anchored to the original cloud no matter how
@@ -173,9 +176,8 @@ class ActivityNet(Module):
             stage = getattr(self, name)
             points = x if prev is None else prev
             y = stage(geo, points, idx) if kind == "mak" else stage(points, idx)
-            pooled = T.reduce(y, 3, "max")     # (B, width, N)
-            outs.append(pooled)
-            prev = pooled
+            outs.append(y)                     # (B, width, N)
+            prev = y
 
         fused = outs[-1] if cfg.variant is Variant.MAK_ONLY else T.concat(outs, 1)
         emb = T.leaky_relu(self.fuse_bn(self.fuse(fused)), self.slope)  # (B, emb, N)
@@ -190,10 +192,13 @@ class ActivityNet(Module):
 
 
 class _ConvBlock(Module):
-    """Conventional stage: pointwise conv + BN + LeakyReLU on edge features.
+    """Conventional stage: pointwise conv + BN + LeakyReLU on edge features,
+    max-pooled over the neighbors.
 
-    The conv acts on the edge features of its input points, applied per point
-    by :func:`graph.edge_linear` instead of per edge."""
+    Maps points (B, C_in / 2, N) to points (B, C_out, N). The conv acts on the
+    edge features of its input points, applied per point by
+    :func:`graph.edge_linear` instead of per edge; BN, activation and the max
+    run as one op (:meth:`BatchNorm.leaky_max`)."""
 
     def __init__(self, in_channels: int, out_channels: int,
                  rng: np.random.Generator, dtype: str, slope: float):
@@ -204,7 +209,7 @@ class _ConvBlock(Module):
 
     def forward(self, points: Tensor, idx: graph.NeighborIndex) -> Tensor:
         edges = graph.edge_linear(points, idx, self.conv.weight.value)  # (B, C_out, N, k)
-        return T.leaky_relu(self.bn(edges), self.slope)
+        return self.bn.leaky_max(edges, self.slope)
 
 
 def build(cfg: ModelConfig, seed: int, dtype: str = "f32") -> ActivityNet:

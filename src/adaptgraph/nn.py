@@ -147,11 +147,18 @@ class BatchNorm(Module):
         self.register_buffer("running_mean", np.zeros(channels, dtype=np_dtype))
         self.register_buffer("running_var", np.ones(channels, dtype=np_dtype))
 
-    def forward(self, x: Tensor) -> Tensor:
+    def _args(self, x: Tensor) -> tuple:
         if x.ndim >= 2 and x.shape[1] != self.channels:
             raise ShapeError(f"expected {self.channels} channels, got {x.shape}")
-        return T.batch_norm(
-            x, self.gamma.value, self.beta.value,
-            self._buffers["running_mean"], self._buffers["running_var"],
-            "train" if self.training else "eval",
-            momentum=self.momentum, epsilon=self.epsilon)
+        return (x, self.gamma.value, self.beta.value,
+                self._buffers["running_mean"], self._buffers["running_var"],
+                "train" if self.training else "eval")
+
+    def forward(self, x: Tensor) -> Tensor:
+        return T.batch_norm(*self._args(x), momentum=self.momentum, epsilon=self.epsilon)
+
+    def leaky_max(self, x: Tensor, slope: float) -> Tensor:
+        """``reduce(leaky_relu(self(x), slope), 3, "max")``, (B, C, N, k) ->
+        (B, C, N), without normalizing or activating the edges the max drops."""
+        return T.batch_norm_leaky_max(*self._args(x), slope=slope,
+                                      momentum=self.momentum, epsilon=self.epsilon)

@@ -1,8 +1,8 @@
 """Minimal numpy-backed tensors with reverse-mode automatic differentiation.
 
 Just enough machinery for point-cloud networks: per-position affine maps,
-batch norm, leaky relu, axis reductions, gather, dropout and a stable softmax
-cross entropy. Every differentiable op builds a closure-based graph node;
+batch norm, leaky relu, the two fused with a max over neighbors, axis
+reductions, gather, dropout and a stable softmax cross entropy. Every differentiable op builds a closure-based graph node;
 ``backward`` walks the graph once in reverse topological order.
 
 Shapes follow the (B, C, ...) convention used throughout the package: batch
@@ -326,14 +326,20 @@ def _channel_sums(a: np.ndarray) -> np.ndarray:
     return a.sum(axis=2).sum(axis=0, dtype=np.float64)
 
 
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
-               running_mean: Optional[np.ndarray], running_var: Optional[np.ndarray],
-               mode: str, momentum: float = 0.1, epsilon: float = 1e-5) -> Tensor:
-    """Channel-wise batch normalization over all non-channel axes.
+def _norm_stats(x: Tensor, gamma: Tensor, beta: Tensor,
+                running_mean: Optional[np.ndarray], running_var: Optional[np.ndarray],
+                mode: str, momentum: float, epsilon: float, keep_centred: bool):
+    """Checks and per-channel statistics shared by :func:`batch_norm` and
+    :func:`batch_norm_leaky_max`.
 
-    Train mode uses batch statistics (biased variance) and updates the running
-    buffers in place by exponential moving average. Eval mode normalizes with
-    the running buffers. gamma/beta then scale and shift per channel.
+    Returns (x3, mu, ivar, scale, centred, spare). x3 is x as a (B, C, G)
+    view, so every per-channel statistic is a sum over its outer and inner
+    axes; ivar = 1 / sqrt(var + epsilon) and scale = gamma * ivar. Train mode
+    uses batch statistics (biased variance) and updates the running buffers
+    in place by exponential moving average. With ``keep_centred`` it also
+    returns centred = x3 - mu and the squared deviations, a spare array the
+    caller may reuse; otherwise the deviations are squared in place and
+    both are None, as they are in eval mode, which reads the running buffers.
     """
     if mode not in ("train", "eval"):
         raise InvalidInputError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -346,19 +352,18 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         raise ShapeError(f"gamma/beta must be ({c},), got {gamma.shape} and {beta.shape}")
     xd = x.data
     dt = xd.dtype
-    m = xd.size // c if c else 0
-    # channels in the middle of a contiguous (B, C, G) view: every per-channel
-    # statistic is a sum over its outer and inner axes
     x3 = xd.reshape(x.shape[0], c, int(np.prod(x.shape[2:], dtype=np.int64)))
-    cshape = (1, c, 1)
-
+    centred = spare = None
     if mode == "train":
+        m = xd.size // c if c else 0
         if m == 0:
             raise InvalidInputError("batch_norm in train mode needs a non-empty batch")
         mu = (_channel_sums(x3) / m).astype(dt)
-        centred = x3 - mu.reshape(cshape)
-        out = np.square(centred)  # scratch for the variance, then the output
-        var = (_channel_sums(out) / m).astype(dt)
+        centred = x3 - mu.reshape(1, c, 1)
+        spare = np.square(centred, out=None if keep_centred else centred)
+        var = (_channel_sums(spare) / m).astype(dt)
+        if not keep_centred:
+            centred = spare = None
         if running_mean is not None:
             running_mean *= 1.0 - momentum
             running_mean += momentum * mu.astype(running_mean.dtype)
@@ -370,14 +375,32 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
             raise InvalidInputError("batch_norm in eval mode needs populated running stats")
         mu = np.asarray(running_mean, dtype=dt)
         var = np.asarray(running_var, dtype=dt)
+    ivar = 1.0 / np.sqrt(var + np.asarray(epsilon, dtype=dt))
+    return x3, mu, ivar, gamma.data * ivar, centred, spare
+
+
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
+               running_mean: Optional[np.ndarray], running_var: Optional[np.ndarray],
+               mode: str, momentum: float = 0.1, epsilon: float = 1e-5) -> Tensor:
+    """Channel-wise batch normalization over all non-channel axes.
+
+    Train mode uses batch statistics (biased variance) and updates the running
+    buffers in place by exponential moving average. Eval mode normalizes with
+    the running buffers. gamma/beta then scale and shift per channel.
+    """
+    x3, mu, ivar, scale, centred, out = _norm_stats(
+        x, gamma, beta, running_mean, running_var, mode, momentum, epsilon, True)
+    dt = x3.dtype
+    m = x3.size // x3.shape[1] if x3.shape[1] else 0
+    cshape = (1, x3.shape[1], 1)
+    if centred is None:
         centred = x3 - mu.reshape(cshape)
         out = np.empty_like(centred) if _recording(x, gamma, beta) else centred
 
     # xhat = centred * ivar is never formed: ivar folds into per-channel
     # factors here and in the backward pass, which keeps only ``centred``
-    ivar = 1.0 / np.sqrt(var + np.asarray(epsilon, dtype=dt))
-    scale = (gamma.data * ivar).reshape(cshape)
-    np.multiply(centred, scale, out=out)
+    scale = scale.reshape(cshape)
+    np.multiply(centred, scale, out=out)  # the variance's spare array in train mode
     out += beta.data.reshape(cshape)
 
     def back(g):
@@ -399,6 +422,29 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     return _make(out.reshape(x.shape), (x, gamma, beta), back)
 
 
+def _leaky_slope(slope: float, dtype) -> np.ndarray:
+    if not 0 <= slope < 1:
+        raise InvalidInputError(f"slope must be in [0, 1), got {slope}")
+    return np.asarray(slope, dtype=dtype)
+
+
+def _leaky(xd: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Forward of :func:`leaky_relu` on an array; s is the slope in its dtype."""
+    if s:
+        out = xd * s
+        np.maximum(xd, out, out=out)
+        return out
+    return xd * (xd >= 0)
+
+
+def _leaky_grad(neg_mask: np.ndarray, s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g times the leaky relu's derivative: slope where the input was < 0, else 1."""
+    factor = neg_mask * s
+    factor += ~neg_mask
+    factor *= g
+    return factor
+
+
 def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     """x if x >= 0 else slope * x; the point x == 0 takes the positive branch.
 
@@ -407,26 +453,83 @@ def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     picks the branch. At slope 0 the max would turn +inf * 0 = nan into the
     result, so there x is multiplied by its 0/1 sign mask instead.
     """
-    if not 0 <= slope < 1:
-        raise InvalidInputError(f"slope must be in [0, 1), got {slope}")
     xd = x.data
-    s = np.asarray(slope, dtype=xd.dtype)
-    if slope:
-        out = xd * s
-        np.maximum(xd, out, out=out)
-    else:
-        out = xd * (xd >= 0)
+    s = _leaky_slope(slope, xd.dtype)
+    out = _leaky(xd, s)
     if not _recording(x):
         return _make(out, (x,), None)
     neg_mask = xd < 0
+    return _make(out, (x,), lambda g: (_leaky_grad(neg_mask, s, g),))
+
+
+def batch_norm_leaky_max(x: Tensor, gamma: Tensor, beta: Tensor,
+                         running_mean: Optional[np.ndarray],
+                         running_var: Optional[np.ndarray], mode: str,
+                         slope: float = 0.2, momentum: float = 0.1,
+                         epsilon: float = 1e-5) -> Tensor:
+    """``reduce(leaky_relu(batch_norm(x, ...), slope), 3, "max")`` in one op,
+    bit for bit: (B, C, N, k) -> (B, C, N).
+
+    Batch norm then leaky relu is, per channel, a map of x that never
+    decreases when the scale gamma / sigma is >= 0 and never increases when it
+    is < 0, and rounding keeps that true. So the max over k of the map is the
+    map of the edge that maximizes x * sign(scale): the first maximum of x,
+    the first minimum on a negative scale, and edge 0 on a zero scale, as the
+    reference routes it. Statistics and the running-buffer update come from
+    every edge, as in :func:`batch_norm`; only the (B, C, N) winners are
+    normalized and activated. Backward writes one dense dx = x * a + b per
+    channel, the batch-statistics terms, and adds the routed gradient at the
+    winning edges; besides x it keeps only (B, C, N) arrays: the winners'
+    index, their centred values and their activation mask.
+    """
+    if x.ndim != 4:
+        raise ShapeError(f"batch_norm_leaky_max expects (B, C, N, k), got {x.shape}")
+    xd = x.data
+    dt = xd.dtype
+    s = _leaky_slope(slope, dt)
+    b_dim, c, n, k = x.shape
+    if k == 0:
+        raise InvalidInputError(f"cannot reduce empty axis 3 of shape {x.shape}")
+    _, mu, ivar, scale, _, _ = _norm_stats(
+        x, gamma, beta, running_mean, running_var, mode, momentum, epsilon, False)
+    recording = _recording(x, gamma, beta)
+    cshape = (1, c, 1)
+    key = xd if (scale > 0).all() else xd * np.sign(scale).reshape(1, c, 1, 1)
+    if recording or key is not xd:
+        # flat index of each point's winning edge: the first maximum of key,
+        # as reduce routes it
+        winners = np.argmax(key, axis=3).ravel()
+        winners += np.arange(0, xd.size, k)
+        picked = xd.reshape(-1)[winners].reshape(b_dim, c, n)
+    else:
+        picked = xd.max(axis=3)
+    del key
+    centred = picked - mu.reshape(cshape)
+    z = centred * scale.reshape(cshape)
+    z += beta.data.reshape(cshape)
+    out = _leaky(z, s)
+    if not recording:
+        return _make(out, (x, gamma, beta), None)
+    neg_mask = z < 0
 
     def back(g):
-        factor = neg_mask * s  # slope where x < 0, else 1
-        factor += ~neg_mask
-        factor *= g
-        return (factor,)
+        gz = _leaky_grad(neg_mask, s, g)  # gradient at the winners' batch-norm output
+        dbeta = _channel_sums(gz)
+        dgamma = _channel_sums(gz * centred) * ivar
+        if mode == "train":
+            # every edge feeds the statistics: scale * (-dbeta / m - xhat * dgamma / m)
+            # is affine in x per channel
+            m = xd.size // c
+            a = scale * (-dgamma * ivar / m)
+            bias = scale * (-dbeta / m) - a * mu
+            dx = xd * a.astype(dt).reshape(1, c, 1, 1)
+            dx += bias.astype(dt).reshape(1, c, 1, 1)
+        else:
+            dx = np.zeros_like(xd)
+        dx.reshape(-1)[winners] += (gz * scale.reshape(cshape)).ravel()
+        return dx, dgamma.astype(dt), dbeta.astype(dt)
 
-    return _make(out, (x,), back)
+    return _make(out, (x, gamma, beta), back)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:

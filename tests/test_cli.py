@@ -5,16 +5,21 @@ import io
 import json
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from adaptgraph import __version__
 from adaptgraph.checkpoint import save_checkpoint, state_dict
 from adaptgraph.cli import main
 from adaptgraph.data import (FrameSequence, SynthSpec, preset, synth_generate,
                              write_dataset, write_frame_file)
 from adaptgraph.network import (ModelConfig, build, config_to_dict, count_macs,
                                 count_params)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # pipeline preset "synth": 5-frame windows, stride 66, 4 points per frame.
 # sequences below are 5 frames long, so each contributes exactly one sample.
@@ -87,6 +92,16 @@ def test_cost_flag_errors(capsys):
     assert main(["cost", "--k", "0"]) == 2
     assert "k must be a positive integer" in capsys.readouterr().err
     assert main(["cost", "--k", "64", "--points", "32"]) == 2
+
+
+@pytest.mark.parametrize("argv", [["--points", "-5"],
+                                  ["--k-sweep", "10:30:10", "--points", "25"]])
+def test_cost_error_prints_no_table(argv, capsys):
+    capsys.readouterr()
+    assert main(["cost"] + argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "is smaller than k=" in err
 
 
 # ---------------------------------------------------------------------
@@ -380,9 +395,13 @@ def test_infer_skips_malformed_lines(dataset, tmp_path, capsys, monkeypatch):
     assert "skipping malformed frame line" in err
     assert "non-finite" in err
     assert len(out.strip().splitlines()) == 2  # 6 good frames, window 5
-    assert err.strip().splitlines()[-1] == (
-        "infer: 6 frames read, 2 lines skipped (malformed or non-finite), "
-        "2 windows emitted")
+    counts, latency = err.strip().splitlines()[-1].split(", model latency ")
+    assert counts == ("infer: 6 frames read, 2 lines skipped (malformed or non-finite), "
+                      "2 windows emitted")
+    fields = [f.split() for f in latency.split(", ")]
+    assert [(f[0], f[2]) for f in fields] == [("p50", "ms"), ("p95", "ms"), ("max", "ms")]
+    p50, p95, worst = (float(f[1]) for f in fields)
+    assert 0 < p50 <= p95 <= worst
 
 
 # ---------------------------------------------------------------------
@@ -393,6 +412,14 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    done = subprocess.run([sys.executable, "-m", "adaptgraph", "--version"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == __version__
 
 
 def test_unknown_command_exits_via_argparse():

@@ -111,6 +111,22 @@ def test_knn_duplicate_points_tie_break():
     np.testing.assert_array_equal(idx.indices[0], np.tile([0, 1, 2], (4, 1)))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_knn_equals_full_stable_sort_on_tied_grids(dtype):
+    # integer-grid clouds with many duplicate points: ties at the k-th
+    # distance are common, and the lowest index must win every one of them
+    rng = np.random.default_rng(17)
+    for trial in range(25):
+        n = int(rng.integers(2, 30))
+        x = rng.integers(-2, 3, size=(2, 2, n)).astype(dtype)
+        x[:, :, n // 2:] = x[:, :, :n - n // 2]  # padding duplicates whole frames
+        sim = pairwise_similarity(Tensor(x)).data
+        for k in range(1, n + 1):
+            want = np.argsort(-sim, axis=2, kind="stable")[:, :, :k]
+            np.testing.assert_array_equal(knn(Tensor(x), k).indices, want,
+                                          err_msg=f"trial {trial}, n={n}, k={k}")
+
+
 def test_knn_permutation_equivariance():
     x = points(1, 3, 11, seed=21)
     perm = np.random.default_rng(3).permutation(11)
@@ -129,6 +145,11 @@ def test_knn_validation():
         knn(x, 7)
     with pytest.raises(ShapeError):
         knn(Tensor(np.zeros((3, 6))), 2)
+    for bad in (np.nan, np.inf, 1e30):
+        y = points(1, 3, 6)
+        y[0, 1, 2] = bad  # 1e30 squares past float32's range
+        with pytest.raises(InvalidInputError, match="finite"), np.errstate(all="ignore"):
+            knn(Tensor(y.astype(np.float32)), 2)
 
 
 def test_neighbor_index_validation():

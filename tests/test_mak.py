@@ -367,13 +367,17 @@ def test_operator_on_points_equals_edge_form(residual, monkeypatch):
     idx = repeated_index(b, n, k, seed=71)
     rng = np.random.default_rng(72)
     geo, points = rng.normal(size=(b, op.cfg.gen_in_channels, n, k)), rng.normal(size=(b, cp, n))
-    weights = rng.normal(size=(b, co, n, k))
+    weights = rng.normal(size=(b, co, n))
 
     def run(per_point):
         for _, p in op.named_parameters():
             p.value.grad = None
         g, x = Tensor(geo, requires_grad=True), Tensor(points, requires_grad=True)
-        out = op(g, x, idx) if per_point else op(g, graph.graph_feature(x, idx))
+        if per_point:  # the network's form maps points to points
+            out = op(g, x, idx)
+            assert out.shape == (b, co, n)
+        else:
+            out = T.reduce(op(g, graph.graph_feature(x, idx)), 3, "max")
         T.reduce_sum(T.mul(out, Tensor(weights))).backward()
         return out.data, g.grad, x.grad, {name: p.value.grad
                                           for name, p in op.named_parameters()}
@@ -404,7 +408,7 @@ def test_point_features_must_match_the_index():
 
     op = build_op(ci=2 * cp, co=co, seed=83)
     geo = Tensor(np.zeros((b, op.cfg.gen_in_channels, n, k)))
-    assert op(geo, Tensor(np.zeros((b, cp, n))), idx).shape == (b, co, n, k)
+    assert op(geo, Tensor(np.zeros((b, cp, n))), idx).shape == (b, co, n)
     for shape in ((b, cp, n + 1), (b + 1, cp, n), (b, 2 * cp, n), (b, cp, n, k)):
         with pytest.raises(ShapeError):
             op(geo, Tensor(np.zeros(shape)), idx)

@@ -20,6 +20,7 @@ from adaptgraph import tensor as T
 from adaptgraph.data import PipelineConfig, SynthSpec
 from adaptgraph.errors import ConfigError, InvalidInputError, UsageError
 from adaptgraph.kernels import MultiHeadAdaptiveKernel
+from adaptgraph.nn import BatchNorm
 from adaptgraph.network import (ActivityNet, ModelConfig, Variant, build,
                                 config_from_dict, config_to_dict, count_macs,
                                 count_params)
@@ -327,6 +328,47 @@ def test_every_kernel_stage_reads_raw_geometry(monkeypatch):
     assert idx is not None
     for pos in (2, 3, 4):
         assert stage_inputs[getattr(model, f"mak{pos}")][2] is idx
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_stages_pool_before_they_normalize(variant, monkeypatch):
+    # each stage ends in one batch norm -> leaky relu -> max-over-k op, so no
+    # (B, C, N, k) stage output is normalized or activated and nothing
+    # reduces the k axis; only a projected residual is normalized per edge
+    model = build(small_cfg(variant=variant), seed=0)
+    widths = set(SMALL["stage_widths"])
+    assert SMALL["mak_mid_channels"] not in widths
+    reduced, per_edge, pooled = [], [], []
+    real_reduce, real_leaky = T.reduce, T.leaky_relu
+    real_forward, real_leaky_max = BatchNorm.forward, BatchNorm.leaky_max
+
+    def reduce(x, axis, kind):
+        reduced.append((x.ndim, axis % x.ndim))
+        return real_reduce(x, axis, kind)
+
+    def leaky_relu(x, slope=0.2):
+        assert not (x.ndim == 4 and x.shape[1] in widths), x.shape
+        return real_leaky(x, slope)
+
+    def forward(bn, x):
+        if x.ndim == 4 and x.shape[1] in widths:
+            per_edge.append(bn)
+        return real_forward(bn, x)
+
+    def leaky_max(bn, x, slope):
+        pooled.append(bn)
+        return real_leaky_max(bn, x, slope)
+
+    monkeypatch.setattr(T, "reduce", reduce)
+    monkeypatch.setattr(T, "leaky_relu", leaky_relu)
+    monkeypatch.setattr(BatchNorm, "forward", forward)
+    monkeypatch.setattr(BatchNorm, "leaky_max", leaky_max)
+    model(Tensor(cloud()), rng=np.random.default_rng(0))
+    assert (4, 3) not in reduced
+    stages = [getattr(model, name) for name, _ in model._stages]
+    assert pooled == [s.bn_out if kind == "mak" else s.bn
+                      for s, (_, kind) in zip(stages, model._stages)]
+    assert per_edge == [s.proj_bn for s in stages if "proj_bn" in s._modules]
 
 
 def test_logits_invariant_to_point_permutation():

@@ -225,6 +225,103 @@ def test_batch_norm_guards():
                      np.ones(2), "train", epsilon=0.0)
 
 
+# ---------------------------------------------------------------------
+# batch norm -> leaky relu -> max over k, fused
+# ---------------------------------------------------------------------
+
+def tied_edges(dtype, seed=0):
+    """(B, C, N, k) edges with exact ties: repeated neighbors, a constant row,
+    and per-channel offsets so means and variances differ."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(3, 5, 4, 6)) + rng.normal(size=(1, 5, 1, 1))
+    x[..., 4] = x[..., 1]  # a duplicate point seen twice
+    x[..., 5] = x[..., 0]
+    x[0, :, 2, :] = x[0, :, 2, :1]  # every neighbor the same point
+    return x.astype(dtype)
+
+
+GAMMAS = {"positive": [0.5, 1.0, 1.5, 2.0, 0.25],
+          "mixed": [0.5, -1.0, 0.0, 2.0, -0.25],
+          "negative": [-0.5, -1.0, -1.5, -2.0, -0.25],
+          "zero": [0.0] * 5}
+
+
+def composed(x, gamma, beta, rm, rv, mode, slope=0.2):
+    return T.reduce(T.leaky_relu(T.batch_norm(x, gamma, beta, rm, rv, mode), slope), 3, "max")
+
+
+def fused(x, gamma, beta, rm, rv, mode, slope=0.2):
+    return T.batch_norm_leaky_max(x, gamma, beta, rm, rv, mode, slope)
+
+
+@pytest.mark.parametrize("gammas", sorted(GAMMAS))
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("recorded", [True, False])
+def test_batch_norm_leaky_max_equals_composition_bitwise(gammas, mode, dtype, recorded):
+    x = tied_edges(dtype)
+    gamma = np.array(GAMMAS[gammas], dtype=dtype)
+    beta = np.random.default_rng(1).normal(size=5).astype(dtype)
+    outs, buffers = [], []
+    for op in (composed, fused):
+        rm = np.random.default_rng(2).normal(size=5).astype(dtype)
+        rv = np.random.default_rng(3).uniform(0.5, 2.0, size=5).astype(dtype)
+        args = [Tensor(a, requires_grad=recorded) for a in (x, gamma, beta)]
+        if recorded:
+            out = op(*args, rm, rv, mode)
+            assert out.node is not None
+        else:
+            with T.no_grad():
+                out = op(*args, rm, rv, mode)
+        assert out.shape == (3, 5, 4) and out.data.dtype == dtype
+        outs.append(out.data)
+        buffers.append(np.concatenate([rm, rv]))
+    assert outs[0].tobytes() == outs[1].tobytes()
+    assert buffers[0].tobytes() == buffers[1].tobytes()
+
+
+@pytest.mark.parametrize("gammas", sorted(GAMMAS))
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_batch_norm_leaky_max_gradients_match_composition(gammas, mode):
+    x = tied_edges(np.float64, seed=4)
+    gamma = np.array(GAMMAS[gammas])
+    beta = np.random.default_rng(5).normal(size=5)
+    w = np.random.default_rng(6).normal(size=(3, 5, 4))
+    grads = []
+    for op in (composed, fused):
+        args = [leaf(a) for a in (x, gamma, beta)]
+        rm, rv = np.full(5, 0.1), np.full(5, 1.5)
+        T.reduce_sum(T.mul(op(*args, rm, rv, mode), Tensor(w))).backward()
+        grads.append([a.grad for a in args])
+    for got, want, name in zip(grads[1], grads[0], ("x", "gamma", "beta")):
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12 * np.abs(want).max(),
+                                   err_msg=name)
+
+
+def test_grad_batch_norm_leaky_max():
+    inputs = [rand(4, 3, 5, 6), np.array([1.2, -0.8, 0.6]), rand(3, seed=2)]
+    check_grads(lambda a, g, b: T.batch_norm_leaky_max(a, g, b, None, None, "train"),
+                inputs, rtol=1e-5)
+    rm, rv = rand(3, seed=3), 1.0 + 0.1 * np.abs(rand(3, seed=4))
+    check_grads(lambda a, g, b: T.batch_norm_leaky_max(a, g, b, rm.copy(), rv.copy(),
+                                                       "eval", slope=0.1), inputs)
+
+
+def test_batch_norm_leaky_max_guards():
+    ones, zeros = Tensor(np.ones(2)), Tensor(np.zeros(2))
+    with pytest.raises(ShapeError):
+        T.batch_norm_leaky_max(Tensor(np.zeros((2, 2, 3))), ones, zeros, None, None, "train")
+    with pytest.raises(InvalidInputError):
+        T.batch_norm_leaky_max(Tensor(np.zeros((2, 2, 3, 0))), ones, zeros, None, None,
+                               "train")
+    with pytest.raises(InvalidInputError):
+        T.batch_norm_leaky_max(Tensor(np.zeros((2, 2, 3, 2))), ones, zeros, None, None,
+                               "train", slope=1.0)
+    with pytest.raises(ShapeError):
+        T.batch_norm_leaky_max(Tensor(np.zeros((2, 3, 3, 2))), ones, zeros, None, None,
+                               "train")
+
+
 def test_leaky_relu_fixtures():
     out = T.leaky_relu(Tensor([1.0, -1.0, 0.0]), 0.2)
     np.testing.assert_allclose(out.data, [1.0, -0.2, 0.0], rtol=1e-6)
