@@ -30,8 +30,6 @@ from .network import (ModelConfig, Variant, build, config_from_dict,
 from .tensor import Tensor
 from .training import TrainConfig, evaluate, fit, history_lines
 
-_ABLATION_ORDER = (Variant.MAK_ONLY, Variant.MAK_FF,
-                   Variant.SANDWICH_FF, Variant.SEQUENTIAL_FF)
 _VARIANT_LABELS = {
     Variant.MAK_ONLY: "MakOnly",
     Variant.MAK_FF: "MakFF",
@@ -238,10 +236,11 @@ def cmd_train(args) -> int:
 
 def cmd_ablate(args) -> int:
     opts, spec, data_shape, splits, tcfg, out_dir = _start_run(args, "runs/ablate")
-    mcfgs = [_model_config_from_opts(opts, data_shape, v.value) for v in _ABLATION_ORDER]
+    # Variant's declaration order is report order
+    mcfgs = [_model_config_from_opts(opts, data_shape, v.value) for v in Variant]
     _write_run_manifest(out_dir, "ablate", opts, spec, splits,
                         train_config=config_to_dict(tcfg),
-                        variants=[v.value for v in _ABLATION_ORDER])
+                        variants=[v.value for v in Variant])
 
     print(f"{'method':<14} {'macs_g':>10} {'params_m':>10} {'accuracy':>9}")
     n = data_shape[1]
@@ -282,9 +281,8 @@ def cmd_eval(args) -> int:
                     "checkpoint": os.path.abspath(args.checkpoint),
                     "split": args.split, "average": args.average,
                     "model_config": manifest["model_config"]})
-    dtype = manifest.get("dtype", "f32")
     metrics = evaluate(model, chosen, batch_size=args.batch,
-                       average=args.average, dtype=dtype)
+                       average=args.average, dtype=model.dtype)
     print("Acc    Pre    Rec    F1")
     print(f"{_pct(metrics.accuracy)}  {_pct(metrics.precision)}  "
           f"{_pct(metrics.recall)}  {_pct(metrics.f1)}")
@@ -330,7 +328,6 @@ def cmd_infer(args) -> int:
 
     assembler = D.StreamAssembler(pipeline.window_frames, pipeline.points_per_frame,
                                   seed=pipeline.seed, seq_id=args.seq_id)
-    dtype = manifest.get("dtype", "f32")
     skipped = 0
     latencies = []  # model seconds per emitted window
     for line in stream:
@@ -348,7 +345,7 @@ def cmd_infer(args) -> int:
             continue
         start = time.perf_counter()
         with T.no_grad():
-            logits = model(Tensor(sample.tensor[None, :, :], dtype=dtype))
+            logits = model(Tensor(sample.tensor[None, :, :], dtype=model.dtype))
         latencies.append(time.perf_counter() - start)
         probs = _softmax(logits.data[0])
         pred = int(np.argmax(probs))

@@ -360,7 +360,12 @@ def read_manifest(path) -> List[FrameSequence]:
         raise DataError(f"{path}: manifest lists no sequences")
     for i, entry in enumerate(entries):
         file_path = entry if os.path.isabs(entry) else os.path.join(base, entry)
-        sequences.append(read_frame_file(file_path, seq_id=i))
+        seq = read_frame_file(file_path, seq_id=i)
+        if sequences and seq.channels() != sequences[0].channels():
+            raise DataError(
+                f"{file_path}: C={seq.channels()}, but {entries[0]} has "
+                f"C={sequences[0].channels()}; a manifest's files must agree on C")
+        sequences.append(seq)
     return sequences
 
 

@@ -86,14 +86,11 @@ def knn(x: Tensor, k: int) -> NeighborIndex:
         raise InvalidInputError("knn needs finite pairwise distances; the points are "
                                 "non-finite or too large")
     dist = np.negative(sim, out=sim)
-    if k == n:
-        # stable argsort = distance-ascending, lowest index first among ties
-        order = np.argsort(dist, axis=2, kind="stable")
-        return NeighborIndex(indices=order, k=k, n_points=n)
-    # the same k columns without sorting whole rows. A partition finds each
-    # row's k-th distance v and k columns nearer than or at v; it is right
-    # unless it dropped a lower-index column at v for a higher one, so only
-    # rows with more columns at v than it kept are redone by the tie rule
+    # the first k columns of a stable argsort (distance-ascending, lowest
+    # index first among ties) without sorting whole rows. A partition finds
+    # each row's k-th distance v and k columns nearer than or at v; it is
+    # right unless it dropped a lower-index column at v for a higher one, so
+    # only rows with more columns at v than it kept are redone by the tie rule
     cols = np.argpartition(dist, k - 1, axis=2)[:, :, :k]
     v = np.take_along_axis(dist, cols[:, :, k - 1:k], 2)
     at_v = dist == v

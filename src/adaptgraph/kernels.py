@@ -7,14 +7,16 @@ are applied to the content features and summed over heads. A residual path
 
 The matrices are never formed. The generator's last layer is affine in its
 mid-width output y, so each edge kernel is a y-weighted mix of a shared
-basis, and the head sum folds into a sum of that layer's weights. The
-operator contracts the outer product of features and [y, 1] with the summed
-basis in one pointwise linear map (the assembly PAConv uses). On edge
-features that takes B*N*k*C_in*(mid+1) values of working memory,
-independent of H and C_out. The network passes point features (B, C_p, N)
-and the neighbor index instead: the edge features [x_j - x_i, x_i] are
-linear in them, so only the neighbor half needs an edge operand, and
-working memory falls to B*N*k*C_p*(mid+1) with C_in = 2*C_p.
+basis, and the head sum folds into a sum of that layer's weights. One
+contraction applies them: an edge operand outer [y, 1] against the summed
+basis [A | b] (the assembly PAConv uses), a few batch items at a time, in
+working memory independent of H and C_out. The operand comes in two kinds.
+Edge features (B, C_in, N, k) are their own operand. Point features
+(B, C_p, N) with a neighbor index stand for the edge features
+[x_j - x_i, x_i], which are linear in them: the gathered neighbors x_j are
+the operand, the x_i half becomes a per-point product, and working memory
+falls to B*N*k*C_p*(mid+1) with C_in = 2*C_p. The network uses point
+features; edge features serve as the reference form.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import graph
 from . import tensor as T
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, UsageError
 from .nn import BatchNorm, Module, PointwiseLinear
 from .tensor import Tensor
 
@@ -85,23 +87,25 @@ def apply_heads(coeffs: Tensor, x: Tensor, weight: Tensor, bias: Tensor,
     """Apply every edge's generated kernels to its features and sum over heads,
     without forming the kernels.
 
-    coeffs: (B, mid, N, k) generator coefficients y; x: (B, C_in, N, k) edge
-    features; weight: (C_out * C_in * H, mid) and bias: (C_out * C_in * H,),
-    the generator's last layer in the channel layout c = (o * C_in + i) * H + h,
-    with C_out = ``out_channels``. Returns (B, C_out, N, k) with
+    coeffs: (B, mid, N, k) generator coefficients y; weight: (C_out * C_in * H,
+    mid) and bias: (C_out * C_in * H,), the generator's last layer in the
+    channel layout c = (o * C_in + i) * H + h, with C_out = ``out_channels``.
+    x holds the features in one of two kinds:
+
+    - without ``idx``, edge features (B, C_in, N, k);
+    - with ``idx``, point features (B, C_p, N), standing for the edge
+      features ``graph_feature(x, idx)`` with C_in = 2 C_p. They are never
+      formed, and the network uses this kind.
+
+    Returns (B, C_out, N, k) with
 
         out[b,:,n,j] = sum_h W_h[b,n,j] @ x[b,:,n,j],
         W_h[b,n,j][o,i] = weight[(o*C_in+i)*H+h] @ y[b,:,n,j] + bias[(o*C_in+i)*H+h].
 
     Heads fold exactly into summed weights A = sum_h A_h, b = sum_h b_h, and
-    out = (x outer [y, 1]) contracted with [A, b]: one pointwise linear map
-    over C_in * (mid + 1) channels. Memory does not grow with H.
-
-    With ``idx``, x holds point features (B, C_p, N) and the result equals
-    ``apply_heads(coeffs, graph_feature(x, idx), ...)`` with C_in = 2 C_p,
-    but neither edge tensor is formed: working memory is B*N*k*C_p*(mid+1)
-    values, half of the edge form's, and the network uses this form. See
-    :func:`_apply_heads_to_points`.
+    out is the basis [A | b] (C_out, C_in, mid + 1) contracted with
+    x outer [y, 1]: one operator, :func:`_contract`, for both kinds. Memory
+    does not grow with H.
     """
     if heads < 1:
         raise ConfigError("head count must be at least 1")
@@ -111,24 +115,17 @@ def apply_heads(coeffs: Tensor, x: Tensor, weight: Tensor, bias: Tensor,
         raise ShapeError(f"coefficients must be (B, mid, N, k), got {coeffs.shape}")
     b, mid, n, k = coeffs.shape
     c_out = out_channels
-    if idx is None:
-        if x.ndim != 4:
-            raise ShapeError(f"features must be (B, C_in, N, k), got {x.shape}")
-        c_in = x.shape[1]
-        if x.shape != (b, c_in, n, k):
-            raise ShapeError(
-                f"features {x.shape} do not match coefficients (B={b}, N={n}, k={k})")
-    else:
-        if x.ndim != 3:
-            raise ShapeError(f"point features must be (B, C_p, N), got {x.shape}")
-        c_in = 2 * x.shape[1]
-        if x.shape != (b, x.shape[1], n):
-            raise ShapeError(
-                f"point features {x.shape} do not match coefficients (B={b}, N={n})")
-        if idx.indices.shape != (b, n, k):
-            raise ShapeError(
-                f"neighbor index {idx.indices.shape} does not match coefficients "
-                f"(B={b}, N={n}, k={k})")
+    if x.shape != (b,) + x.shape[1:2] + ((n, k) if idx is None else (n,)):
+        kind = "features (B, C_in, N, k)" if idx is None else "point features (B, C_p, N)"
+        raise ShapeError(f"{kind} {x.shape} do not match coefficients (B={b}, N={n}, k={k})")
+    if not x.dtype == coeffs.dtype == weight.dtype == bias.dtype:
+        raise UsageError(f"dtype mismatch: coefficients {coeffs.dtype}, features {x.dtype}, "
+                         f"weight {weight.dtype}, bias {bias.dtype}")
+    if idx is not None and idx.indices.shape != (b, n, k):
+        raise ShapeError(
+            f"neighbor index {idx.indices.shape} does not match coefficients "
+            f"(B={b}, N={n}, k={k})")
+    c_in = x.shape[1] if idx is None else 2 * x.shape[1]
     rows = c_out * c_in * heads
     if weight.shape != (rows, mid):
         raise ShapeError(
@@ -136,61 +133,55 @@ def apply_heads(coeffs: Tensor, x: Tensor, weight: Tensor, bias: Tensor,
             f"got {weight.shape}")
     if bias.shape != (rows,):
         raise ShapeError(f"bias must be ({rows},), got {bias.shape}")
-    if idx is not None:
-        return _apply_heads_to_points(coeffs, x, weight, bias, heads, c_out, idx)
-
     a_sum = T.reduce_sum(T.reshape(weight, (c_out, c_in, heads, mid)), axis=2)
     b_sum = T.reduce_sum(T.reshape(bias, (c_out, c_in, heads, 1)), axis=2)
-    basis = T.reshape(T.concat([a_sum, b_sum], axis=2), (c_out, c_in * (mid + 1)))
-    ones = Tensor(np.ones((b, 1, n, k)), dtype=coeffs.dtype)
-    y1 = T.reshape(T.concat([coeffs, ones], axis=1), (b, 1, mid + 1, n, k))
-    outer = T.mul(T.reshape(x, (b, c_in, 1, n, k)), y1)  # (B, C_in, mid+1, N, k)
-    return T.pointwise_linear(T.reshape(outer, (b, c_in * (mid + 1), n, k)), basis)
+    return _contract(coeffs, x, T.concat([a_sum, b_sum], axis=2), idx)
 
 
-# Values per batch chunk of the neighbor term's edge operand: about 1 MB in
-# f32, so a chunk's product stays in cache and its buffers are reused.
+# Values per batch chunk of the edge operand: about 1 MB in f32, so a
+# chunk's product stays in cache and its buffers are reused.
 _CHUNK_VALUES = 1 << 18
 
 
-def _apply_heads_to_points(coeffs: Tensor, x: Tensor, weight: Tensor, bias: Tensor,
-                           heads: int, c_out: int, idx: graph.NeighborIndex) -> Tensor:
-    """``apply_heads(coeffs, graph_feature(x, idx), ...)`` from point features.
+def _contract(coeffs: Tensor, x: Tensor, basis: Tensor,
+              idx: Optional[graph.NeighborIndex]) -> Tensor:
+    """The contraction behind :func:`apply_heads`: with y1 = [y, 1] and the
+    basis [A | b] (C_out, C_in, mid+1), out = basis . (x_e outer y1), summed
+    over the C_in * (mid+1) channels of each edge.
 
-    The head-summed basis [A | b] (C_out, 2C, mid+1) splits into A_a, acting
-    on x_j - x_i, and A_b, acting on x_i. With y1 = [y, 1]:
+    Without ``idx`` the edge features x_e are x itself, and the edge operand
+    is x. With it, x_e = [x_j - x_i, x_i] with C_in = 2C. The basis splits
+    into A_a, acting on x_j - x_i, and A_b, acting on x_i:
 
-        out = A_a (x_j outer y1) + sum_m y1_m ((A_b - A_a)_m x)_i.
+        out = A_a (x_j outer y1) + sum_m y1_m ((A_b - A_a)_m x)_i,
 
-    The neighbor term is one pointwise map over C * (mid+1) edge channels,
-    half of the edge form's, built and applied a few batch items at a time.
-    The center term is a per-point product (C_out*(mid+1), C) @ x, then per
+    so the edge operand is the gathered neighbors x_j (B, C, N, k), and the
+    center term is a per-point product (C_out*(mid+1), C) @ x, then per
     point a (C_out, mid+1) @ (mid+1, k) matmul with that point's
-    coefficients. Backward keeps the gathered neighbors (B, C, N, k) and y1
-    (B, mid+1, N, k) and rebuilds each chunk's outer product from them.
+    coefficients.
+
+    The edge term is one matmul over the C * (mid+1) channels of the edge
+    operand outer y1, built a few batch items at a time. Backward keeps the
+    edge operand and y1 (B, mid+1, N, k) and rebuilds each chunk's outer
+    product from them.
     """
     b, mid, n, k = coeffs.shape
-    c = x.shape[1]
-    m1, e = mid + 1, n * k
+    c_out, c_in, m1 = basis.shape
+    c = c_in if idx is None else c_in // 2
+    e = n * k
     dt = x.data.dtype
-    summed = np.empty((c_out, 2 * c, m1), dtype=dt)
-    summed[..., :mid] = weight.data.reshape(c_out, 2 * c, heads, mid).sum(axis=2)
-    summed[..., mid] = bias.data.reshape(c_out, 2 * c, heads).sum(axis=2)
-    a_nb = np.ascontiguousarray(summed[:, :c]).reshape(c_out, c * m1)  # columns (i, m)
-    # rows (o, m): the center map, one (C_out, mid+1) block per input channel
-    center_w = (summed[:, c:] - summed[:, :c]).transpose(0, 2, 1).reshape(c_out * m1, c)
+    a_nb = np.ascontiguousarray(basis.data[:, :c]).reshape(c_out, c * m1)  # columns (i, m)
     y1 = np.empty((b, m1, n, k), dtype=dt)
     y1[:, :mid] = coeffs.data
     y1[:, mid] = 1
-    y1_pt = y1.transpose(0, 2, 1, 3)  # (B, N, mid+1, k)
     y1_edges = y1.reshape(b, 1, m1, e)
-    nb = T._gather(x.data, idx.indices).reshape(b, c, 1, e)
+    nb = (x.data if idx is None else T._gather(x.data, idx.indices)).reshape(b, c, 1, e)
     step = max(1, _CHUNK_VALUES // (c * m1 * e))
     chunks = [(lo, min(lo + step, b)) for lo in range(0, b, step)]
     scratch = np.empty((min(step, b), c, m1, e), dtype=dt)
 
     def outer(lo, hi):
-        """x_j outer y1 of batch items [lo, hi), written into ``scratch``."""
+        """Edge operand outer y1 of batch items [lo, hi), written into ``scratch``."""
         o = scratch[:hi - lo]
         np.multiply(nb[lo:hi], y1_edges[lo:hi], out=o)
         return o
@@ -199,9 +190,14 @@ def _apply_heads_to_points(coeffs: Tensor, x: Tensor, weight: Tensor, bias: Tens
     for lo, hi in chunks:
         np.matmul(a_nb, outer(lo, hi).reshape(hi - lo, c * m1, e), out=out[lo:hi])
     out = out.reshape(b, c_out, n, k)
-    x_pt = x.data.transpose(0, 2, 1)  # (B, N, C)
-    center = np.matmul(x_pt, center_w.T).reshape(b, n, c_out, m1)
-    out += np.matmul(center, y1_pt).transpose(0, 2, 1, 3)
+    if idx is not None:
+        # rows (o, m): the center map, one (C_out, mid+1) block per input channel
+        center_w = (basis.data[:, c:] - basis.data[:, :c]).transpose(0, 2, 1).reshape(
+            c_out * m1, c)
+        y1_pt = y1.transpose(0, 2, 1, 3)  # (B, N, mid+1, k)
+        x_pt = x.data.transpose(0, 2, 1)  # (B, N, C)
+        center = np.matmul(x_pt, center_w.T).reshape(b, n, c_out, m1)
+        out += np.matmul(center, y1_pt).transpose(0, 2, 1, 3)
 
     def back(g):
         g3 = g.reshape(b, c_out, e)
@@ -219,6 +215,9 @@ def _apply_heads_to_points(coeffs: Tensor, x: Tensor, weight: Tensor, bias: Tens
             o.sum(axis=1, out=d_y1[lo:hi])
             d *= y1_edges[lo:hi]
             d.sum(axis=2, out=d_nb[lo:hi])
+        d_a = d_a.reshape(c_out, c, m1)
+        if idx is None:
+            return d_y1[:, :mid].reshape(b, mid, n, k), d_nb.reshape(x.shape), d_a
         dx = T._scatter_add(d_nb.reshape(b, c, n, k), idx.indices, n)
 
         g_pt = g.transpose(0, 2, 1, 3)  # (B, N, C_out, k)
@@ -229,13 +228,10 @@ def _apply_heads_to_points(coeffs: Tensor, x: Tensor, weight: Tensor, bias: Tens
         dx += np.matmul(d_center, center_w).reshape(b, n, c).transpose(0, 2, 1)
         d_cw = np.matmul(d_center.T, x_pt.reshape(b * n, c))  # (C_out*(mid+1), C)
         d_cw = d_cw.reshape(c_out, m1, c).transpose(0, 2, 1)
-        d_summed = np.concatenate([d_a.reshape(c_out, c, m1) - d_cw, d_cw], axis=1)
-        d_heads = np.broadcast_to(d_summed[:, :, None], (c_out, 2 * c, heads, m1))
-        d_w = d_heads[..., :mid].reshape(c_out * 2 * c * heads, mid)
-        d_b = d_heads[..., mid].reshape(c_out * 2 * c * heads)
-        return d_y1[:, :mid].reshape(b, mid, n, k), dx, d_w, d_b
+        d_basis = np.concatenate([d_a - d_cw, d_cw], axis=1)
+        return d_y1[:, :mid].reshape(b, mid, n, k), dx, d_basis
 
-    return T._make(out, (coeffs, x, weight, bias), back)
+    return T._make(out, (coeffs, x, basis), back)
 
 
 class MultiHeadAdaptiveKernel(Module):
@@ -281,22 +277,8 @@ class MultiHeadAdaptiveKernel(Module):
         only the edges the max keeps."""
         cfg = self.cfg
         conv1 = self.gen.conv1
-        if idx is None:
-            if feat.ndim != 4 or feat.shape[1] != cfg.in_channels:
-                raise ShapeError(
-                    f"features must be (B, {cfg.in_channels}, N, k), got {feat.shape}")
-            if feat.shape[0] != geo.shape[0] or feat.shape[2:] != geo.shape[2:]:
-                raise ShapeError(
-                    f"geometry {geo.shape} and features {feat.shape} disagree on B/N/k")
-            out = apply_heads(self.generate_kernels(geo), feat, conv1.weight.value,
-                              conv1.bias.value, cfg.num_heads, cfg.out_channels)
-        else:
-            if feat.ndim != 3 or 2 * feat.shape[1] != cfg.in_channels:
-                raise ShapeError(
-                    f"point features must be (B, {cfg.in_channels // 2}, N), "
-                    f"got {feat.shape}")
-            out = apply_heads(self.generate_kernels(geo), feat, conv1.weight.value,
-                              conv1.bias.value, cfg.num_heads, cfg.out_channels, idx)
+        out = apply_heads(self.generate_kernels(geo), feat, conv1.weight.value,
+                          conv1.bias.value, cfg.num_heads, cfg.out_channels, idx)
         if cfg.residual:
             if cfg.in_channels == cfg.out_channels:
                 identity = feat if idx is None else graph.graph_feature(feat, idx)

@@ -136,6 +136,22 @@ def test_train_missing_manifest_is_io_error(tmp_path):
                  "--epochs", "1"]) == 3
 
 
+def test_train_manifest_with_mixed_channel_counts_is_data_error(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    names = []
+    for i, c in enumerate((3, 2)):
+        seq = FrameSequence(frames=[rng.normal(size=(4, c)) for _ in range(150)], label=i)
+        names.append(f"c{c}.txt")
+        write_frame_file(tmp_path / names[-1], seq)
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("\n".join(names) + "\n")
+    assert main(["train", "--data", str(manifest), "--k", "2", "--epochs", "1",
+                 "--out", str(tmp_path / "r")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err, err
+    assert "c2.txt" in err and "C=2" in err and "C=3" in err, err
+
+
 def test_train_k_larger_than_points(dataset, tmp_path):
     assert main(train_args(dataset, tmp_path / "r", k=100)) == 2
 

@@ -7,7 +7,7 @@ import pytest
 
 from adaptgraph import graph, kernels
 from adaptgraph import tensor as T
-from adaptgraph.errors import ConfigError, ShapeError
+from adaptgraph.errors import ConfigError, ShapeError, UsageError
 from adaptgraph.kernels import MakConfig, MultiHeadAdaptiveKernel, apply_heads
 from adaptgraph.tensor import Tensor
 from test_tensor import check_grads
@@ -122,9 +122,12 @@ def dense_bank(coeffs, weight, bias, heads, c_in, c_out):
     return T.reshape(flat, (b, c_out, c_in, heads, n, k))
 
 
-def dense_apply_heads(coeffs, x, weight, bias, heads, c_out):
+def dense_apply_heads(coeffs, x, weight, bias, heads, c_out, idx=None):
     """Oracle for ``apply_heads``: expand the bank, multiply every edge's
-    kernels by its features, then sum over inputs and heads."""
+    kernels by its features, then sum over inputs and heads. With ``idx``, x
+    holds point features and the edge features are formed explicitly."""
+    if idx is not None:
+        x = graph.graph_feature(x, idx)
     b, c_in, n, k = x.shape
     bank = dense_bank(coeffs, weight, bias, heads, c_in, c_out)
     products = T.mul(bank, T.reshape(x, (b, 1, c_in, 1, n, k)))
@@ -212,10 +215,24 @@ def test_apply_heads_validation():
         # 3-channel features with H=2 divide the 6 rows (1 * 3 * 2), so only
         # the caller's C_out=3 can tell them apart from the C_in=2, H=1 layout
         apply_heads(coeffs, Tensor(np.zeros((1, 3, 2, 2))), weight, bias, 2, 3)
+    with pytest.raises(UsageError):
+        apply_heads(Tensor(np.zeros((1, 4, 2, 2)), dtype="f32"), x, weight, bias, 1, 3)
+    with pytest.raises(UsageError):
+        apply_heads(coeffs, x, Tensor(np.zeros((6, 4)), dtype="f32"), bias, 1, 3)
     with pytest.raises(ConfigError):
         apply_heads(coeffs, x, weight, bias, 0, 3)
     with pytest.raises(ConfigError):
         apply_heads(coeffs, x, weight, bias, 1, 0)
+
+
+def assert_runs_match(got, want, **tol):
+    """Compare (output, *input grads, {name: parameter grad}) of two runs."""
+    for a, b in zip(got[:-1], want[:-1]):
+        np.testing.assert_allclose(a, b, **tol)
+    assert got[-1].keys() == want[-1].keys()
+    for name in want[-1]:
+        assert want[-1][name] is not None, name
+        np.testing.assert_allclose(got[-1][name], want[-1][name], err_msg=name, **tol)
 
 
 @pytest.mark.parametrize("heads", [1, 3])
@@ -223,28 +240,28 @@ def test_apply_heads_validation():
 def test_operator_matches_dense_bank_values_and_gradients(heads, residual, monkeypatch):
     ci, co = (3, 5) if residual == "projected" else (3, 3)
     op = build_op(ci=ci, co=co, heads=heads, residual=residual != "none", seed=heads + 40)
-    geo, feat = rand_inputs(op, b=2, n=5, k=3, seed=heads + 60)
-    weights = np.random.default_rng(61).normal(size=(2, co, 5, 3))
+    mid, n, k = op.cfg.mid_channels, 5, 3
+    # B=2 in one chunk, then B=3 in chunks of two batch items: a short last chunk
+    for b, chunk in ((2, None), (3, 2 * ci * (mid + 1) * n * k)):
+        geo, feat = rand_inputs(op, b=b, n=n, k=k, seed=heads + 60)
+        weights = np.random.default_rng(61).normal(size=(b, co, n, k))
 
-    def run():
-        for _, p in op.named_parameters():
-            p.value.grad = None
-        g, f = Tensor(geo, requires_grad=True), Tensor(feat, requires_grad=True)
-        out = op(g, f)
-        T.reduce_sum(T.mul(out, Tensor(weights))).backward()
-        grads = {name: p.value.grad for name, p in op.named_parameters()}
-        return out.data, g.grad, f.grad, grads
+        def run():
+            for _, p in op.named_parameters():
+                p.value.grad = None
+            g, f = Tensor(geo, requires_grad=True), Tensor(feat, requires_grad=True)
+            out = op(g, f)
+            T.reduce_sum(T.mul(out, Tensor(weights))).backward()
+            grads = {name: p.value.grad for name, p in op.named_parameters()}
+            return out.data, g.grad, f.grad, grads
 
-    got = run()
-    monkeypatch.setattr(kernels, "apply_heads", dense_apply_heads)
-    want = run()
-    for a, b in zip(got[:3], want[:3]):
-        np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
-    assert got[3].keys() == want[3].keys()
-    for name in want[3]:
-        assert want[3][name] is not None, name
-        np.testing.assert_allclose(got[3][name], want[3][name], rtol=0, atol=1e-10,
-                                   err_msg=name)
+        with monkeypatch.context() as m:
+            if chunk is not None:
+                m.setattr(kernels, "_CHUNK_VALUES", chunk)
+            got = run()
+            m.setattr(kernels, "apply_heads", dense_apply_heads)
+            want = run()
+        assert_runs_match(got, want, rtol=0, atol=1e-10)
 
 
 def test_zeroed_generator_leaves_only_the_residual():
@@ -351,6 +368,9 @@ def test_apply_heads_on_points_equals_edge_form(heads, chunk, monkeypatch):
                        heads, co).data
     assert got.shape == (b, co, n, k)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    # the dense bank shares no code with the contraction both forms run
+    dense = dense_apply_heads(coeffs, Tensor(points), weight, bias, heads, co, idx).data
+    np.testing.assert_allclose(got, dense, rtol=1e-12, atol=1e-12)
     check_grads(lambda c, x, w, bi: apply_heads(c, x, w, bi, heads, co, idx=idx),
                 [coeffs.data, points, weight.data, bias.data])
 
@@ -382,14 +402,11 @@ def test_operator_on_points_equals_edge_form(residual, monkeypatch):
         return out.data, g.grad, x.grad, {name: p.value.grad
                                           for name, p in op.named_parameters()}
 
-    got, want = run(True), run(False)
-    for a, w in zip(got[:3], want[:3]):
-        np.testing.assert_allclose(a, w, rtol=1e-9, atol=1e-10)
-    assert got[3].keys() == want[3].keys()
-    for name in want[3]:
-        assert want[3][name] is not None, name
-        np.testing.assert_allclose(got[3][name], want[3][name], rtol=1e-9, atol=1e-10,
-                                   err_msg=name)
+    got = run(True)
+    assert_runs_match(got, run(False), rtol=1e-9, atol=1e-10)
+    # the network's form against the dense bank, which shares no code with it
+    monkeypatch.setattr(kernels, "apply_heads", dense_apply_heads)
+    assert_runs_match(got, run(True), rtol=1e-9, atol=1e-10)
 
 
 def test_point_features_must_match_the_index():
