@@ -156,7 +156,9 @@ def _start_run(args, default_out: str):
                 manifest = None
         if not isinstance(manifest, dict) or manifest.get("command") != args.command:
             raise ConfigError(f"{args.replay} is not a run manifest of {args.command}")
-        opts = manifest["opts"]
+        opts = manifest.get("opts")
+        if not isinstance(opts, dict):
+            raise ConfigError(f"run manifest opts must be a JSON object, got {opts!r}")
         if args.out:
             opts = {**opts, "out": args.out}
         spec = {"pipeline_config": manifest.get("pipeline_config"),
@@ -167,6 +169,13 @@ def _start_run(args, default_out: str):
         opts["seeds"] = _parse_seeds(args)
         spec = {"pipeline_config": config_to_dict(_pipeline_from_opts(opts)),
                 "data_source": _source_from_opts(opts)}
+    # checked before any seed trains
+    seeds = opts.get("seeds")
+    if (not isinstance(seeds, list) or not seeds
+            or any(isinstance(s, bool) or not isinstance(s, int) or s < 0 for s in seeds)):
+        raise ConfigError(f"seeds must be a non-empty list of integers >= 0, got {seeds!r}")
+    if not isinstance(opts.get("out"), (str, type(None))):
+        raise ConfigError(f"out must be a string or null, got {opts['out']!r}")
     spec["limit"] = opts.get("limit") or 0
     samples, splits = materialize(spec)
     tcfg = TrainConfig(

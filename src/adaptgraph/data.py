@@ -234,6 +234,8 @@ class StreamAssembler:
                  seed: int, seq_id: int = 0, label: int = -1):
         if window_frames < 1 or points_per_frame < 1:
             raise ConfigError("window_frames and points_per_frame must be >= 1")
+        if seed < 0 or seq_id < 0:
+            raise ConfigError(f"seed and seq_id must be >= 0, got seed={seed}, seq_id={seq_id}")
         self.window_frames = window_frames
         self.points_per_frame = points_per_frame
         self.seed = seed

@@ -8,6 +8,7 @@ and reused by every layer that needs graph features.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -36,6 +37,43 @@ class NeighborIndex:
             raise InvalidInputError("indices must be integer-typed")
         if idx.size and (idx.min() < 0 or idx.max() >= self.n_points):
             raise InvalidInputError(f"indices must lie in [0, {self.n_points})")
+
+
+def _gather(xd: np.ndarray, index: np.ndarray,
+            out: Optional[np.ndarray] = None) -> np.ndarray:
+    """out[b, :, m, j] = xd[b, :, index[b, m, j]]: (B, C, N) -> (B, C, M, k).
+
+    Callers have checked that every index lies in [0, N); mode "clip" then
+    changes nothing but lets np.take write ``out`` without buffering."""
+    if out is None:
+        out = np.empty(xd.shape[:2] + index.shape[1:], dtype=xd.dtype)
+    for b in range(xd.shape[0]):
+        np.take(xd[b], index[b], axis=1, out=out[b], mode="clip")
+    return out
+
+
+def _scatter_add(g: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
+    """Adjoint of :func:`_gather`: (B, C, M, k) -> (B, C, n), adding
+    g[b, :, m, j] into point index[b, m, j].
+
+    A segment sum: edges are sorted by destination point and every run of
+    one destination is summed by one np.add.reduceat. The sort index lives
+    only for this call, so the forward pass keeps nothing but ``index``.
+    """
+    b_dim, c = g.shape[:2]
+    flat = (index + (np.arange(b_dim, dtype=index.dtype) * n)[:, None, None]).ravel()
+    counts = np.bincount(flat, minlength=b_dim * n)
+    dest = np.flatnonzero(counts)
+    starts = np.zeros(dest.size, dtype=np.intp)
+    np.cumsum(counts[dest][:-1], out=starts[1:])
+    # (C, E) so each run is contiguous, edges in the order of their destination
+    rows = g.reshape(b_dim, c, index.shape[1] * index.shape[2])
+    rows = rows.transpose(1, 0, 2).reshape(c, flat.size)
+    rows = np.take(rows, np.argsort(flat, kind="stable"), axis=1, mode="clip")
+    out = np.zeros((c, b_dim * n), dtype=g.dtype)
+    if dest.size:
+        out[:, dest] = np.add.reduceat(rows, starts, axis=1)
+    return out.reshape(c, b_dim, n).transpose(1, 0, 2)
 
 
 def pairwise_similarity(x: Tensor) -> Tensor:
@@ -127,13 +165,25 @@ def graph_feature(x: Tensor, idx: NeighborIndex) -> Tensor:
         idx: neighborhood structure over the same N points
     Returns:
         (B, 2C, N, k); channels [0, C) hold x_j - x_i for each neighbor j,
-        channels [C, 2C) repeat x_i along the neighbor axis.
+        channels [C, 2C) repeat x_i along the neighbor axis. Backward
+        scatter-adds the offset gradient into the neighbors and adds, per
+        center, its sum over k of (center gradient - offset gradient).
     """
     _check_points(x, idx, "graph_feature")
     b, c, n = x.shape
-    neighbors = T.gather_points(x, idx.indices)  # (B, C, N, k)
-    center = T.broadcast_to(T.reshape(x, (b, c, n, 1)), (b, c, n, idx.k))
-    return T.concat([T.sub(neighbors, center), center], axis=1)
+    out = np.empty((b, 2 * c, n, idx.k), dtype=x.data.dtype)
+    _gather(x.data, idx.indices, out=out[:, :c])
+    center = x.data[:, :, :, None]
+    out[:, :c] -= center
+    out[:, c:] = center
+
+    def back(g):
+        d_offset = g[:, :c]
+        dx = _scatter_add(d_offset, idx.indices, n)
+        dx += (g[:, c:] - d_offset).sum(axis=3)
+        return (dx,)
+
+    return T._make(out, (x,), back)
 
 
 def edge_linear(x: Tensor, idx: NeighborIndex, weight: Tensor) -> Tensor:
@@ -157,12 +207,12 @@ def edge_linear(x: Tensor, idx: NeighborIndex, weight: Tensor) -> Tensor:
     w_a = weight.data[:, :c]
     stacked = np.concatenate([w_a, weight.data[:, c:] - w_a])  # (2 C_out, C)
     per_point = np.matmul(stacked, x.data)  # (B, 2 C_out, N): W_a x, then (W_b - W_a) x
-    out = T._gather(per_point[:, :c_out], idx.indices)
+    out = _gather(per_point[:, :c_out], idx.indices)
     out += per_point[:, c_out:, :, None]
 
     def back(g):
         d_point = np.concatenate(
-            [T._scatter_add(g, idx.indices, n), g.sum(axis=3)], axis=1)
+            [_scatter_add(g, idx.indices, n), g.sum(axis=3)], axis=1)
         dx = np.matmul(stacked.T, d_point)
         d_stacked = np.einsum("bon,bcn->oc", d_point, x.data, optimize=True)
         d_a, d_diff = d_stacked[:c_out], d_stacked[c_out:]

@@ -17,6 +17,11 @@ Edge features (B, C_in, N, k) are their own operand. Point features
 the operand, the x_i half becomes a per-point product, and working memory
 falls to B*N*k*C_p*(mid+1) with C_in = 2*C_p. The network uses point
 features; edge features serve as the reference form.
+
+An identity residual is the constant kernel I. It adds to b, so the ones
+channel of the operand adds each edge's features x_e themselves, for both
+kinds (structural re-parameterisation, as in RepVGG). Only a projected
+residual forms features of its own, per point for point features.
 """
 
 from __future__ import annotations
@@ -31,6 +36,12 @@ from . import tensor as T
 from .errors import ConfigError, ShapeError, UsageError
 from .nn import BatchNorm, Module, PointwiseLinear
 from .tensor import Tensor
+
+
+def _positive_int(v) -> bool:
+    """True for an int >= 1. bool is an int subclass, so a true from a
+    hand-edited manifest would otherwise read as 1."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
 
 
 @dataclass(frozen=True)
@@ -49,7 +60,7 @@ class MakConfig:
         for field in ("in_channels", "out_channels", "gen_in_channels",
                       "num_heads", "mid_channels"):
             v = getattr(self, field)
-            if not isinstance(v, int) or v < 1:
+            if not _positive_int(v):
                 raise ConfigError(f"{field} must be a positive integer, got {v!r}")
 
 
@@ -175,7 +186,7 @@ def _contract(coeffs: Tensor, x: Tensor, basis: Tensor,
     y1[:, :mid] = coeffs.data
     y1[:, mid] = 1
     y1_edges = y1.reshape(b, 1, m1, e)
-    nb = (x.data if idx is None else T._gather(x.data, idx.indices)).reshape(b, c, 1, e)
+    nb = (x.data if idx is None else graph._gather(x.data, idx.indices)).reshape(b, c, 1, e)
     step = max(1, _CHUNK_VALUES // (c * m1 * e))
     chunks = [(lo, min(lo + step, b)) for lo in range(0, b, step)]
     scratch = np.empty((min(step, b), c, m1, e), dtype=dt)
@@ -218,7 +229,7 @@ def _contract(coeffs: Tensor, x: Tensor, basis: Tensor,
         d_a = d_a.reshape(c_out, c, m1)
         if idx is None:
             return d_y1[:, :mid].reshape(b, mid, n, k), d_nb.reshape(x.shape), d_a
-        dx = T._scatter_add(d_nb.reshape(b, c, n, k), idx.indices, n)
+        dx = graph._scatter_add(d_nb.reshape(b, c, n, k), idx.indices, n)
 
         g_pt = g.transpose(0, 2, 1, 3)  # (B, N, C_out, k)
         d_center = np.matmul(g_pt, y1_pt.transpose(0, 1, 3, 2))  # (B, N, C_out, mid+1)
@@ -244,7 +255,14 @@ class MultiHeadAdaptiveKernel(Module):
         self.cfg = cfg
         self.slope = leaky_slope
         self.gen = _KernelGenerator(cfg, rng, dtype=dtype, leaky_slope=leaky_slope)
-        if cfg.residual and cfg.in_channels != cfg.out_channels:
+        self.eye_rows = None
+        if cfg.residual and cfg.in_channels == cfg.out_channels:
+            # the identity residual as a constant kernel: 1 at conv1's bias
+            # rows (o * C_in + o) * H + 0, added before the heads are summed
+            eye = np.zeros(cfg.out_channels * cfg.in_channels * cfg.num_heads)
+            eye[np.arange(cfg.out_channels) * (cfg.in_channels + 1) * cfg.num_heads] = 1
+            self.eye_rows = Tensor(eye, dtype=dtype)
+        elif cfg.residual:
             self.proj = PointwiseLinear(cfg.in_channels, cfg.out_channels, rng,
                                         bias=False, dtype=dtype)
             self.proj_bn = BatchNorm(cfg.out_channels, dtype=dtype)
@@ -271,22 +289,23 @@ class MultiHeadAdaptiveKernel(Module):
         result is per edge, (B, C_out, N, k). With it, the stage maps points
         to points, as the network uses it: feat holds point features
         (B, C_in / 2, N) whose edge features ``graph_feature(feat, idx)`` are
-        filtered without being formed (the residual forms them only for an
-        identity path), and the result is ``reduce(edge result, 3, "max")``,
-        (B, C_out, N), with BN, activation and max in one op that normalizes
-        only the edges the max keeps."""
+        filtered without being formed, and the result is
+        ``reduce(edge result, 3, "max")``, (B, C_out, N), with BN, activation
+        and max in one op that normalizes only the edges the max keeps. An
+        identity residual rides in conv1's bias as the constant kernel I."""
         cfg = self.cfg
         conv1 = self.gen.conv1
-        out = apply_heads(self.generate_kernels(geo), feat, conv1.weight.value,
-                          conv1.bias.value, cfg.num_heads, cfg.out_channels, idx)
-        if cfg.residual:
-            if cfg.in_channels == cfg.out_channels:
-                identity = feat if idx is None else graph.graph_feature(feat, idx)
-            elif idx is None:
-                identity = self.proj_bn(self.proj(feat))
+        bias = conv1.bias.value
+        if self.eye_rows is not None:
+            bias = T.add(bias, self.eye_rows)
+        out = apply_heads(self.generate_kernels(geo), feat, conv1.weight.value, bias,
+                          cfg.num_heads, cfg.out_channels, idx)
+        if cfg.residual and cfg.in_channels != cfg.out_channels:
+            if idx is None:
+                projected = self.proj_bn(self.proj(feat))
             else:
-                identity = self.proj_bn(graph.edge_linear(feat, idx, self.proj.weight.value))
-            out = T.add(out, identity)
+                projected = self.proj_bn(graph.edge_linear(feat, idx, self.proj.weight.value))
+            out = T.add(out, projected)
         if idx is None:
             return T.leaky_relu(self.bn_out(out), self.slope)
         return self.bn_out.leaky_max(out, self.slope)

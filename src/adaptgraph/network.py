@@ -25,7 +25,7 @@ import numpy as np
 from . import graph
 from . import tensor as T
 from .errors import ConfigError, InvalidInputError, ShapeError, UsageError
-from .kernels import MakConfig, MultiHeadAdaptiveKernel
+from .kernels import MakConfig, MultiHeadAdaptiveKernel, _positive_int
 from .nn import BatchNorm, Module, PointwiseLinear, finalize_names
 from .tensor import Tensor
 
@@ -72,21 +72,18 @@ class ModelConfig:
         self.validate()
 
     def validate(self) -> None:
-        def positive(name):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {v!r}")
-
         for name in ("in_channels", "k", "num_heads", "emb_dims", "mak_mid_channels"):
-            positive(name)
+            v = getattr(self, name)
+            if not _positive_int(v):
+                raise ConfigError(f"{name} must be a positive integer, got {v!r}")
         if len(self.stage_widths) != 4:
             raise ConfigError(
                 f"stage_widths needs exactly 4 entries, got {len(self.stage_widths)}")
-        if any(not isinstance(w, int) or w < 1 for w in self.stage_widths):
+        if not all(_positive_int(w) for w in self.stage_widths):
             raise ConfigError(f"stage_widths entries must be positive, got {self.stage_widths}")
-        if not self.fc_widths or any(not isinstance(w, int) or w < 1 for w in self.fc_widths):
+        if not self.fc_widths or not all(_positive_int(w) for w in self.fc_widths):
             raise ConfigError(f"fc_widths must be non-empty positive ints, got {self.fc_widths}")
-        if not isinstance(self.num_classes, int) or self.num_classes < 2:
+        if not _positive_int(self.num_classes) or self.num_classes < 2:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes!r}")
         if not isinstance(self.variant, Variant):
             raise ConfigError(f"variant must be a Variant, got {self.variant!r}")

@@ -2,7 +2,8 @@
 
 Just enough machinery for point-cloud networks: per-position affine maps,
 batch norm, leaky relu, the two fused with a max over neighbors, axis
-reductions, gather, dropout and a stable softmax cross entropy. Every differentiable op builds a closure-based graph node;
+reductions, dropout and a stable softmax cross entropy. Neighbor gathers live
+in :mod:`graph`. Every differentiable op builds a closure-based graph node;
 ``backward`` walks the graph once in reverse topological order.
 
 Shapes follow the (B, C, ...) convention used throughout the package: batch
@@ -109,12 +110,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -185,18 +180,6 @@ def add(a, b) -> Tensor:
     return _make(data, (a, b), back)
 
 
-def sub(a, b) -> Tensor:
-    if not isinstance(a, Tensor):
-        a = _wrap(a, b)
-    b = _wrap(b, a)
-    data = a.data - b.data
-
-    def back(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return _make(data, (a, b), back)
-
-
 def mul(a, b) -> Tensor:
     if not isinstance(a, Tensor):
         a, b = b, a
@@ -249,19 +232,6 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
         return tuple(out)
 
     return _make(data, tuple(tensors), back)
-
-
-def broadcast_to(a: Tensor, shape) -> Tensor:
-    shape = tuple(int(s) for s in shape)
-    try:
-        data = np.ascontiguousarray(np.broadcast_to(a.data, shape))
-    except ValueError:
-        raise ShapeError(f"cannot broadcast {a.shape} to {shape}") from None
-
-    def back(g):
-        return (_unbroadcast(g, a.shape),)
-
-    return _make(data, (a,), back)
 
 
 def _check_axis(axis: int, ndim: int) -> int:
@@ -599,63 +569,8 @@ def reduce_sum(x: Tensor, axis: Optional[int] = None, keepdims: bool = False) ->
 
 
 # ---------------------------------------------------------------------
-# gather / loss
+# loss
 # ---------------------------------------------------------------------
-
-def _gather(xd: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """out[b, :, m, j] = xd[b, :, index[b, m, j]]: (B, C, N) -> (B, C, M, k).
-
-    Callers have checked that every index lies in [0, N); mode "clip" then
-    changes nothing but lets np.take write ``out`` without buffering."""
-    out = np.empty(xd.shape[:2] + index.shape[1:], dtype=xd.dtype)
-    for b in range(xd.shape[0]):
-        np.take(xd[b], index[b], axis=1, out=out[b], mode="clip")
-    return out
-
-
-def _scatter_add(g: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
-    """Adjoint of :func:`_gather`: (B, C, M, k) -> (B, C, n), adding
-    g[b, :, m, j] into point index[b, m, j].
-
-    A segment sum: edges are sorted by destination point and every run of
-    one destination is summed by one np.add.reduceat. The sort index lives
-    only for this call, so the forward pass keeps nothing but ``index``.
-    """
-    b_dim, c = g.shape[:2]
-    flat = (index + (np.arange(b_dim, dtype=index.dtype) * n)[:, None, None]).ravel()
-    counts = np.bincount(flat, minlength=b_dim * n)
-    dest = np.flatnonzero(counts)
-    starts = np.zeros(dest.size, dtype=np.intp)
-    np.cumsum(counts[dest][:-1], out=starts[1:])
-    # (C, E) so each run is contiguous, edges in the order of their destination
-    rows = g.reshape(b_dim, c, index.shape[1] * index.shape[2])
-    rows = rows.transpose(1, 0, 2).reshape(c, flat.size)
-    rows = np.take(rows, np.argsort(flat, kind="stable"), axis=1, mode="clip")
-    out = np.zeros((c, b_dim * n), dtype=g.dtype)
-    if dest.size:
-        out[:, dest] = np.add.reduceat(rows, starts, axis=1)
-    return out.reshape(c, b_dim, n).transpose(1, 0, 2)
-
-
-def gather_points(x: Tensor, index: np.ndarray) -> Tensor:
-    """Gather per-point neighbors: x (B, C, N), index (B, M, k) of int ->
-    (B, C, M, k). The backward pass scatter-adds into the source points."""
-    if x.ndim != 3:
-        raise ShapeError(f"gather_points expects (B, C, N), got {x.shape}")
-    index = np.asarray(index)
-    if index.ndim != 3 or index.shape[0] != x.shape[0]:
-        raise ShapeError(f"index must be (B, M, k) with B={x.shape[0]}, got {index.shape}")
-    if not np.issubdtype(index.dtype, np.integer):
-        raise InvalidInputError("index must be integer-typed")
-    n = x.shape[2]
-    if index.size and (index.min() < 0 or index.max() >= n):
-        raise InvalidInputError(f"index values must lie in [0, {n})")
-
-    def back(g):
-        return (_scatter_add(g, index, n),)
-
-    return _make(_gather(x.data, index), (x,), back)
-
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean over the batch of -log softmax(logits)[label], max-stabilized.

@@ -175,6 +175,13 @@ def test_train_multi_seed_summary(dataset, tmp_path, capsys):
         assert (out / f"seed_{seed}" / "history.csv").exists()
 
 
+def test_train_rejects_a_later_negative_seed_before_training(dataset, tmp_path, capsys):
+    out = tmp_path / "multi"
+    assert main(train_args(dataset, out) + ["--seeds", "0,-1"]) == 2
+    assert "seeds must be a non-empty list of integers >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_replay_reproduces_bitwise(dataset, tmp_path):
     first = tmp_path / "first"
     assert main(train_args(dataset, first)) == 0
@@ -266,6 +273,39 @@ def test_replay_rejects_mistyped_opts_and_seed_with_exit_2(dataset, tmp_path, ca
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err, err
         assert key in err and "five" in err, err
+
+
+def _without(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
+MALFORMED_OPTS = {
+    "opts missing": lambda m: _without(m, "opts"),
+    "opts a list": lambda m: {**m, "opts": [1, 2]},
+    "seeds a number": lambda m: {**m, "opts": {**m["opts"], "seeds": 5}},
+    "seeds missing": lambda m: {**m, "opts": _without(m["opts"], "seeds")},
+    "seeds empty": lambda m: {**m, "opts": {**m["opts"], "seeds": []}},
+    "a later seed negative": lambda m: {**m, "opts": {**m["opts"], "seeds": [0, -1]}},
+    "out a number": lambda m: {**m, "opts": {**m["opts"], "out": 5}},
+    "emb_dims a bool": lambda m: {**m, "opts": {**m["opts"], "emb_dims": True}},
+    "k a bool": lambda m: {**m, "opts": {**m["opts"], "k": True}},
+}
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_OPTS))
+def test_replay_rejects_malformed_opts_with_exit_2(dataset, tmp_path, capsys, command, case):
+    out = tmp_path / "r"
+    assert main(train_args(dataset, out)) == 0
+    recorded = json.loads((out / "run_manifest.json").read_text())
+    recorded["opts"]["out"] = str(tmp_path / "x")
+    manifest = tmp_path / "bad.json"
+    manifest.write_text(json.dumps({**MALFORMED_OPTS[case](recorded), "command": command}))
+    capsys.readouterr()
+    assert main([command, "--replay", str(manifest)]) == 2, case
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err, err
+    assert not (tmp_path / "x").exists()  # nothing trained or recorded
 
 
 # ---------------------------------------------------------------------
@@ -396,6 +436,17 @@ def test_infer_channel_mismatch(dataset, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("C=5 rate=30.0 label=0 subject=-1\n"))
     assert main(["infer", "--checkpoint", ckpt]) == 2
     assert "C=5" in capsys.readouterr().err
+
+
+def test_infer_rejects_a_negative_seq_id(dataset, tmp_path, capsys, monkeypatch):
+    ckpt = trained_checkpoint(dataset, tmp_path)
+    capsys.readouterr()
+    seq = synth_generate(SynthSpec(2, 1, 6, 6, noise=0.02), seed=4)[0]
+    monkeypatch.setattr("sys.stdin", io.StringIO(frames_as_text(seq)))
+    assert main(["infer", "--checkpoint", ckpt, "--seq-id", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == "error: seed and seq_id must be >= 0, got seed=0, seq_id=-1"
 
 
 def test_infer_skips_malformed_lines(dataset, tmp_path, capsys, monkeypatch):

@@ -209,6 +209,30 @@ def test_graph_feature_gradient_flows_to_points():
     assert t.grad is not None and np.abs(t.grad).sum() > 0
 
 
+def test_graph_feature_backward_equals_add_at_with_repeated_indices():
+    rng = np.random.default_rng(11)
+    b, c, n, k = 3, 5, 7, 6
+    indices = rng.integers(0, 3, size=(b, n, k))  # 42 edges per batch onto 3 points
+    indices[1] = 2  # every edge of batch 1 lands on one point
+    idx = NeighborIndex(indices=indices, k=k, n_points=n)
+    x = Tensor(rng.normal(size=(b, c, n)), requires_grad=True)
+    out = graph_feature(x, idx)
+    g = rng.normal(size=(b, 2 * c, n, k))
+    (got,) = out.node.backward_fn(g)
+    # offsets x_j - x_i send g to the neighbor j and -g to the center i;
+    # the center channels send theirs to i
+    want = np.zeros((b * n, c))
+    flat = (indices + (np.arange(b) * n)[:, None, None]).ravel()
+    np.add.at(want, flat, g[:, :c].transpose(0, 2, 3, 1).reshape(-1, c))
+    want = want.reshape(b, n, c).transpose(0, 2, 1)
+    want += (g[:, c:] - g[:, :c]).sum(axis=3)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    # with the center term cancelled, points nobody gathers get zero
+    g[:, c:] = g[:, :c]
+    (got,) = out.node.backward_fn(g)
+    assert (got[:, :, 3:] == 0).all()
+
+
 def test_graph_feature_validation():
     x = Tensor(points(1, 2, 5))
     idx = knn(x, 2)

@@ -409,6 +409,66 @@ def test_operator_on_points_equals_edge_form(residual, monkeypatch):
     assert_runs_match(got, run(True), rtol=1e-9, atol=1e-10)
 
 
+@pytest.mark.parametrize("heads", [1, 2])
+def test_identity_fold_equals_separate_ops_in_train_mode(heads):
+    # with conv1 zeroed, the folded identity is all that filters the features:
+    # the network's form must equal graph_feature -> BN -> leaky ReLU -> max
+    # built from separate ops, which share no code with the contraction
+    cp, b, n, k = 2, 3, 6, 3
+    c_in = 2 * cp
+    op = build_op(ci=c_in, co=c_in, heads=heads, seed=90)
+    op.train()
+    op.gen.conv1.weight.value.data[:] = 0.0
+    op.gen.conv1.bias.value.data[:] = 0.0
+    rng = np.random.default_rng(91)
+    geo, points = rng.normal(size=(b, op.cfg.gen_in_channels, n, k)), rng.normal(size=(b, cp, n))
+    idx = graph.knn(Tensor(points), k)
+    weights = Tensor(rng.normal(size=(b, c_in, n)))
+    start = {name: buf.copy() for name, buf in op.bn_out.named_buffers()}
+
+    def run(forward, *leaves):
+        for name, buf in op.bn_out.named_buffers():
+            buf[:] = start[name]
+        for _, p in op.named_parameters():
+            p.value.grad = None
+        out = forward(*leaves)
+        T.reduce_sum(T.mul(out, weights)).backward()
+        return (out.data, {name: p.value.grad for name, p in op.named_parameters()},
+                {name: buf.copy() for name, buf in op.bn_out.named_buffers()})
+
+    def separate_ops(edges):
+        return T.reduce(T.leaky_relu(op.bn_out(edges), SLOPE), 3, "max")
+
+    g, x = Tensor(geo, requires_grad=True), Tensor(points, requires_grad=True)
+    out, grads, buffers = run(lambda g, x: op(g, x, idx), g, x)
+    xr = Tensor(points, requires_grad=True)
+    want, want_grads, want_buffers = run(lambda x: separate_ops(graph.graph_feature(x, idx)), xr)
+    np.testing.assert_allclose(out, want, rtol=1e-9, atol=1e-10)
+    np.testing.assert_allclose(x.grad, xr.grad, rtol=1e-9, atol=1e-10)
+    np.testing.assert_array_equal(g.grad, 0.0)
+    for name in buffers:
+        np.testing.assert_allclose(buffers[name], want_buffers[name], rtol=1e-12, err_msg=name)
+    for name in ("bn_out.gamma", "bn_out.beta"):
+        np.testing.assert_allclose(grads[name], want_grads[name], rtol=1e-9, atol=1e-10,
+                                   err_msg=name)
+    for name, grad in grads.items():
+        if name.startswith("gen.") and not name.startswith("gen.conv1"):
+            np.testing.assert_array_equal(grad, 0.0, err_msg=name)
+    # conv1's gradient is, per edge, the gradient at the pre-BN output times
+    # the edge features (and, for the weight, the coefficients y), per head
+    edges = Tensor(graph.graph_feature(Tensor(points), idx).data, requires_grad=True)
+    run(separate_ops, edges)
+    y = op.generate_kernels(Tensor(geo)).data
+    want_b = np.einsum("bonk,bink->oi", edges.grad, edges.data)
+    want_w = np.einsum("bonk,bink,bmnk->oim", edges.grad, edges.data, y)
+    np.testing.assert_allclose(grads["gen.conv1.bias"].reshape(c_in, c_in, heads),
+                               np.repeat(want_b[:, :, None], heads, axis=2),
+                               rtol=1e-9, atol=1e-10)
+    np.testing.assert_allclose(grads["gen.conv1.weight"].reshape(c_in, c_in, heads, -1),
+                               np.repeat(want_w[:, :, None], heads, axis=2),
+                               rtol=1e-9, atol=1e-10)
+
+
 def test_point_features_must_match_the_index():
     b, cp, n, k, mid, co = 2, 2, 5, 3, 3, 3
     idx = repeated_index(b, n, k, seed=80)
