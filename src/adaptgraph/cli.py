@@ -337,19 +337,33 @@ def cmd_infer(args) -> int:
 
     assembler = D.StreamAssembler(pipeline.window_frames, pipeline.points_per_frame,
                                   seed=pipeline.seed, seq_id=args.seq_id)
-    skipped = 0
+    budget = 1.0 / header["rate"]  # seconds per frame
+    frames = skipped = gaps = 0
     latencies = []  # model seconds per emitted window
     for line in stream:
         if not line.strip():
             continue
         try:
-            _, frame = D.parse_frame_line(line, c)
+            index, frame = D.parse_frame_line(line, c)
         except DataError as e:
             print(f"warning: skipping malformed frame line: {e}", file=sys.stderr)
             skipped += 1
             continue
-        emitted_at = assembler.frames_seen  # index assigned to this frame
-        sample = assembler.push(frame)
+        expected = assembler.frames_seen
+        if index < expected:
+            print(f"warning: skipping frame {index}: expected frame {expected} or later",
+                  file=sys.stderr)
+            skipped += 1
+            continue
+        if index > expected:
+            # frames are normalized by their own index, so a window that
+            # spans a gap would match no offline window: start a new one
+            print(f"warning: frames {expected} to {index - 1} missing, "
+                  f"window restarts at frame {index}", file=sys.stderr)
+            assembler.restart(index)
+            gaps += 1
+        frames += 1
+        sample = assembler.push(frame, index)
         if sample is None:
             continue
         start = time.perf_counter()
@@ -358,13 +372,16 @@ def cmd_infer(args) -> int:
         latencies.append(time.perf_counter() - start)
         probs = _softmax(logits.data[0])
         pred = int(np.argmax(probs))
-        print(f"{emitted_at} {pred} " + " ".join(f"{p:.4f}" for p in probs))
-    summary = (f"infer: {assembler.frames_seen} frames read, {skipped} lines skipped "
-               f"(malformed or non-finite), {len(latencies)} windows emitted")
+        print(f"{index} {pred} " + " ".join(f"{p:.4f}" for p in probs))
+    summary = (f"infer: {frames} frames read, {skipped} lines skipped "
+               f"(malformed, non-finite or out of order), {gaps} gaps, "
+               f"{len(latencies)} windows emitted")
     if latencies:
         p50, p95 = np.percentile(latencies, [50, 95]) * 1e3
+        misses = sum(t > budget for t in latencies)
         summary += (f", model latency p50 {p50:.3f} ms, p95 {p95:.3f} ms, "
-                    f"max {max(latencies) * 1e3:.3f} ms")
+                    f"max {max(latencies) * 1e3:.3f} ms, "
+                    f"{misses} over the {budget * 1e3:.3f} ms frame budget")
     print(summary, file=sys.stderr)
     return 0
 

@@ -259,6 +259,12 @@ class StreamAssembler:
         stacked = np.concatenate(list(self._buf), axis=0)
         return Sample(tensor=np.ascontiguousarray(stacked.T), label=self.label)
 
+    def restart(self, frame_index: int) -> None:
+        """Drop the buffered frames and expect ``frame_index`` next: a gap in
+        the stream starts a new window there."""
+        self._buf.clear()
+        self._next_index = frame_index
+
     @property
     def frames_seen(self) -> int:
         return self._next_index
@@ -297,8 +303,8 @@ def parse_header(line: str, path) -> dict:
         }
     except (KeyError, ValueError) as e:
         raise DataError(f"{path}: bad header {line!r}: {e}") from None
-    if not math.isfinite(header["rate"]):
-        raise DataError(f"{path}: bad header {line!r}: rate must be finite")
+    if not (math.isfinite(header["rate"]) and header["rate"] > 0):
+        raise DataError(f"{path}: bad header {line!r}: rate must be finite and > 0")
     return header
 
 

@@ -90,9 +90,12 @@ def pairwise_similarity(x: Tensor) -> Tensor:
     if x.shape[1] < 1 or x.shape[2] < 1:
         raise InvalidInputError(f"need C >= 1 and N >= 1, got {x.shape}")
     xd = x.data
-    inner = 2.0 * np.matmul(xd.transpose(0, 2, 1), xd)  # (B, N, N)
     sq = (xd ** 2).sum(axis=1)  # (B, N)
-    sim = inner - sq[:, :, None] - sq[:, None, :]
+    # 2 x_i.x_j - |x_i|^2 - |x_j|^2, built in the (B, N, N) matmul output
+    sim = np.matmul(xd.transpose(0, 2, 1), xd)
+    sim *= 2.0
+    sim -= sq[:, :, None]
+    sim -= sq[:, None, :]
     # the factorized form can leak +1e-7 noise above the exact 0 bound
     np.minimum(sim, 0.0, out=sim)
     parents = (x,)

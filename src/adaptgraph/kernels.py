@@ -9,7 +9,7 @@ The matrices are never formed. The generator's last layer is affine in its
 mid-width output y, so each edge kernel is a y-weighted mix of a shared
 basis, and the head sum folds into a sum of that layer's weights. One
 contraction applies them: an edge operand outer [y, 1] against the summed
-basis [A | b] (the assembly PAConv uses), a few batch items at a time, in
+basis [A | b] (the assembly PAConv uses), one cache-sized chunk at a time, in
 working memory independent of H and C_out. The operand comes in two kinds.
 Edge features (B, C_in, N, k) are their own operand. Point features
 (B, C_p, N) with a neighbor index stand for the edge features
@@ -149,7 +149,7 @@ def apply_heads(coeffs: Tensor, x: Tensor, weight: Tensor, bias: Tensor,
     return _contract(coeffs, x, T.concat([a_sum, b_sum], axis=2), idx)
 
 
-# Values per batch chunk of the edge operand: about 1 MB in f32, so a
+# Values per chunk of the edge operand outer y1: about 1 MB in f32, so a
 # chunk's product stays in cache and its buffers are reused.
 _CHUNK_VALUES = 1 << 18
 
@@ -172,9 +172,11 @@ def _contract(coeffs: Tensor, x: Tensor, basis: Tensor,
     coefficients.
 
     The edge term is one matmul over the C * (mid+1) channels of the edge
-    operand outer y1, built a few batch items at a time. Backward keeps the
-    edge operand and y1 (B, mid+1, N, k) and rebuilds each chunk's outer
-    product from them.
+    operand outer y1, built one chunk at a time in one scratch buffer: a run
+    of whole batch items when one item's product fits ``_CHUNK_VALUES``,
+    otherwise a run of edges inside one item (at least one edge). Backward
+    keeps the edge operand and y1 (B, mid+1, N, k) and rebuilds each chunk's
+    outer product from them.
     """
     b, mid, n, k = coeffs.shape
     c_out, c_in, m1 = basis.shape
@@ -187,19 +189,27 @@ def _contract(coeffs: Tensor, x: Tensor, basis: Tensor,
     y1[:, mid] = 1
     y1_edges = y1.reshape(b, 1, m1, e)
     nb = (x.data if idx is None else graph._gather(x.data, idx.indices)).reshape(b, c, 1, e)
-    step = max(1, _CHUNK_VALUES // (c * m1 * e))
-    chunks = [(lo, min(lo + step, b)) for lo in range(0, b, step)]
-    scratch = np.empty((min(step, b), c, m1, e), dtype=dt)
+    per_edge = c * m1
+    if per_edge * e <= _CHUNK_VALUES:  # whole items per chunk
+        item_step, edge_step = _CHUNK_VALUES // (per_edge * e), e
+    else:  # edges of one item per chunk
+        item_step, edge_step = 1, max(1, _CHUNK_VALUES // per_edge)
+    chunks = [(slice(i, i + item_step), slice(lo, lo + edge_step))
+              for i in range(0, b, item_step) for lo in range(0, e, edge_step)]
+    scratch = np.empty(min(item_step, b) * per_edge * min(edge_step, e), dtype=dt)
 
-    def outer(lo, hi):
-        """Edge operand outer y1 of batch items [lo, hi), written into ``scratch``."""
-        o = scratch[:hi - lo]
-        np.multiply(nb[lo:hi], y1_edges[lo:hi], out=o)
+    def outer(items, edges):
+        """Edge operand outer y1 of one chunk, (items, C, mid+1, edges),
+        written into the front of ``scratch``."""
+        src = nb[items, :, :, edges]
+        o = scratch[:src.size * m1].reshape(src.shape[0], c, m1, src.shape[3])
+        np.multiply(src, y1_edges[items, :, :, edges], out=o)
         return o
 
     out = np.empty((b, c_out, e), dtype=dt)
-    for lo, hi in chunks:
-        np.matmul(a_nb, outer(lo, hi).reshape(hi - lo, c * m1, e), out=out[lo:hi])
+    for items, edges in chunks:
+        o = outer(items, edges)
+        np.matmul(a_nb, o.reshape(o.shape[0], per_edge, o.shape[3]), out=out[items, :, edges])
     out = out.reshape(b, c_out, n, k)
     if idx is not None:
         # rows (o, m): the center map, one (C_out, mid+1) block per input channel
@@ -216,16 +226,17 @@ def _contract(coeffs: Tensor, x: Tensor, basis: Tensor,
         d_y1 = np.empty((b, m1, e), dtype=dt)
         d_nb = np.empty((b, c, e), dtype=dt)
         d_outer = np.empty_like(scratch)
-        for lo, hi in chunks:
-            o = outer(lo, hi)
-            d_a += np.matmul(g3[lo:hi], o.reshape(hi - lo, c * m1, e).transpose(0, 2, 1)).sum(
-                axis=0)
-            d = d_outer[:hi - lo]
-            np.matmul(a_nb.T, g3[lo:hi], out=d.reshape(hi - lo, c * m1, e))
-            np.multiply(d, nb[lo:hi], out=o)
-            o.sum(axis=1, out=d_y1[lo:hi])
-            d *= y1_edges[lo:hi]
-            d.sum(axis=2, out=d_nb[lo:hi])
+        for items, edges in chunks:
+            o = outer(items, edges)
+            o3 = o.reshape(o.shape[0], per_edge, o.shape[3])
+            g_chunk = g3[items, :, edges]
+            d_a += np.matmul(g_chunk, o3.transpose(0, 2, 1)).sum(axis=0)
+            d = d_outer[:o.size].reshape(o.shape)
+            np.matmul(a_nb.T, g_chunk, out=d.reshape(o3.shape))
+            np.multiply(d, nb[items, :, :, edges], out=o)
+            o.sum(axis=1, out=d_y1[items, :, edges])
+            d *= y1_edges[items, :, :, edges]
+            d.sum(axis=2, out=d_nb[items, :, edges])
         d_a = d_a.reshape(c_out, c, m1)
         if idx is None:
             return d_y1[:, :mid].reshape(b, mid, n, k), d_nb.reshape(x.shape), d_a

@@ -432,6 +432,44 @@ def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     return _make(out, (x,), lambda g: (_leaky_grad(neg_mask, s, g),))
 
 
+# Values per block of the no-grad max over k: a (k, rows) scratch of about
+# 256 KB in f32, small enough to stay in cache while it is reduced.
+_MAX_BLOCK_VALUES = 1 << 16
+
+
+def _winning_values(xd: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """The value of each point's winning edge, as :func:`batch_norm_leaky_max`
+    routes it, without its index: (B, C, N, k) -> (B, C, N).
+
+    The max over k on a positive scale, the min (the negated max of -x) on a
+    negative one, and edge 0 on a zero scale. A max over rows of k values
+    runs k-element reductions one row at a time, so rows are copied a block
+    at a time, transposed, into one (k, rows) scratch, whose max over axis 0
+    is k - 1 elementwise passes over contiguous rows.
+    """
+    b_dim, c, n, k = xd.shape
+    rows = xd.reshape(-1, k)
+    picked = np.empty(rows.shape[0], dtype=xd.dtype)
+    step = max(1, _MAX_BLOCK_VALUES // k)
+    scratch = np.empty(min(step, rows.shape[0]) * k, dtype=xd.dtype)
+    sign = None
+    if not (scale > 0).all():
+        sign = np.repeat(np.tile(np.sign(scale).astype(xd.dtype), b_dim), n)
+    for lo in range(0, rows.shape[0], step):
+        hi = min(lo + step, rows.shape[0])
+        block = scratch[:(hi - lo) * k].reshape(k, hi - lo)
+        if sign is None:
+            np.copyto(block, rows[lo:hi].T)
+        else:
+            np.multiply(rows[lo:hi].T, sign[lo:hi], out=block)
+        np.maximum.reduce(block, axis=0, out=picked[lo:hi])
+    if sign is not None:
+        picked *= sign
+        zero = sign == 0
+        picked[zero] = rows[zero, 0]
+    return picked.reshape(b_dim, c, n)
+
+
 def batch_norm_leaky_max(x: Tensor, gamma: Tensor, beta: Tensor,
                          running_mean: Optional[np.ndarray],
                          running_var: Optional[np.ndarray], mode: str,
@@ -447,10 +485,13 @@ def batch_norm_leaky_max(x: Tensor, gamma: Tensor, beta: Tensor,
     the first minimum on a negative scale, and edge 0 on a zero scale, as the
     reference routes it. Statistics and the running-buffer update come from
     every edge, as in :func:`batch_norm`; only the (B, C, N) winners are
-    normalized and activated. Backward writes one dense dx = x * a + b per
-    channel, the batch-statistics terms, and adds the routed gradient at the
-    winning edges; besides x it keeps only (B, C, N) arrays: the winners'
-    index, their centred values and their activation mask.
+    normalized and activated. Without a recorded graph only the winners'
+    values are needed, and :func:`_winning_values` takes them block by block;
+    with one, np.argmax finds their index. Backward writes one dense
+    dx = x * a + b per channel, the batch-statistics terms, and adds the
+    routed gradient at the winning edges; besides x it keeps only (B, C, N)
+    arrays: the winners' index, their centred values and their activation
+    mask.
     """
     if x.ndim != 4:
         raise ShapeError(f"batch_norm_leaky_max expects (B, C, N, k), got {x.shape}")
@@ -464,16 +505,16 @@ def batch_norm_leaky_max(x: Tensor, gamma: Tensor, beta: Tensor,
         x, gamma, beta, running_mean, running_var, mode, momentum, epsilon, False)
     recording = _recording(x, gamma, beta)
     cshape = (1, c, 1)
-    key = xd if (scale > 0).all() else xd * np.sign(scale).reshape(1, c, 1, 1)
-    if recording or key is not xd:
-        # flat index of each point's winning edge: the first maximum of key,
-        # as reduce routes it
+    if recording:
+        # flat index of each point's winning edge: the first maximum of
+        # x * sign(scale), as reduce routes it
+        key = xd if (scale > 0).all() else xd * np.sign(scale).reshape(1, c, 1, 1)
         winners = np.argmax(key, axis=3).ravel()
+        del key
         winners += np.arange(0, xd.size, k)
         picked = xd.reshape(-1)[winners].reshape(b_dim, c, n)
     else:
-        picked = xd.max(axis=3)
-    del key
+        picked = _winning_values(xd, scale)
     centred = picked - mu.reshape(cshape)
     z = centred * scale.reshape(cshape)
     z += beta.data.reshape(cshape)

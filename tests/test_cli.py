@@ -463,12 +463,71 @@ def test_infer_skips_malformed_lines(dataset, tmp_path, capsys, monkeypatch):
     assert "non-finite" in err
     assert len(out.strip().splitlines()) == 2  # 6 good frames, window 5
     counts, latency = err.strip().splitlines()[-1].split(", model latency ")
-    assert counts == ("infer: 6 frames read, 2 lines skipped (malformed or non-finite), "
-                      "2 windows emitted")
+    assert counts == ("infer: 6 frames read, 2 lines skipped (malformed, non-finite or "
+                      "out of order), 0 gaps, 2 windows emitted")
     fields = [f.split() for f in latency.split(", ")]
-    assert [(f[0], f[2]) for f in fields] == [("p50", "ms"), ("p95", "ms"), ("max", "ms")]
-    p50, p95, worst = (float(f[1]) for f in fields)
+    assert [(f[0], f[2]) for f in fields[:3]] == [("p50", "ms"), ("p95", "ms"), ("max", "ms")]
+    p50, p95, worst = (float(f[1]) for f in fields[:3])
     assert 0 < p50 <= p95 <= worst
+    assert len(fields) == 4 and " ".join(fields[3][1:]) == "over the 33.333 ms frame budget"
+
+
+def infer_lines(ckpt, text, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["infer", "--checkpoint", ckpt]) == 0
+    out, err = capsys.readouterr()
+    return out.splitlines(), err.splitlines()
+
+
+def test_infer_keys_windows_to_the_frame_index(dataset, tmp_path, capsys, monkeypatch):
+    ckpt = trained_checkpoint(dataset, tmp_path)
+    capsys.readouterr()
+    seq = synth_generate(SynthSpec(2, 1, 10, 6, noise=0.02), seed=5)[0]
+    text = frames_as_text(seq).splitlines()  # header, then frames 0..9
+    clean, _ = infer_lines(ckpt, "\n".join(text) + "\n", capsys, monkeypatch)
+    assert [int(line.split()[0]) for line in clean] == [4, 5, 6, 7, 8, 9]
+
+    # frame 3 malformed: frame 4 restarts the window, so no window holds
+    # frames on both sides of the gap and frames 8, 9 print as offline
+    gap = list(text)
+    gap[4] = "3 banana 0.0"
+    out, err = infer_lines(ckpt, "\n".join(gap) + "\n", capsys, monkeypatch)
+    assert out == clean[-2:]
+    assert "frames 3 to 3 missing, window restarts at frame 4" in "\n".join(err)
+    assert err[-1].startswith("infer: 9 frames read, 1 lines skipped (malformed, non-finite "
+                              "or out of order), 1 gaps, 2 windows emitted, ")
+
+    # a repeated and an earlier index are skipped like malformed lines
+    stale = text[:8] + [text[7], text[2]] + text[8:]
+    out, err = infer_lines(ckpt, "\n".join(stale) + "\n", capsys, monkeypatch)
+    assert out == clean
+    assert "skipping frame 6: expected frame 7 or later" in "\n".join(err)
+    assert "skipping frame 1: expected frame 7 or later" in "\n".join(err)
+    assert err[-1].startswith("infer: 10 frames read, 2 lines skipped (malformed, non-finite "
+                              "or out of order), 0 gaps, 6 windows emitted, ")
+
+
+def test_infer_counts_windows_over_the_frame_budget(dataset, tmp_path, capsys, monkeypatch):
+    ckpt = trained_checkpoint(dataset, tmp_path)
+    capsys.readouterr()
+    seq = synth_generate(SynthSpec(2, 1, 7, 6, noise=0.02), seed=6)[0]
+    body = frames_as_text(seq).split("\n", 1)[1]
+    # a 1 ns frame budget no model meets, and a 1000 s one every model does
+    for rate, misses, budget in (("1e9", 3, "0.000"), ("0.001", 0, "1000000.000")):
+        _, err = infer_lines(ckpt, f"C=3 rate={rate} label=0 subject=-1\n{body}",
+                             capsys, monkeypatch)
+        assert err[-1].endswith(f", {misses} over the {budget} ms frame budget")
+
+
+@pytest.mark.parametrize("rate", ["0", "-30.0", "0.0"])
+def test_infer_rejects_a_rate_that_is_not_positive(dataset, tmp_path, capsys, monkeypatch, rate):
+    ckpt = trained_checkpoint(dataset, tmp_path)
+    capsys.readouterr()
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"C=3 rate={rate} label=0 subject=-1\n"))
+    assert main(["infer", "--checkpoint", ckpt]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "rate must be finite and > 0" in err
 
 
 # ---------------------------------------------------------------------

@@ -252,6 +252,20 @@ def test_stream_rejects_gaps():
         asm.push(np.zeros((3, 3), dtype=np.float32), frame_index=2)
 
 
+def test_stream_restart_matches_windows_of_the_later_frames():
+    frames = random_frames(7, 3)
+    asm = StreamAssembler(window_frames=3, points_per_frame=3, seed=4)
+    for i in range(3):
+        asm.push(frames[i], frame_index=i)
+    asm.restart(4)  # frame 3 lost: the window refills from frame 4
+    assert asm.frames_seen == 4
+    assert [asm.push(frames[i], frame_index=i) is None for i in (4, 5)] == [True, True]
+    got = asm.push(frames[6], frame_index=6)
+    ref = StreamAssembler(window_frames=3, points_per_frame=3, seed=4)
+    want = [ref.push(f) for f in frames][-1]
+    np.testing.assert_array_equal(got.tensor, want.tensor)
+
+
 # ---------------------------------------------------------------------
 # file format
 # ---------------------------------------------------------------------
@@ -294,6 +308,8 @@ def test_frame_file_empty_frames_allowed(tmp_path):
     ("C=3 rate30 label=0 subject=-1\n", "malformed header token"),
     ("C=3 rate=nan label=0 subject=-1\n0 1 1.0 2.0 3.0\n", "bad.txt: bad header.*finite"),
     ("C=3 rate=inf label=0 subject=-1\n0 1 1.0 2.0 3.0\n", "bad.txt: bad header.*finite"),
+    ("C=3 rate=0 label=0 subject=-1\n0 1 1.0 2.0 3.0\n", "bad.txt: bad header.*> 0"),
+    ("C=3 rate=-30.0 label=0 subject=-1\n0 1 1.0 2.0 3.0\n", "bad.txt: bad header.*> 0"),
     ("C=3 rate=30.0 label=0 subject=-1\n", "no frames"),
     ("C=3 rate=30.0 label=0 subject=-1\n0 one 1.0 2.0 3.0\n", "malformed frame"),
     ("C=3 rate=30.0 label=0 subject=-1\n1 1 1.0 2.0 3.0\n", "out of order"),

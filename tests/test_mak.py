@@ -2,6 +2,8 @@
 against the dense per-edge kernel bank, plus head decomposition, residual
 behaviour, and parameter-count structure."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -241,8 +243,9 @@ def test_operator_matches_dense_bank_values_and_gradients(heads, residual, monke
     ci, co = (3, 5) if residual == "projected" else (3, 3)
     op = build_op(ci=ci, co=co, heads=heads, residual=residual != "none", seed=heads + 40)
     mid, n, k = op.cfg.mid_channels, 5, 3
-    # B=2 in one chunk, then B=3 in chunks of two batch items: a short last chunk
-    for b, chunk in ((2, None), (3, 2 * ci * (mid + 1) * n * k)):
+    # B=2 in one chunk, then B=3 in chunks of two batch items: a short last
+    # chunk; then each item's 15 edges in chunks of 4, the last a short one
+    for b, chunk in ((2, None), (3, 2 * ci * (mid + 1) * n * k), (2, 4 * ci * (mid + 1))):
         geo, feat = rand_inputs(op, b=b, n=n, k=k, seed=heads + 60)
         weights = np.random.default_rng(61).normal(size=(b, co, n, k))
 
@@ -356,7 +359,7 @@ def repeated_index(b, n, k, seed):
 @pytest.mark.parametrize("chunk", [None, 1])
 @pytest.mark.parametrize("heads", [1, 3])
 def test_apply_heads_on_points_equals_edge_form(heads, chunk, monkeypatch):
-    if chunk is not None:  # one batch item per chunk
+    if chunk is not None:  # one edge per chunk
         monkeypatch.setattr(kernels, "_CHUNK_VALUES", chunk)
     b, cp, n, k, mid, co = 2, 2, 5, 3, 3, 3
     idx = repeated_index(b, n, k, seed=heads)
@@ -375,10 +378,32 @@ def test_apply_heads_on_points_equals_edge_form(heads, chunk, monkeypatch):
                 [coeffs.data, points, weight.data, bias.data])
 
 
+def test_no_grad_apply_heads_memory_at_the_mmwave_window():
+    # mak2 of the default model on one mmactivity window (B=1, C_p=64, N=960,
+    # k=20, mid=8, C_out=64, f32): the output and the gathered neighbors are
+    # 4.9 MB each, and the traced peak stays under three times their sum
+    # because the outer product is built a cache-sized chunk at a time
+    b, cp, n, k, mid, co = 1, 64, 960, 20, 8, 64
+    rng = np.random.default_rng(0)
+    idx = graph.NeighborIndex(indices=rng.integers(0, n, size=(b, n, k)), k=k, n_points=n)
+    coeffs = Tensor(rng.normal(size=(b, mid, n, k)), dtype="f32")
+    points = Tensor(rng.normal(size=(b, cp, n)), dtype="f32")
+    weight = Tensor(rng.normal(size=(co * 2 * cp, mid)), dtype="f32")
+    bias = Tensor(rng.normal(size=(co * 2 * cp,)), dtype="f32")
+    budget = 3 * 4 * (b * co * n * k + b * cp * n * k)
+    tracemalloc.start()
+    try:
+        with T.no_grad():
+            out = apply_heads(coeffs, points, weight, bias, 1, co, idx=idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (b, co, n, k) and out.node is None
+    assert peak < budget, f"traced peak {peak / 1e6:.1f} MB, budget {budget / 1e6:.1f} MB"
+
+
 @pytest.mark.parametrize("residual", ["projected", "identity", "none"])
 def test_operator_on_points_equals_edge_form(residual, monkeypatch):
-    # B=3 in chunks of two batch items: the last chunk is a short one
-    monkeypatch.setattr(kernels, "_CHUNK_VALUES", 2 * 2 * 5 * 5 * 3)
     cp = 2
     co = 5 if residual == "projected" else 2 * cp
     op = build_op(ci=2 * cp, co=co, heads=2, residual=residual != "none", seed=70)
@@ -402,11 +427,17 @@ def test_operator_on_points_equals_edge_form(residual, monkeypatch):
         return out.data, g.grad, x.grad, {name: p.value.grad
                                           for name, p in op.named_parameters()}
 
-    got = run(True)
-    assert_runs_match(got, run(False), rtol=1e-9, atol=1e-10)
-    # the network's form against the dense bank, which shares no code with it
-    monkeypatch.setattr(kernels, "apply_heads", dense_apply_heads)
-    assert_runs_match(got, run(True), rtol=1e-9, atol=1e-10)
+    # B=3 in chunks of two batch items, the last a short one; then each
+    # item's 15 edges in chunks of 4 (point form), the last a short one
+    m1 = op.cfg.mid_channels + 1
+    for chunk in (2 * cp * m1 * n * k, 4 * cp * m1):
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "_CHUNK_VALUES", chunk)
+            got = run(True)
+            assert_runs_match(got, run(False), rtol=1e-9, atol=1e-10)
+            # the network's form against the dense bank, which shares no code with it
+            m.setattr(kernels, "apply_heads", dense_apply_heads)
+            assert_runs_match(got, run(True), rtol=1e-9, atol=1e-10)
 
 
 @pytest.mark.parametrize("heads", [1, 2])

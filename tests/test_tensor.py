@@ -258,26 +258,33 @@ def fused(x, gamma, beta, rm, rv, mode, slope=0.2):
 @pytest.mark.parametrize("mode", ["train", "eval"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("recorded", [True, False])
-def test_batch_norm_leaky_max_equals_composition_bitwise(gammas, mode, dtype, recorded):
-    x = tied_edges(dtype)
+def test_batch_norm_leaky_max_equals_composition_bitwise(gammas, mode, dtype, recorded,
+                                                         monkeypatch):
     gamma = np.array(GAMMAS[gammas], dtype=dtype)
     beta = np.random.default_rng(1).normal(size=5).astype(dtype)
-    outs, buffers = [], []
-    for op in (composed, fused):
-        rm = np.random.default_rng(2).normal(size=5).astype(dtype)
-        rv = np.random.default_rng(3).uniform(0.5, 2.0, size=5).astype(dtype)
-        args = [Tensor(a, requires_grad=recorded) for a in (x, gamma, beta)]
-        if recorded:
-            out = op(*args, rm, rv, mode)
-            assert out.node is not None
-        else:
-            with T.no_grad():
-                out = op(*args, rm, rv, mode)
-        assert out.shape == (3, 5, 4) and out.data.dtype == dtype
-        outs.append(out.data)
-        buffers.append(np.concatenate([rm, rv]))
-    assert outs[0].tobytes() == outs[1].tobytes()
-    assert buffers[0].tobytes() == buffers[1].tobytes()
+    # one block, then blocks of 7 of the 60 (b, c, n) rows: blocks straddle
+    # channels and the last is a short one of 4 rows; then k=1 the same way
+    for x, block_rows in ((tied_edges(dtype), None), (tied_edges(dtype), 7),
+                          (tied_edges(dtype)[..., :1], 7)):
+        outs, buffers = [], []
+        with monkeypatch.context() as m:
+            if block_rows is not None:
+                m.setattr(T, "_MAX_BLOCK_VALUES", block_rows * x.shape[3])
+            for op in (composed, fused):
+                rm = np.random.default_rng(2).normal(size=5).astype(dtype)
+                rv = np.random.default_rng(3).uniform(0.5, 2.0, size=5).astype(dtype)
+                args = [Tensor(a, requires_grad=recorded) for a in (x, gamma, beta)]
+                if recorded:
+                    out = op(*args, rm, rv, mode)
+                    assert out.node is not None
+                else:
+                    with T.no_grad():
+                        out = op(*args, rm, rv, mode)
+                assert out.shape == (3, 5, 4) and out.data.dtype == dtype
+                outs.append(out.data)
+                buffers.append(np.concatenate([rm, rv]))
+        assert outs[0].tobytes() == outs[1].tobytes()
+        assert buffers[0].tobytes() == buffers[1].tobytes()
 
 
 @pytest.mark.parametrize("gammas", sorted(GAMMAS))
