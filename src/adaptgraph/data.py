@@ -251,9 +251,13 @@ class StreamAssembler:
             raise DataError(
                 f"frames must arrive consecutively: expected {self._next_index}, "
                 f"got {frame_index}")
+        frame = normalize_frame(points, self.points_per_frame,
+                                frame_rng(self.seed, self.seq_id, frame_index))
+        if self._buf and frame.shape[1] != self._buf[-1].shape[1]:
+            raise DataError(f"frame {frame_index} has {frame.shape[1]} channels, "
+                            f"the buffered frames have {self._buf[-1].shape[1]}")
         self._next_index = frame_index + 1
-        g = frame_rng(self.seed, self.seq_id, frame_index)
-        self._buf.append(normalize_frame(points, self.points_per_frame, g))
+        self._buf.append(frame)
         if len(self._buf) < self.window_frames:
             return None
         stacked = np.concatenate(list(self._buf), axis=0)

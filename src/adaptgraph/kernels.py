@@ -173,10 +173,11 @@ def _contract(coeffs: Tensor, x: Tensor, basis: Tensor,
 
     The edge term is one matmul over the C * (mid+1) channels of the edge
     operand outer y1, built one chunk at a time in one scratch buffer: a run
-    of whole batch items when one item's product fits ``_CHUNK_VALUES``,
-    otherwise a run of edges inside one item (at least one edge). Backward
-    keeps the edge operand and y1 (B, mid+1, N, k) and rebuilds each chunk's
-    outer product from them.
+    of at most ``_CHUNK_VALUES`` // (C * (mid+1)) edges inside one batch item
+    (at least one edge, at most the item's N * k). Backward keeps the edge
+    operand and y1 (B, mid+1, N, k) and rebuilds each chunk's outer product
+    from them. Only the basis gradient is summed across chunks, so it alone
+    depends on the chunk size, in the order of its sum.
     """
     b, mid, n, k = coeffs.shape
     c_out, c_in, m1 = basis.shape
@@ -190,26 +191,22 @@ def _contract(coeffs: Tensor, x: Tensor, basis: Tensor,
     y1_edges = y1.reshape(b, 1, m1, e)
     nb = (x.data if idx is None else graph._gather(x.data, idx.indices)).reshape(b, c, 1, e)
     per_edge = c * m1
-    if per_edge * e <= _CHUNK_VALUES:  # whole items per chunk
-        item_step, edge_step = _CHUNK_VALUES // (per_edge * e), e
-    else:  # edges of one item per chunk
-        item_step, edge_step = 1, max(1, _CHUNK_VALUES // per_edge)
-    chunks = [(slice(i, i + item_step), slice(lo, lo + edge_step))
-              for i in range(0, b, item_step) for lo in range(0, e, edge_step)]
-    scratch = np.empty(min(item_step, b) * per_edge * min(edge_step, e), dtype=dt)
+    step = min(e, max(1, _CHUNK_VALUES // per_edge))
+    chunks = [(i, slice(lo, lo + step)) for i in range(b) for lo in range(0, e, step)]
+    scratch = np.empty(per_edge * step, dtype=dt)
 
-    def outer(items, edges):
-        """Edge operand outer y1 of one chunk, (items, C, mid+1, edges),
-        written into the front of ``scratch``."""
-        src = nb[items, :, :, edges]
-        o = scratch[:src.size * m1].reshape(src.shape[0], c, m1, src.shape[3])
-        np.multiply(src, y1_edges[items, :, :, edges], out=o)
+    def outer(item, edges):
+        """Edge operand outer y1 of one chunk, (C, mid+1, edges), written
+        into the front of ``scratch``."""
+        src = nb[item, :, :, edges]
+        o = scratch[:src.size * m1].reshape(c, m1, src.shape[2])
+        np.multiply(src, y1_edges[item, :, :, edges], out=o)
         return o
 
     out = np.empty((b, c_out, e), dtype=dt)
-    for items, edges in chunks:
-        o = outer(items, edges)
-        np.matmul(a_nb, o.reshape(o.shape[0], per_edge, o.shape[3]), out=out[items, :, edges])
+    for item, edges in chunks:
+        o = outer(item, edges)
+        np.matmul(a_nb, o.reshape(per_edge, o.shape[2]), out=out[item, :, edges])
     out = out.reshape(b, c_out, n, k)
     if idx is not None:
         # rows (o, m): the center map, one (C_out, mid+1) block per input channel
@@ -218,7 +215,9 @@ def _contract(coeffs: Tensor, x: Tensor, basis: Tensor,
         y1_pt = y1.transpose(0, 2, 1, 3)  # (B, N, mid+1, k)
         x_pt = x.data.transpose(0, 2, 1)  # (B, N, C)
         center = np.matmul(x_pt, center_w.T).reshape(b, n, c_out, m1)
-        out += np.matmul(center, y1_pt).transpose(0, 2, 1, 3)
+        term = np.empty_like(out)  # in out's layout, so the add runs contiguously
+        np.matmul(center, y1_pt, out=term.transpose(0, 2, 1, 3))
+        out += term
 
     def back(g):
         g3 = g.reshape(b, c_out, e)
@@ -226,17 +225,17 @@ def _contract(coeffs: Tensor, x: Tensor, basis: Tensor,
         d_y1 = np.empty((b, m1, e), dtype=dt)
         d_nb = np.empty((b, c, e), dtype=dt)
         d_outer = np.empty_like(scratch)
-        for items, edges in chunks:
-            o = outer(items, edges)
-            o3 = o.reshape(o.shape[0], per_edge, o.shape[3])
-            g_chunk = g3[items, :, edges]
-            d_a += np.matmul(g_chunk, o3.transpose(0, 2, 1)).sum(axis=0)
+        for item, edges in chunks:
+            o = outer(item, edges)
+            o2 = o.reshape(per_edge, o.shape[2])
+            g_chunk = g3[item, :, edges]
+            d_a += np.matmul(g_chunk, o2.T)
             d = d_outer[:o.size].reshape(o.shape)
-            np.matmul(a_nb.T, g_chunk, out=d.reshape(o3.shape))
-            np.multiply(d, nb[items, :, :, edges], out=o)
-            o.sum(axis=1, out=d_y1[items, :, edges])
-            d *= y1_edges[items, :, :, edges]
-            d.sum(axis=2, out=d_nb[items, :, edges])
+            np.matmul(a_nb.T, g_chunk, out=d.reshape(o2.shape))
+            np.multiply(d, nb[item, :, :, edges], out=o)
+            o.sum(axis=0, out=d_y1[item, :, edges])
+            d *= y1_edges[item, :, :, edges]
+            d.sum(axis=1, out=d_nb[item, :, edges])
         d_a = d_a.reshape(c_out, c, m1)
         if idx is None:
             return d_y1[:, :mid].reshape(b, mid, n, k), d_nb.reshape(x.shape), d_a

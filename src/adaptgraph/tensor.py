@@ -432,7 +432,7 @@ def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     return _make(out, (x,), lambda g: (_leaky_grad(neg_mask, s, g),))
 
 
-# Values per block of the no-grad max over k: a (k, rows) scratch of about
+# Values per block of the max over k: a (k, rows) scratch of about
 # 256 KB in f32, small enough to stay in cache while it is reduced.
 _MAX_BLOCK_VALUES = 1 << 16
 
@@ -442,10 +442,11 @@ def _winning_values(xd: np.ndarray, scale: np.ndarray) -> np.ndarray:
     routes it, without its index: (B, C, N, k) -> (B, C, N).
 
     The max over k on a positive scale, the min (the negated max of -x) on a
-    negative one, and edge 0 on a zero scale. A max over rows of k values
-    runs k-element reductions one row at a time, so rows are copied a block
-    at a time, transposed, into one (k, rows) scratch, whose max over axis 0
-    is k - 1 elementwise passes over contiguous rows.
+    negative one, and edge 0 on a zero scale: bit for bit the reference's
+    winner for finite x, NaN for a row holding a NaN. A max over rows of k
+    values runs k-element reductions one row at a time, so rows are copied a
+    block at a time, transposed, into one (k, rows) scratch, whose max over
+    axis 0 is k - 1 elementwise passes over contiguous rows.
     """
     b_dim, c, n, k = xd.shape
     rows = xd.reshape(-1, k)
@@ -485,42 +486,37 @@ def batch_norm_leaky_max(x: Tensor, gamma: Tensor, beta: Tensor,
     the first minimum on a negative scale, and edge 0 on a zero scale, as the
     reference routes it. Statistics and the running-buffer update come from
     every edge, as in :func:`batch_norm`; only the (B, C, N) winners are
-    normalized and activated. Without a recorded graph only the winners'
-    values are needed, and :func:`_winning_values` takes them block by block;
-    with one, np.argmax finds their index. Backward writes one dense
+    normalized and activated. :func:`_winning_values` takes the winners'
+    values block by block; when a graph is recorded, the winner's index is
+    the first edge that holds its value. Backward writes one dense
     dx = x * a + b per channel, the batch-statistics terms, and adds the
     routed gradient at the winning edges; besides x it keeps only (B, C, N)
     arrays: the winners' index, their centred values and their activation
-    mask.
+    mask. Bit for bit holds for finite x: a row holding a NaN wins NaN,
+    which equals no edge, so its gradient goes to edge 0, not to the first
+    NaN as in the reference.
     """
     if x.ndim != 4:
         raise ShapeError(f"batch_norm_leaky_max expects (B, C, N, k), got {x.shape}")
     xd = x.data
     dt = xd.dtype
     s = _leaky_slope(slope, dt)
-    b_dim, c, n, k = x.shape
+    _, c, _, k = x.shape
     if k == 0:
         raise InvalidInputError(f"cannot reduce empty axis 3 of shape {x.shape}")
     _, mu, ivar, scale, _, _ = _norm_stats(
         x, gamma, beta, running_mean, running_var, mode, momentum, epsilon, False)
-    recording = _recording(x, gamma, beta)
     cshape = (1, c, 1)
-    if recording:
-        # flat index of each point's winning edge: the first maximum of
-        # x * sign(scale), as reduce routes it
-        key = xd if (scale > 0).all() else xd * np.sign(scale).reshape(1, c, 1, 1)
-        winners = np.argmax(key, axis=3).ravel()
-        del key
-        winners += np.arange(0, xd.size, k)
-        picked = xd.reshape(-1)[winners].reshape(b_dim, c, n)
-    else:
-        picked = _winning_values(xd, scale)
+    picked = _winning_values(xd, scale)
     centred = picked - mu.reshape(cshape)
     z = centred * scale.reshape(cshape)
     z += beta.data.reshape(cshape)
     out = _leaky(z, s)
-    if not recording:
+    if not _recording(x, gamma, beta):
         return _make(out, (x, gamma, beta), None)
+    # flat index of each point's winning edge: the first edge holding its value
+    winners = np.argmax(xd.reshape(-1, k) == picked.reshape(-1, 1), axis=1)
+    winners += np.arange(0, xd.size, k)
     neg_mask = z < 0
 
     def back(g):

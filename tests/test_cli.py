@@ -1,15 +1,20 @@
 """Command-line contract: exit codes, emitted artifacts, replayability, the
 cost table, and the streaming-inference loop. Everything runs in process."""
 
+import contextlib
 import io
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptgraph import __version__
 from adaptgraph.checkpoint import save_checkpoint, state_dict
@@ -528,6 +533,58 @@ def test_infer_rejects_a_rate_that_is_not_positive(dataset, tmp_path, capsys, mo
     out, err = capsys.readouterr()
     assert out == ""
     assert "rate must be finite and > 0" in err
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    data = write_dataset(root / "ds", synth_generate(TINY, seed=0))
+    assert main(train_args(data, root / "run")) == 0
+    return str(root / "run" / "checkpoint.bin")
+
+
+INDICES = st.one_of(st.integers(-3, 12), st.integers(10 ** 6, 10 ** 40))
+
+
+@st.composite
+def frame_lines(draw):
+    """Frame lines after a valid C=3 header: mostly the next frame, mixed with
+    junk, non-finite values, wrong point counts and arbitrary indices."""
+    lines, expected = [], 0
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(["next", "next", "next", "index", "junk", "nonfinite",
+                                     "count"]))
+        if kind == "junk":
+            lines.append(draw(st.text(st.characters(blacklist_categories=("Cs",)),
+                                      max_size=30)))
+            continue
+        index = draw(INDICES) if kind == "index" else expected
+        m = draw(st.integers(0, 6))
+        tokens = [repr(v) for v in draw(st.lists(st.floats(-5, 5, width=32),
+                                                 min_size=3 * m, max_size=3 * m))]
+        if kind == "nonfinite" and tokens:
+            at = draw(st.integers(0, len(tokens) - 1))
+            tokens[at] = draw(st.sampled_from(["nan", "inf", "-inf", "1e39"]))
+        if kind == "count":
+            m += draw(st.sampled_from([-1, 1, 2]))
+        lines.append(" ".join([str(index), str(m)] + tokens))
+        if kind == "next" or (kind == "index" and index >= expected):
+            expected = index + 1
+    return lines
+
+
+@settings(max_examples=60, deadline=None)
+@given(lines=frame_lines())
+def test_infer_survives_arbitrary_frame_lines(tiny_checkpoint, lines):
+    text = "C=3 rate=30.0 label=0 subject=-1\n" + "\n".join(lines) + "\n"
+    out = io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(["infer", "--checkpoint", tiny_checkpoint])
+    assert code in (0, 2, 3)
+    if code == 0:
+        for line in out.getvalue().splitlines():
+            assert re.fullmatch(r"\d+ [01] \d\.\d{4} \d\.\d{4}", line), line
 
 
 # ---------------------------------------------------------------------

@@ -252,6 +252,21 @@ def test_stream_rejects_gaps():
         asm.push(np.zeros((3, 3), dtype=np.float32), frame_index=2)
 
 
+def test_stream_rejects_a_frame_with_another_channel_count_and_keeps_its_state():
+    frames = random_frames(5, 4, seed=9)
+    asm = StreamAssembler(window_frames=3, points_per_frame=3, seed=2)
+    assert [asm.push(f) for f in frames[:2]] == [None, None]
+    with pytest.raises(DataError, match="frame 2 has 2 channels, the buffered frames have 3"):
+        asm.push(random_frames(1, 4, c=2)[0])
+    assert asm.frames_seen == 2
+    got = [asm.push(f).tensor for f in frames[2:]]
+    ref = StreamAssembler(window_frames=3, points_per_frame=3, seed=2)
+    want = [s.tensor for s in (ref.push(f) for f in frames) if s is not None]
+    assert len(got) == len(want) == 3
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_stream_restart_matches_windows_of_the_later_frames():
     frames = random_frames(7, 3)
     asm = StreamAssembler(window_frames=3, points_per_frame=3, seed=4)

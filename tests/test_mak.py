@@ -243,8 +243,9 @@ def test_operator_matches_dense_bank_values_and_gradients(heads, residual, monke
     ci, co = (3, 5) if residual == "projected" else (3, 3)
     op = build_op(ci=ci, co=co, heads=heads, residual=residual != "none", seed=heads + 40)
     mid, n, k = op.cfg.mid_channels, 5, 3
-    # B=2 in one chunk, then B=3 in chunks of two batch items: a short last
-    # chunk; then each item's 15 edges in chunks of 4, the last a short one
+    # B=2, then B=3 with room for two items' edges per chunk: either way one
+    # whole item per chunk, as a chunk never spans items; then each item's
+    # 15 edges in chunks of 4, the last a short one
     for b, chunk in ((2, None), (3, 2 * ci * (mid + 1) * n * k), (2, 4 * ci * (mid + 1))):
         geo, feat = rand_inputs(op, b=b, n=n, k=k, seed=heads + 60)
         weights = np.random.default_rng(61).normal(size=(b, co, n, k))
@@ -427,8 +428,9 @@ def test_operator_on_points_equals_edge_form(residual, monkeypatch):
         return out.data, g.grad, x.grad, {name: p.value.grad
                                           for name, p in op.named_parameters()}
 
-    # B=3 in chunks of two batch items, the last a short one; then each
-    # item's 15 edges in chunks of 4 (point form), the last a short one
+    # B=3 with room for two items' edges per chunk: one whole item per
+    # chunk; then each item's 15 edges in chunks of 4 (point form), the
+    # last a short one
     m1 = op.cfg.mid_channels + 1
     for chunk in (2 * cp * m1 * n * k, 4 * cp * m1):
         with monkeypatch.context() as m:

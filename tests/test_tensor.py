@@ -289,20 +289,27 @@ def test_batch_norm_leaky_max_equals_composition_bitwise(gammas, mode, dtype, re
 
 @pytest.mark.parametrize("gammas", sorted(GAMMAS))
 @pytest.mark.parametrize("mode", ["train", "eval"])
-def test_batch_norm_leaky_max_gradients_match_composition(gammas, mode):
-    x = tied_edges(np.float64, seed=4)
+def test_batch_norm_leaky_max_gradients_match_composition(gammas, mode, monkeypatch):
     gamma = np.array(GAMMAS[gammas])
     beta = np.random.default_rng(5).normal(size=5)
     w = np.random.default_rng(6).normal(size=(3, 5, 4))
-    grads = []
-    for op in (composed, fused):
-        args = [leaf(a) for a in (x, gamma, beta)]
-        rm, rv = np.full(5, 0.1), np.full(5, 1.5)
-        T.reduce_sum(T.mul(op(*args, rm, rv, mode), Tensor(w))).backward()
-        grads.append([a.grad for a in args])
-    for got, want, name in zip(grads[1], grads[0], ("x", "gamma", "beta")):
-        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12 * np.abs(want).max(),
-                                   err_msg=name)
+    # the winners' values come from the blocked max, so route through the
+    # layouts of the bitwise test: one block, blocks of 7 rows, and k=1
+    for x, block_rows in ((tied_edges(np.float64, seed=4), None),
+                          (tied_edges(np.float64, seed=4), 7),
+                          (tied_edges(np.float64, seed=4)[..., :1], 7)):
+        grads = []
+        with monkeypatch.context() as m:
+            if block_rows is not None:
+                m.setattr(T, "_MAX_BLOCK_VALUES", block_rows * x.shape[3])
+            for op in (composed, fused):
+                args = [leaf(a) for a in (x, gamma, beta)]
+                rm, rv = np.full(5, 0.1), np.full(5, 1.5)
+                T.reduce_sum(T.mul(op(*args, rm, rv, mode), Tensor(w))).backward()
+                grads.append([a.grad for a in args])
+        for got, want, name in zip(grads[1], grads[0], ("x", "gamma", "beta")):
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12 * np.abs(want).max(),
+                                       err_msg=name)
 
 
 def test_grad_batch_norm_leaky_max():
