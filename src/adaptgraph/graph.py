@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
-from .errors import InvalidInputError, ShapeError
+from .errors import InvalidInputError, ShapeError, UsageError
 from .tensor import Tensor
 
 
@@ -189,6 +189,34 @@ def graph_feature(x: Tensor, idx: NeighborIndex) -> Tensor:
     return T._make(out, (x,), back)
 
 
+def _check_weight(x: Tensor, weight: Tensor, op: str) -> int:
+    """Checks a (C_out, 2C) weight on the edge features of x; returns C_out."""
+    if weight.ndim != 2 or weight.shape[1] != 2 * x.shape[1]:
+        raise ShapeError(f"weight must be (C_out, {2 * x.shape[1]}), got {weight.shape}")
+    if weight.dtype != x.dtype:
+        raise UsageError(f"{op}: dtype mismatch: {x.dtype} vs {weight.dtype}")
+    return weight.shape[0]
+
+
+def _per_point(x: Tensor, weight: Tensor):
+    """Returns (stacked, per_point): stacked = [W_a; W_b - W_a], (2 C_out, C),
+    and per_point = stacked x, (B, 2 C_out, N), whose first C_out channels are
+    W_a x and the rest (W_b - W_a) x."""
+    c = x.shape[1]
+    w_a = weight.data[:, :c]
+    stacked = np.concatenate([w_a, weight.data[:, c:] - w_a])
+    return stacked, np.matmul(stacked, x.data)
+
+
+def _per_point_back(d_point: np.ndarray, stacked: np.ndarray, x: Tensor):
+    """(dx, dW) from the gradient of :func:`_per_point`'s per_point."""
+    c_out = stacked.shape[0] // 2
+    dx = np.matmul(stacked.T, d_point)
+    d_stacked = np.einsum("bon,bcn->oc", d_point, x.data, optimize=True)
+    d_a, d_diff = d_stacked[:c_out], d_stacked[c_out:]
+    return dx, np.concatenate([d_a - d_diff, d_diff], axis=1)
+
+
 def edge_linear(x: Tensor, idx: NeighborIndex, weight: Tensor) -> Tensor:
     """``pointwise_linear(graph_feature(x, idx), weight)`` without forming
     either edge tensor.
@@ -203,22 +231,200 @@ def edge_linear(x: Tensor, idx: NeighborIndex, weight: Tensor) -> Tensor:
         a gather, k times fewer multiply-accumulates than per edge.
     """
     _check_points(x, idx, "edge_linear")
-    b, c, n = x.shape
-    if weight.ndim != 2 or weight.shape[1] != 2 * c:
-        raise ShapeError(f"weight must be (C_out, {2 * c}), got {weight.shape}")
-    c_out = weight.shape[0]
-    w_a = weight.data[:, :c]
-    stacked = np.concatenate([w_a, weight.data[:, c:] - w_a])  # (2 C_out, C)
-    per_point = np.matmul(stacked, x.data)  # (B, 2 C_out, N): W_a x, then (W_b - W_a) x
+    c_out = _check_weight(x, weight, "edge_linear")
+    n = x.shape[2]
+    stacked, per_point = _per_point(x, weight)
     out = _gather(per_point[:, :c_out], idx.indices)
     out += per_point[:, c_out:, :, None]
 
     def back(g):
         d_point = np.concatenate(
             [_scatter_add(g, idx.indices, n), g.sum(axis=3)], axis=1)
-        dx = np.matmul(stacked.T, d_point)
-        d_stacked = np.einsum("bon,bcn->oc", d_point, x.data, optimize=True)
-        d_a, d_diff = d_stacked[:c_out], d_stacked[c_out:]
-        return dx, np.concatenate([d_a - d_diff, d_diff], axis=1)
+        return _per_point_back(d_point, stacked, x)
 
     return T._make(out, (x, weight), back)
+
+
+def _adjacency_product(h: np.ndarray, nbrs: np.ndarray, scatter: bool = False) -> np.ndarray:
+    """Per batch item, h A^T, or h A with ``scatter``: (B, C, N) -> (B, C, N).
+
+    A[b, i, m] counts m among point i's neighbors nbrs[b, i], repeats
+    included, so h A^T sums each point's neighbors' columns and h A adds
+    each point's column into its neighbors. A (or A^T) is built for a block
+    of batch items at a time, about ``T._MAX_BLOCK_VALUES`` values but at
+    least one item.
+    """
+    b, _, n = h.shape
+    out = np.empty_like(h)
+    step = max(1, T._MAX_BLOCK_VALUES // (n * n))
+    point = np.arange(n)
+    for lo in range(0, b, step):
+        hi = min(lo + step, b)
+        adj = np.zeros((hi - lo, n, n), dtype=h.dtype)
+        item = np.arange(hi - lo)[:, None]
+        for j in range(nbrs.shape[2]):  # one edge per point at a time, so repeats add up
+            if scatter:
+                adj[item, point, nbrs[lo:hi, :, j]] += 1
+            else:
+                adj[item, nbrs[lo:hi, :, j], point] += 1
+        np.matmul(h[lo:hi], adj, out=out[lo:hi])
+    return out
+
+
+def _edge_moments(p: np.ndarray, c: np.ndarray, nbrs: np.ndarray, grad_terms: bool):
+    """Batch mean and biased variance, summed in float64, of every edge's
+    z = P[m] + C[i] from the per-point P and C, (B, C_out, N).
+
+    With the means of P over edges and of C over points taken out,
+    z - mu = P'[m] + C'[i], so the squared deviations sum to
+    sum_m cnt[m] P'[m]^2 + sum_i C'[i] (2 (A P')[i] + k C'[i]), where cnt
+    counts each point's appearances as a neighbor and A P' sums P' over
+    each point's neighbors (:func:`_adjacency_product`). Returns
+    ((mean, variance), terms). With ``grad_terms``, terms = (cnt, U, V) in
+    P's dtype, cnt as (B, 1, N): the edges' gradient a (z - mu) + b per
+    channel reaches P as a U + b cnt, with U = cnt P' + C' A, and C as
+    a V + k b, with V = A P' + k C'. Otherwise terms is None.
+    """
+    b, _, n = p.shape
+    k = nbrs.shape[2]
+    m = nbrs.size
+    cnt = np.bincount((nbrs + (np.arange(b) * n)[:, None, None]).ravel(),
+                      minlength=b * n).reshape(b, 1, n).astype(np.float64)
+    mean_p = np.einsum("bon,bzn->o", p, cnt) / m
+    mean_c = np.einsum("bon->o", c, dtype=np.float64) / (b * n)
+    pc = p - mean_p[:, None]
+    ssq = np.einsum("bon,bon,bzn->o", pc, pc, cnt)
+    pc = pc.astype(p.dtype)
+    cc = (c - mean_c[:, None]).astype(p.dtype)
+    apc = _adjacency_product(pc, nbrs)
+    ssq += np.einsum("bon,bon->o", cc, 2 * apc + k * cc, dtype=np.float64)
+    moments = (mean_p + mean_c, ssq / m)
+    if not grad_terms:
+        return moments, None
+    cnt = cnt.astype(p.dtype)
+    return moments, (cnt, cnt * pc + _adjacency_product(cc, nbrs, scatter=True),
+                     apc + k * cc)
+
+
+def _neighbor_max(p: np.ndarray, c: np.ndarray, nbrs: np.ndarray, scale: np.ndarray,
+                  recording: bool):
+    """Each point's winning z = P[m] + C[i] per channel, as
+    ``T.batch_norm_leaky_max`` routes it, from the per-point P and C,
+    (B, C_out, N), and the neighbors nbrs, (B, N, k).
+
+    The max of z on a positive scale, the min on a negative one and edge 0
+    on a zero one: P's max (min) over the neighbors plus C, from gathered
+    rows of a point-major P. Returns (winners, keys), winners (B, C_out, N).
+    When ``recording``, keys holds each winner's (b, channel, neighbor) as
+    a flat index, for the neighbor of the first edge whose z holds the
+    winning value, k - max_j (k - j) [z_j == value]; otherwise it is None.
+    """
+    b, c_out, n = p.shape
+    k = nbrs.shape[2]
+    p_rows, c_rows = (np.ascontiguousarray(h.transpose(0, 2, 1)).reshape(b * n, c_out)
+                      for h in (p, c))
+    rows = nbrs.reshape(b * n, k) + np.repeat(np.arange(b) * n, n)[:, None]
+    flip = (scale < 0).any()
+    sign = np.where(scale < 0, -1, 1).astype(p.dtype)
+    signed = p_rows * sign if flip else p_rows
+    zero = np.flatnonzero(scale == 0)
+    best = np.empty_like(p_rows)
+    # neighbors' rows of a block of points, about T._MAX_BLOCK_VALUES values
+    step = max(1, T._MAX_BLOCK_VALUES // (k * c_out))
+    scratch = np.empty((min(step, b * n), k, c_out), dtype=p.dtype)
+    if recording:
+        c_signed = c_rows * sign if flip else c_rows
+        first = (k - np.arange(k, dtype=np.min_scalar_type(k)))[:, None]
+        hits = np.empty(scratch.shape, dtype=bool)
+        ranks = np.empty(scratch.shape, dtype=first.dtype)
+        win = np.empty(best.shape, dtype=first.dtype)
+    for lo in range(0, b * n, step):
+        hi = min(lo + step, b * n)
+        block = np.take(signed, rows[lo:hi], axis=0, out=scratch[:hi - lo], mode="clip")
+        top = np.maximum.reduce(block, axis=1, out=best[lo:hi])
+        if zero.size:
+            top[:, zero] = block[:, 0, zero]
+        if flip:
+            top *= sign
+        top += c_rows[lo:hi]  # the winners' values
+        if recording:
+            block += c_signed[lo:hi, None]  # every edge's z, times sign
+            eq = np.equal(block, (top * sign if flip else top)[:, None], out=hits[:hi - lo])
+            np.maximum.reduce(np.multiply(eq, first, out=ranks[:hi - lo]), axis=1,
+                              out=win[lo:hi])
+    winners = np.ascontiguousarray(best.reshape(b, n, c_out).transpose(0, 2, 1))
+    if not recording:
+        return winners, None
+    edge = np.subtract(k, win, dtype=np.intp)
+    edge[edge == k] = 0  # no edge equals a NaN winner: its rank 0 goes to edge 0
+    edge += (np.arange(b * n) * k)[:, None]
+    keys = np.ascontiguousarray(np.take(nbrs, edge).reshape(b, n, c_out).transpose(0, 2, 1))
+    keys += (np.arange(b * c_out) * n).reshape(b, c_out, 1)
+    return winners, keys
+
+
+def edge_conv(x: Tensor, idx: NeighborIndex, weight: Tensor, gamma: Tensor, beta: Tensor,
+              running_mean: Optional[np.ndarray], running_var: Optional[np.ndarray],
+              mode: str, slope: float = 0.2, momentum: float = 0.1,
+              epsilon: float = 1e-5) -> Tensor:
+    """An EdgeConv stage, ``T.batch_norm_leaky_max(edge_linear(x, idx,
+    weight), gamma, beta, ...)``, without any (B, C_out, N, k) array.
+
+    Args:
+        x: point features, (B, C, N)
+        idx: neighborhood structure over the same N points
+        weight: (C_out, 2C) = [W_a | W_b], acting on [x_j - x_i, x_i]
+        gamma, beta, running_mean, running_var, mode, momentum, epsilon: the
+            stage's batch norm over C_out channels, as in ``T.batch_norm``
+    Returns:
+        (B, C_out, N), bit for bit for finite values. Edge (i, j) responds
+        z = P[m] + C[i] to its neighbor m, with per-point products P = W_a x
+        and C = (W_b - W_a) x. Rounded P[m] + C[i] never decreases in P[m],
+        so each point's winner comes from P alone (:func:`_neighbor_max`),
+        and train-mode statistics and their gradient from sums over points
+        (:func:`_edge_moments`); the gradient at each winner goes to its
+        neighbor by one bincount.
+    """
+    _check_points(x, idx, "edge_conv")
+    c_out = _check_weight(x, weight, "edge_conv")
+    T._check_norm(c_out, gamma, beta, mode, epsilon)
+    dt = x.data.dtype
+    s = T._leaky_slope(slope, dt)
+    b, _, n = x.shape
+    k = idx.k
+    if k == 0:
+        raise InvalidInputError("edge_conv needs k >= 1 neighbors")
+    if mode == "train" and b * n == 0:
+        raise InvalidInputError("batch_norm in train mode needs a non-empty batch")
+    parents = (x, weight, gamma, beta)
+    recording = T._recording(*parents)
+    stacked, per_point = _per_point(x, weight)
+    p, c = per_point[:, :c_out], per_point[:, c_out:]
+    moments = terms = None
+    if mode == "train":
+        moments, terms = _edge_moments(p, c, idx.indices, recording)
+    mu, ivar, scale = T._norm_scale(moments, gamma, running_mean, running_var, mode,
+                                    momentum, epsilon, dt)
+    winners, keys = _neighbor_max(p, c, idx.indices, scale, recording)
+    centred, z, out = T._activate_winners(winners, mu, scale, beta, s)
+    if not recording:
+        return T._make(out, parents, None)
+    neg_mask = z < 0
+
+    def back(g):
+        routed, a, bias, dgamma, dbeta = T._pooled_grads(
+            g, neg_mask, s, centred, ivar, scale, b * n * k if mode == "train" else None)
+        d_point = np.empty((b, 2 * c_out, n), dtype=dt)
+        d_p, d_c = d_point[:, :c_out], d_point[:, c_out:]
+        d_p[...] = np.bincount(keys.ravel(), weights=routed.ravel(),
+                               minlength=keys.size).reshape(routed.shape)
+        d_c[...] = routed
+        if a is not None:
+            cnt, u, v = terms
+            a, bias = a.astype(dt).reshape(1, c_out, 1), bias.astype(dt).reshape(1, c_out, 1)
+            d_p += a * u + bias * cnt
+            d_c += a * v + k * bias
+        dx, dw = _per_point_back(d_point, stacked, x)
+        return dx, dw, dgamma.astype(dt), dbeta.astype(dt)
+
+    return T._make(out, parents, back)

@@ -2,12 +2,13 @@
 
 The input cloud (B, C, N) is turned into edge features over a single shared
 KNN structure. Four stages (adaptive-kernel or conventional graph-conv,
-depending on the variant) each map points to points: from the previous
-stage's (B, C, N) features and the neighbor index they compute per-edge
-responses, then batch-normalize, activate and max-pool them over the
-neighbor axis in one op that normalizes only the edges the max keeps. Stage
-outputs are fused by channel concatenation, embedded, globally max+mean
-pooled, and classified by a small FC stack.
+depending on the variant) each map points to points, from the previous
+stage's (B, C, N) features and the neighbor index. An adaptive stage
+computes per-edge responses, then batch-normalizes, activates and max-pools
+them over the neighbor axis in one op that normalizes only the edges the max
+keeps. A conventional stage does the same from per-point products alone and
+forms no per-edge array. Stage outputs are fused by channel concatenation,
+embedded, globally max+mean pooled, and classified by a small FC stack.
 
 Kernel-generating stages always see the edge features of the raw input
 coordinates, so geometry stays anchored to the original cloud no matter how
@@ -189,13 +190,14 @@ class ActivityNet(Module):
 
 
 class _ConvBlock(Module):
-    """Conventional stage: pointwise conv + BN + LeakyReLU on edge features,
-    max-pooled over the neighbors.
+    """Conventional stage (DGCNN's EdgeConv): pointwise conv + BN + LeakyReLU
+    on edge features, max-pooled over the neighbors.
 
-    Maps points (B, C_in / 2, N) to points (B, C_out, N). The conv acts on the
-    edge features of its input points, applied per point by
-    :func:`graph.edge_linear` instead of per edge; BN, activation and the max
-    run as one op (:meth:`BatchNorm.leaky_max`)."""
+    Maps points (B, C_in / 2, N) to points (B, C_out, N) in one op,
+    :func:`graph.edge_conv` (via :meth:`BatchNorm.edge_conv`): the conv is
+    applied per point instead of per edge, and the max, the batch-norm
+    statistics and the gradients come from per-point products, so no
+    (B, C_out, N, k) edge tensor is formed."""
 
     def __init__(self, in_channels: int, out_channels: int,
                  rng: np.random.Generator, dtype: str, slope: float):
@@ -205,8 +207,7 @@ class _ConvBlock(Module):
         self.bn = BatchNorm(out_channels, dtype=dtype)
 
     def forward(self, points: Tensor, idx: graph.NeighborIndex) -> Tensor:
-        edges = graph.edge_linear(points, idx, self.conv.weight.value)  # (B, C_out, N, k)
-        return self.bn.leaky_max(edges, self.slope)
+        return self.bn.edge_conv(points, idx, self.conv.weight.value, self.slope)
 
 
 def build(cfg: ModelConfig, seed: int, dtype: str = "f32") -> ActivityNet:
@@ -313,10 +314,11 @@ def count_macs(cfg: ModelConfig, n_points: int) -> int:
     features: about C_p * (mid + 1) * C_out MACs per edge for the neighbor
     term plus (mid + 1) * C_out for the center term, instead of
     mid * full + full, and its projected residual runs per point. A conv
-    stage applies its weight per point (:func:`graph.edge_linear`),
-    C_in * C_out MACs per point instead of per edge, k times fewer. A
-    throughput computed from this count (GMAC/s) therefore reads higher than
-    the arithmetic actually done.
+    stage applies its weight per point (:func:`graph.edge_conv`),
+    C_in * C_out MACs per point instead of per edge, k times fewer; in
+    training its batch statistics add two (N, N) neighbor-adjacency
+    products, 2 N^2 C_out MACs per sample. A throughput computed from this
+    count (GMAC/s) therefore reads higher than the arithmetic actually done.
     """
     if n_points < cfg.k:
         raise InvalidInputError(f"N={n_points} is smaller than k={cfg.k}")

@@ -6,6 +6,7 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
+from . import graph
 from . import tensor as T
 from .errors import ConfigError, ShapeError
 from .tensor import Tensor
@@ -147,12 +148,15 @@ class BatchNorm(Module):
         self.register_buffer("running_mean", np.zeros(channels, dtype=np_dtype))
         self.register_buffer("running_var", np.ones(channels, dtype=np_dtype))
 
+    def _state(self) -> tuple:
+        return (self.gamma.value, self.beta.value,
+                self._buffers["running_mean"], self._buffers["running_var"],
+                "train" if self.training else "eval")
+
     def _args(self, x: Tensor) -> tuple:
         if x.ndim >= 2 and x.shape[1] != self.channels:
             raise ShapeError(f"expected {self.channels} channels, got {x.shape}")
-        return (x, self.gamma.value, self.beta.value,
-                self._buffers["running_mean"], self._buffers["running_var"],
-                "train" if self.training else "eval")
+        return (x,) + self._state()
 
     def forward(self, x: Tensor) -> Tensor:
         return T.batch_norm(*self._args(x), momentum=self.momentum, epsilon=self.epsilon)
@@ -162,3 +166,10 @@ class BatchNorm(Module):
         (B, C, N), without normalizing or activating the edges the max drops."""
         return T.batch_norm_leaky_max(*self._args(x), slope=slope,
                                       momentum=self.momentum, epsilon=self.epsilon)
+
+    def edge_conv(self, points: Tensor, idx: graph.NeighborIndex, weight: Tensor,
+                  slope: float) -> Tensor:
+        """``self.leaky_max(graph.edge_linear(points, idx, weight), slope)``,
+        (B, C, N) -> (B, channels, N), without forming the edge responses."""
+        return graph.edge_conv(points, idx, weight, *self._state(), slope=slope,
+                               momentum=self.momentum, epsilon=self.epsilon)

@@ -296,44 +296,28 @@ def _channel_sums(a: np.ndarray) -> np.ndarray:
     return a.sum(axis=2).sum(axis=0, dtype=np.float64)
 
 
-def _norm_stats(x: Tensor, gamma: Tensor, beta: Tensor,
-                running_mean: Optional[np.ndarray], running_var: Optional[np.ndarray],
-                mode: str, momentum: float, epsilon: float, keep_centred: bool):
-    """Checks and per-channel statistics shared by :func:`batch_norm` and
-    :func:`batch_norm_leaky_max`.
-
-    Returns (x3, mu, ivar, scale, centred, spare). x3 is x as a (B, C, G)
-    view, so every per-channel statistic is a sum over its outer and inner
-    axes; ivar = 1 / sqrt(var + epsilon) and scale = gamma * ivar. Train mode
-    uses batch statistics (biased variance) and updates the running buffers
-    in place by exponential moving average. With ``keep_centred`` it also
-    returns centred = x3 - mu and the squared deviations, a spare array the
-    caller may reuse; otherwise the deviations are squared in place and
-    both are None, as they are in eval mode, which reads the running buffers.
-    """
+def _check_norm(c: int, gamma: Tensor, beta: Tensor, mode: str, epsilon: float) -> None:
+    """Argument checks shared by every batch-norm op over C channels."""
     if mode not in ("train", "eval"):
         raise InvalidInputError(f"mode must be 'train' or 'eval', got {mode!r}")
     if epsilon <= 0:
         raise InvalidInputError(f"epsilon must be > 0, got {epsilon}")
-    if x.ndim < 2:
-        raise ShapeError(f"batch_norm input needs rank >= 2, got {x.shape}")
-    c = x.shape[1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"gamma/beta must be ({c},), got {gamma.shape} and {beta.shape}")
-    xd = x.data
-    dt = xd.dtype
-    x3 = xd.reshape(x.shape[0], c, int(np.prod(x.shape[2:], dtype=np.int64)))
-    centred = spare = None
+
+
+def _norm_scale(moments, gamma: Tensor, running_mean: Optional[np.ndarray],
+                running_var: Optional[np.ndarray], mode: str, momentum: float,
+                epsilon: float, dt):
+    """Per-channel (mu, ivar, scale) of a batch norm in dtype ``dt``.
+
+    Train mode takes ``moments`` = (mean, biased variance) of the batch,
+    rounds them to dt and updates the running buffers in place by exponential
+    moving average; eval mode reads the running buffers and ignores
+    ``moments``. ivar = 1 / sqrt(var + epsilon) and scale = gamma * ivar.
+    """
     if mode == "train":
-        m = xd.size // c if c else 0
-        if m == 0:
-            raise InvalidInputError("batch_norm in train mode needs a non-empty batch")
-        mu = (_channel_sums(x3) / m).astype(dt)
-        centred = x3 - mu.reshape(1, c, 1)
-        spare = np.square(centred, out=None if keep_centred else centred)
-        var = (_channel_sums(spare) / m).astype(dt)
-        if not keep_centred:
-            centred = spare = None
+        mu, var = (np.asarray(v).astype(dt) for v in moments)
         if running_mean is not None:
             running_mean *= 1.0 - momentum
             running_mean += momentum * mu.astype(running_mean.dtype)
@@ -346,7 +330,44 @@ def _norm_stats(x: Tensor, gamma: Tensor, beta: Tensor,
         mu = np.asarray(running_mean, dtype=dt)
         var = np.asarray(running_var, dtype=dt)
     ivar = 1.0 / np.sqrt(var + np.asarray(epsilon, dtype=dt))
-    return x3, mu, ivar, gamma.data * ivar, centred, spare
+    return mu, ivar, gamma.data * ivar
+
+
+def _norm_stats(x: Tensor, gamma: Tensor, beta: Tensor,
+                running_mean: Optional[np.ndarray], running_var: Optional[np.ndarray],
+                mode: str, momentum: float, epsilon: float, keep_centred: bool):
+    """Checks and per-channel statistics shared by :func:`batch_norm` and
+    :func:`batch_norm_leaky_max`.
+
+    Returns (x3, mu, ivar, scale, centred, spare). x3 is x as a (B, C, G)
+    view, so every per-channel statistic is a sum over its outer and inner
+    axes; mu, ivar and scale are as :func:`_norm_scale` returns them, from
+    the batch (biased variance) in train mode. With ``keep_centred`` train
+    mode also returns centred = x3 - mu and the squared deviations, a spare
+    array the caller may reuse; otherwise the deviations are squared in
+    place and both are None, as they are in eval mode.
+    """
+    if x.ndim < 2:
+        raise ShapeError(f"batch_norm input needs rank >= 2, got {x.shape}")
+    c = x.shape[1]
+    _check_norm(c, gamma, beta, mode, epsilon)
+    xd = x.data
+    dt = xd.dtype
+    x3 = xd.reshape(x.shape[0], c, int(np.prod(x.shape[2:], dtype=np.int64)))
+    centred = spare = moments = None
+    if mode == "train":
+        m = xd.size // c if c else 0
+        if m == 0:
+            raise InvalidInputError("batch_norm in train mode needs a non-empty batch")
+        mu = (_channel_sums(x3) / m).astype(dt)
+        centred = x3 - mu.reshape(1, c, 1)
+        spare = np.square(centred, out=None if keep_centred else centred)
+        moments = (mu, _channel_sums(spare) / m)
+        if not keep_centred:
+            centred = spare = None
+    mu, ivar, scale = _norm_scale(moments, gamma, running_mean, running_var, mode,
+                                  momentum, epsilon, dt)
+    return x3, mu, ivar, scale, centred, spare
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
@@ -432,8 +453,9 @@ def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     return _make(out, (x,), lambda g: (_leaky_grad(neg_mask, s, g),))
 
 
-# Values per block of the max over k: a (k, rows) scratch of about
-# 256 KB in f32, small enough to stay in cache while it is reduced.
+# Values per block of the max over k (here and in graph.edge_conv): a
+# scratch of about 256 KB in f32, small enough to stay in cache while it is
+# reduced.
 _MAX_BLOCK_VALUES = 1 << 16
 
 
@@ -506,12 +528,8 @@ def batch_norm_leaky_max(x: Tensor, gamma: Tensor, beta: Tensor,
         raise InvalidInputError(f"cannot reduce empty axis 3 of shape {x.shape}")
     _, mu, ivar, scale, _, _ = _norm_stats(
         x, gamma, beta, running_mean, running_var, mode, momentum, epsilon, False)
-    cshape = (1, c, 1)
     picked = _winning_values(xd, scale)
-    centred = picked - mu.reshape(cshape)
-    z = centred * scale.reshape(cshape)
-    z += beta.data.reshape(cshape)
-    out = _leaky(z, s)
+    centred, z, out = _activate_winners(picked, mu, scale, beta, s)
     if not _recording(x, gamma, beta):
         return _make(out, (x, gamma, beta), None)
     # flat index of each point's winning edge: the first edge holding its value
@@ -520,23 +538,51 @@ def batch_norm_leaky_max(x: Tensor, gamma: Tensor, beta: Tensor,
     neg_mask = z < 0
 
     def back(g):
-        gz = _leaky_grad(neg_mask, s, g)  # gradient at the winners' batch-norm output
-        dbeta = _channel_sums(gz)
-        dgamma = _channel_sums(gz * centred) * ivar
-        if mode == "train":
-            # every edge feeds the statistics: scale * (-dbeta / m - xhat * dgamma / m)
-            # is affine in x per channel
-            m = xd.size // c
-            a = scale * (-dgamma * ivar / m)
-            bias = scale * (-dbeta / m) - a * mu
-            dx = xd * a.astype(dt).reshape(1, c, 1, 1)
-            dx += bias.astype(dt).reshape(1, c, 1, 1)
-        else:
+        routed, a, b, dgamma, dbeta = _pooled_grads(
+            g, neg_mask, s, centred, ivar, scale, xd.size // c if mode == "train" else None)
+        if a is None:
             dx = np.zeros_like(xd)
-        dx.reshape(-1)[winners] += (gz * scale.reshape(cshape)).ravel()
+        else:
+            # every edge feeds the statistics: a * (x - mu) + b is affine in x
+            dx = xd * a.astype(dt).reshape(1, c, 1, 1)
+            dx += (b - a * mu).astype(dt).reshape(1, c, 1, 1)
+        dx.reshape(-1)[winners] += routed.ravel()
         return dx, dgamma.astype(dt), dbeta.astype(dt)
 
     return _make(out, (x, gamma, beta), back)
+
+
+def _activate_winners(picked: np.ndarray, mu: np.ndarray, scale: np.ndarray,
+                      beta: Tensor, s: np.ndarray):
+    """Batch norm then leaky relu of each point's winning edge, (B, C, N).
+
+    Returns (centred, z, out): the winners less the mean, their batch-norm
+    output and its activation."""
+    cshape = (1, picked.shape[1], 1)
+    centred = picked - mu.reshape(cshape)
+    z = centred * scale.reshape(cshape)
+    z += beta.data.reshape(cshape)
+    return centred, z, _leaky(z, s)
+
+
+def _pooled_grads(g: np.ndarray, neg_mask: np.ndarray, s: np.ndarray,
+                  centred: np.ndarray, ivar: np.ndarray, scale: np.ndarray,
+                  m: Optional[int]):
+    """Backward of :func:`_activate_winners` for a max over m edges.
+
+    Returns (routed, a, b, dgamma, dbeta). routed, (B, C, N), is the
+    gradient at each point's winning edge. In train mode (m edges, not None)
+    every edge x of channel c also feeds the batch statistics, which add
+    a[c] * (x - mu[c]) + b[c] to its gradient; in eval mode a and b are None.
+    """
+    gz = _leaky_grad(neg_mask, s, g)  # gradient at the winners' batch-norm output
+    dbeta = _channel_sums(gz)
+    dgamma = _channel_sums(gz * centred) * ivar
+    routed = gz * scale.reshape(1, -1, 1)
+    if m is None:
+        return routed, None, None, dgamma, dbeta
+    # scale * (-dbeta / m - xhat * dgamma / m), with xhat = (x - mu) * ivar
+    return routed, scale * (-dgamma * ivar / m), scale * (-dbeta / m), dgamma, dbeta
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:

@@ -1,14 +1,19 @@
 """Neighborhood construction: similarity values against a naive double loop,
-KNN against a brute-force sort, and the geometric invariances both must obey."""
+KNN against a brute-force sort, and the geometric invariances both must obey;
+the EdgeConv stage op against the edge-tensor composition it replaces."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from adaptgraph import graph
 from adaptgraph import tensor as T
-from adaptgraph.errors import InvalidInputError, ShapeError
+from adaptgraph.errors import InvalidInputError, ShapeError, UsageError
 from adaptgraph.graph import NeighborIndex, graph_feature, knn, pairwise_similarity
+from adaptgraph.network import _ConvBlock
 from adaptgraph.tensor import Tensor
+from test_tensor import check_grads
 
 
 def points(b, c, n, seed=0, dtype=np.float64):
@@ -247,3 +252,181 @@ def test_knn_result_detached_from_autodiff():
     idx = knn(t, 2)
     assert isinstance(idx.indices, np.ndarray)
     assert not np.issubdtype(idx.indices.dtype, np.floating)
+
+
+# ---------------------------------------------------------------------
+# edge_conv against batch_norm_leaky_max(edge_linear(...))
+# ---------------------------------------------------------------------
+
+CONV_GAMMAS = [0.5, -1.0, 0.0, 2.0, -0.25, 1.5]  # mixed signs and a zero scale
+
+
+def conv_case(name, dtype=np.float64):
+    """(x, idx) with B > 1: zero-padded duplicate points under kNN, heavily
+    repeated hand-built neighbors, and k = N."""
+    rng = np.random.default_rng({"padded": 1, "repeated": 2, "k=N": 3}[name])
+    if name == "padded":
+        x = rng.normal(size=(3, 4, 10)) + rng.normal(size=(1, 4, 1))
+        x[:, :, 7:] = 0.0  # three identical padding points
+        idx = knn(Tensor(x), 5)
+    elif name == "repeated":
+        x = rng.normal(size=(2, 4, 8))
+        indices = rng.integers(0, 4, size=(2, 8, 6))
+        indices[:, :, 0] = np.arange(8)
+        indices[1, 3] = 2  # one point's every neighbor is the same point
+        idx = NeighborIndex(indices=indices, k=6, n_points=8)
+    else:
+        x = rng.normal(size=(2, 4, 7))
+        idx = knn(Tensor(x), 7)
+    return x.astype(dtype), idx
+
+
+def conv_params(c, dtype, seed=7):
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=(len(CONV_GAMMAS), 2 * c))
+    beta = rng.normal(size=len(CONV_GAMMAS))
+    return [a.astype(dtype) for a in (w, np.array(CONV_GAMMAS), beta)]
+
+
+def conv_buffers(dtype):
+    rng = np.random.default_rng(8)
+    return (rng.normal(size=len(CONV_GAMMAS)).astype(dtype),
+            rng.uniform(0.5, 2.0, size=len(CONV_GAMMAS)).astype(dtype))
+
+
+def conv_reference(x, idx, w, gamma, beta, rm, rv, mode):
+    return T.batch_norm_leaky_max(graph.edge_linear(x, idx, w), gamma, beta, rm, rv, mode)
+
+
+def run_conv(op, x, idx, params, mode, recorded):
+    """Output, running buffers and, when recorded, the gradients of x, W,
+    gamma and beta under a fixed random weighting of the output."""
+    dtype = x.dtype
+    rm, rv = conv_buffers(dtype)
+    args = [Tensor(a, requires_grad=recorded) for a in [x] + params]
+    if not recorded:
+        with T.no_grad():
+            out = op(args[0], idx, *args[1:], rm, rv, mode)
+        assert out.node is None
+        return out.data, np.concatenate([rm, rv]), []
+    out = op(args[0], idx, *args[1:], rm, rv, mode)
+    w = np.random.default_rng(9).normal(size=out.shape).astype(dtype)
+    T.reduce_sum(T.mul(out, Tensor(w))).backward()
+    return out.data, np.concatenate([rm, rv]), [a.grad for a in args]
+
+
+@pytest.fixture(params=[None, 1], ids=["one-block", "point-blocks"])
+def blocks(request, monkeypatch):
+    """Default blocks, or one point (and one batch item) per block."""
+    if request.param is not None:
+        monkeypatch.setattr(T, "_MAX_BLOCK_VALUES", request.param)
+
+
+@pytest.mark.parametrize("case", ["padded", "repeated", "k=N"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("recorded", [True, False])
+def test_edge_conv_eval_output_is_bitwise(case, dtype, recorded, blocks):
+    x, idx = conv_case(case, dtype)
+    params = conv_params(x.shape[1], dtype)
+    want = run_conv(conv_reference, x, idx, params, "eval", recorded)
+    got = run_conv(graph.edge_conv, x, idx, params, "eval", recorded)
+    assert got[0].shape == (x.shape[0], len(CONV_GAMMAS), x.shape[2])
+    assert got[0].dtype == dtype
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    for g, r in zip(got[2], want[2]):
+        np.testing.assert_allclose(g, r, rtol=1e-12 if dtype == np.float64 else 1e-5,
+                                   atol=0)
+
+
+@pytest.mark.parametrize("case", ["padded", "repeated", "k=N"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_edge_conv_train_matches_composition(case, dtype, blocks):
+    # the statistics are summed in another order, so agreement is to rounding
+    tol = 1e-12 if dtype == np.float64 else 1e-5
+    x, idx = conv_case(case, dtype)
+    params = conv_params(x.shape[1], dtype)
+    want = run_conv(conv_reference, x, idx, params, "train", True)
+    got = run_conv(graph.edge_conv, x, idx, params, "train", True)
+    unrecorded = run_conv(graph.edge_conv, x, idx, params, "train", False)
+    assert unrecorded[0].tobytes() == got[0].tobytes()
+    names = ["out", "buffers", "dx", "dW", "dgamma", "dbeta"]
+    for g, r, name in zip(got[:2] + tuple(got[2]), want[:2] + tuple(want[2]), names):
+        np.testing.assert_allclose(g, r, rtol=tol, atol=tol * np.abs(r).max(),
+                                   err_msg=name)
+
+
+def test_grad_edge_conv():
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(2, 3, 8))
+    indices = rng.integers(0, 4, size=(2, 8, 5))  # repeated neighbors tie exactly
+    idx = NeighborIndex(indices=indices, k=5, n_points=8)
+    w, gamma, beta = conv_params(3, np.float64, seed=22)
+    gamma[2] = 0.7  # the winner flips with the sign of gamma, so no kink at 0
+    check_grads(lambda x, w, g, b: graph.edge_conv(x, idx, w, g, b, None, None, "train"),
+                [x, w, gamma, beta], rtol=1e-5)
+    rm, rv = conv_buffers(np.float64)
+    check_grads(lambda x, w, g, b: graph.edge_conv(x, idx, w, g, b, rm, rv, "eval",
+                                                   slope=0.1),
+                [x, w, gamma, beta])
+
+
+@pytest.mark.parametrize("op", ["edge_linear", "edge_conv"])
+def test_edge_op_guards(op):
+    x, idx = conv_case("repeated")
+    w, gamma, beta = (Tensor(a) for a in conv_params(4, np.float64))
+
+    def call(x, idx, w):
+        if op == "edge_linear":
+            return graph.edge_linear(x, idx, w)
+        return graph.edge_conv(x, idx, w, gamma, beta, None, None, "train")
+
+    assert call(Tensor(x), idx, w).shape[:2] == (2, 6)
+    with pytest.raises(ShapeError):
+        call(Tensor(x[0]), idx, w)  # not (B, C, N)
+    with pytest.raises(ShapeError):
+        call(Tensor(x[:1]), idx, w)  # batch mismatch
+    with pytest.raises(InvalidInputError):
+        call(Tensor(x[:, :, :7]), idx, w)  # point count mismatch
+    with pytest.raises(ShapeError):
+        call(Tensor(x), idx, Tensor(w.data[:, :7]))  # weight not (C_out, 2C)
+    with pytest.raises(UsageError):
+        call(Tensor(x), idx, Tensor(w.data, dtype="f32"))  # dtype mismatch
+
+
+def test_edge_conv_norm_guards():
+    x, idx = conv_case("repeated")
+    w, gamma, beta = (Tensor(a) for a in conv_params(4, np.float64))
+    with pytest.raises(ShapeError):
+        graph.edge_conv(Tensor(x), idx, w, Tensor(np.ones(5)), beta, None, None, "train")
+    with pytest.raises(InvalidInputError):
+        graph.edge_conv(Tensor(x), idx, w, gamma, beta, None, None, "test")
+    with pytest.raises(InvalidInputError):
+        graph.edge_conv(Tensor(x), idx, w, gamma, beta, None, None, "eval")  # no buffers
+    with pytest.raises(InvalidInputError):
+        graph.edge_conv(Tensor(x), idx, w, gamma, beta, None, None, "train", slope=1.0)
+    empty = NeighborIndex(indices=np.zeros((2, 8, 0), dtype=np.int64), k=0, n_points=8)
+    with pytest.raises(InvalidInputError):
+        graph.edge_conv(Tensor(x), empty, w, gamma, beta, None, None, "train")
+
+
+def test_conv_stage_memory_stays_under_one_edge_tensor():
+    # conv3 of the default model at B=2 on mmactivity-sized windows (C 64 ->
+    # 128, N=960, k=20, f32): forward plus backward in train mode must not
+    # trace as much as one (B, C_out, N, k) f32 edge tensor, 19.7 MB
+    b, c, co, n, k = 2, 64, 128, 960, 20
+    rng = np.random.default_rng(0)
+    block = _ConvBlock(2 * c, co, rng, "f32", 0.2)
+    idx = NeighborIndex(indices=rng.integers(0, n, size=(b, n, k)), k=k, n_points=n)
+    points = Tensor(rng.normal(size=(b, c, n)), dtype="f32", requires_grad=True)
+    weights = Tensor(rng.normal(size=(b, co, n)), dtype="f32")
+    budget = 4 * b * co * n * k
+    tracemalloc.start()
+    try:
+        out = block(points, idx)
+        T.reduce_sum(T.mul(out, weights)).backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (b, co, n) and points.grad is not None
+    assert peak < budget, f"traced peak {peak / 1e6:.1f} MB, budget {budget / 1e6:.1f} MB"

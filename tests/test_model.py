@@ -332,7 +332,8 @@ def test_every_kernel_stage_reads_raw_geometry(monkeypatch):
 
 @pytest.mark.parametrize("variant", list(Variant))
 def test_stages_pool_before_they_normalize(variant, monkeypatch):
-    # each stage ends in one batch norm -> leaky relu -> max-over-k op, so no
+    # each stage ends in one batch norm -> leaky relu -> max-over-k op (a
+    # MAK stage's bn_out.leaky_max, a conv stage's bn.edge_conv), so no
     # (B, C, N, k) stage output is normalized or activated and nothing
     # reduces the k axis; only a projected residual is normalized per edge
     model = build(small_cfg(variant=variant), seed=0)
@@ -341,6 +342,7 @@ def test_stages_pool_before_they_normalize(variant, monkeypatch):
     reduced, per_edge, pooled = [], [], []
     real_reduce, real_leaky = T.reduce, T.leaky_relu
     real_forward, real_leaky_max = BatchNorm.forward, BatchNorm.leaky_max
+    real_edge_conv = BatchNorm.edge_conv
 
     def reduce(x, axis, kind):
         reduced.append((x.ndim, axis % x.ndim))
@@ -359,10 +361,15 @@ def test_stages_pool_before_they_normalize(variant, monkeypatch):
         pooled.append(bn)
         return real_leaky_max(bn, x, slope)
 
+    def edge_conv(bn, points, idx, weight, slope):
+        pooled.append(bn)
+        return real_edge_conv(bn, points, idx, weight, slope)
+
     monkeypatch.setattr(T, "reduce", reduce)
     monkeypatch.setattr(T, "leaky_relu", leaky_relu)
     monkeypatch.setattr(BatchNorm, "forward", forward)
     monkeypatch.setattr(BatchNorm, "leaky_max", leaky_max)
+    monkeypatch.setattr(BatchNorm, "edge_conv", edge_conv)
     model(Tensor(cloud()), rng=np.random.default_rng(0))
     assert (4, 3) not in reduced
     stages = [getattr(model, name) for name, _ in model._stages]
