@@ -64,6 +64,8 @@ def load_state(model: Module, state: Dict[str, np.ndarray]) -> None:
 
 
 def save_checkpoint(path, state: Dict[str, np.ndarray], manifest: dict) -> None:
+    """Write via ``<path>.tmp``, renamed over ``path`` once complete, so a
+    failed save leaves the previous file intact and no temporary behind."""
     blobs = []
     payloads = []
     for name in sorted(state):
@@ -83,11 +85,16 @@ def save_checkpoint(path, state: Dict[str, np.ndarray], manifest: dict) -> None:
     header["format_version"] = FORMAT_VERSION
     header["blobs"] = blobs
     encoded = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(struct.pack("<I", len(encoded)))
-        f.write(encoded)
-        for raw in payloads:
-            f.write(raw)
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(struct.pack("<I", len(encoded)) + encoded)
+            for raw in payloads:
+                f.write(raw)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _blob_header(path, blob, pos: int) -> Tuple[str, np.dtype, tuple, int]:

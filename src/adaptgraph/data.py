@@ -67,13 +67,17 @@ class PipelineConfig:
             raise ConfigError(f"window_stride must be >= 1, got {self.window_stride}")
         if self.points_per_frame < 1:
             raise ConfigError(f"points_per_frame must be >= 1, got {self.points_per_frame}")
-        if len(self.split_ratios) != 3 or not all(0 < r < math.inf for r in self.split_ratios):
-            raise ConfigError(
-                f"split_ratios must be 3 positive finite fractions, got {self.split_ratios}")
-        if abs(sum(self.split_ratios) - 1.0) > 1e-9:
-            raise ConfigError(f"split_ratios must sum to 1, got {self.split_ratios}")
+        _check_split_ratios(self.split_ratios)
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+
+
+def _check_split_ratios(ratios) -> None:
+    """The (train, val, test) ratio check of PipelineConfig and split."""
+    if len(ratios) != 3 or not all(0 < r < math.inf for r in ratios):
+        raise ConfigError(f"split_ratios must be 3 positive finite fractions, got {ratios}")
+    if abs(sum(ratios) - 1.0) > 1e-9:
+        raise ConfigError(f"split_ratios must sum to 1, got {ratios}")
 
 
 def frame_rng(seed: int, seq_id: int, frame_index: int) -> np.random.Generator:
@@ -129,10 +133,7 @@ def build_samples(sequences: Sequence[FrameSequence], cfg: PipelineConfig) -> Li
 def split(samples: Sequence[Sample], ratios: Tuple[float, float, float],
           seed: int) -> Tuple[List[Sample], List[Sample], List[Sample]]:
     """Seeded shuffle, then contiguous train/val/test cut (residue to train)."""
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
-        raise ConfigError(f"ratios must be 3 positive fractions, got {ratios}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ConfigError(f"ratios must sum to 1, got {ratios}")
+    _check_split_ratios(ratios)
     n = len(samples)
     n_val = int(n * ratios[1])
     n_test = int(n * ratios[2])

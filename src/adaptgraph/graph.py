@@ -56,23 +56,16 @@ def _scatter_add(g: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
     """Adjoint of :func:`_gather`: (B, C, M, k) -> (B, C, n), adding
     g[b, :, m, j] into point index[b, m, j].
 
-    A segment sum: edges are sorted by destination point and every run of
-    one destination is summed by one np.add.reduceat. The sort index lives
-    only for this call, so the forward pass keeps nothing but ``index``.
+    One np.bincount per channel over the edges' flat destinations, from a
+    (C, edges) copy of g; bincount sums in float64 and the result is cast
+    back to g's dtype. Nothing but ``index`` is kept from the forward pass.
     """
     b_dim, c = g.shape[:2]
     flat = (index + (np.arange(b_dim, dtype=index.dtype) * n)[:, None, None]).ravel()
-    counts = np.bincount(flat, minlength=b_dim * n)
-    dest = np.flatnonzero(counts)
-    starts = np.zeros(dest.size, dtype=np.intp)
-    np.cumsum(counts[dest][:-1], out=starts[1:])
-    # (C, E) so each run is contiguous, edges in the order of their destination
-    rows = g.reshape(b_dim, c, index.shape[1] * index.shape[2])
-    rows = rows.transpose(1, 0, 2).reshape(c, flat.size)
-    rows = np.take(rows, np.argsort(flat, kind="stable"), axis=1, mode="clip")
-    out = np.zeros((c, b_dim * n), dtype=g.dtype)
-    if dest.size:
-        out[:, dest] = np.add.reduceat(rows, starts, axis=1)
+    rows = np.moveaxis(g, 1, 0).reshape(c, flat.size)
+    out = np.empty((c, b_dim * n), dtype=g.dtype)
+    for ch in range(c):
+        out[ch] = np.bincount(flat, weights=rows[ch], minlength=b_dim * n)
     return out.reshape(c, b_dim, n).transpose(1, 0, 2)
 
 
@@ -288,8 +281,7 @@ def _edge_moments(p: np.ndarray, c: np.ndarray, nbrs: np.ndarray, grad_terms: bo
     b, _, n = p.shape
     k = nbrs.shape[2]
     m = nbrs.size
-    cnt = np.bincount((nbrs + (np.arange(b) * n)[:, None, None]).ravel(),
-                      minlength=b * n).reshape(b, 1, n).astype(np.float64)
+    cnt = _scatter_add(np.ones((b, 1) + nbrs.shape[1:]), nbrs, n)
     mean_p = np.einsum("bon,bzn->o", p, cnt) / m
     mean_c = np.einsum("bon->o", c, dtype=np.float64) / (b * n)
     pc = p - mean_p[:, None]
@@ -312,51 +304,36 @@ def _neighbor_max(p: np.ndarray, c: np.ndarray, nbrs: np.ndarray, scale: np.ndar
     ``T.batch_norm_leaky_max`` routes it, from the per-point P and C,
     (B, C_out, N), and the neighbors nbrs, (B, N, k).
 
-    The max of z on a positive scale, the min on a negative one and edge 0
-    on a zero one: P's max (min) over the neighbors plus C, from gathered
-    rows of a point-major P. Returns (winners, keys), winners (B, C_out, N).
-    When ``recording``, keys holds each winner's (b, channel, neighbor) as
-    a flat index, for the neighbor of the first edge whose z holds the
-    winning value, k - max_j (k - j) [z_j == value]; otherwise it is None.
+    ``T._blocked_winners`` of the neighbors' rows of a point-major
+    P * sign(scale); a zero scale takes edge 0. Rounded P[m] + C[i] never
+    decreases in P[m], so the signed z's max is the signed P's max plus the
+    signed C, added to every edge only when ``recording`` needs the winning
+    edge. Returns (winners, keys): winners (B, C_out, N) and, when
+    ``recording``, each winner's (b, channel, neighbor) as a flat index
+    (otherwise None).
     """
     b, c_out, n = p.shape
     k = nbrs.shape[2]
+    sign = np.sign(scale).astype(p.dtype)
     p_rows, c_rows = (np.ascontiguousarray(h.transpose(0, 2, 1)).reshape(b * n, c_out)
                       for h in (p, c))
+    signed, c_signed = p_rows * sign, c_rows * sign
     rows = nbrs.reshape(b * n, k) + np.repeat(np.arange(b) * n, n)[:, None]
-    flip = (scale < 0).any()
-    sign = np.where(scale < 0, -1, 1).astype(p.dtype)
-    signed = p_rows * sign if flip else p_rows
-    zero = np.flatnonzero(scale == 0)
-    best = np.empty_like(p_rows)
-    # neighbors' rows of a block of points, about T._MAX_BLOCK_VALUES values
-    step = max(1, T._MAX_BLOCK_VALUES // (k * c_out))
-    scratch = np.empty((min(step, b * n), k, c_out), dtype=p.dtype)
-    if recording:
-        c_signed = c_rows * sign if flip else c_rows
-        first = (k - np.arange(k, dtype=np.min_scalar_type(k)))[:, None]
-        hits = np.empty(scratch.shape, dtype=bool)
-        ranks = np.empty(scratch.shape, dtype=first.dtype)
-        win = np.empty(best.shape, dtype=first.dtype)
-    for lo in range(0, b * n, step):
-        hi = min(lo + step, b * n)
-        block = np.take(signed, rows[lo:hi], axis=0, out=scratch[:hi - lo], mode="clip")
-        top = np.maximum.reduce(block, axis=1, out=best[lo:hi])
-        if zero.size:
-            top[:, zero] = block[:, 0, zero]
-        if flip:
-            top *= sign
-        top += c_rows[lo:hi]  # the winners' values
+
+    def fill(block, lo, hi):
+        np.take(signed, rows[lo:hi].T, axis=0, out=block, mode="clip")
         if recording:
-            block += c_signed[lo:hi, None]  # every edge's z, times sign
-            eq = np.equal(block, (top * sign if flip else top)[:, None], out=hits[:hi - lo])
-            np.maximum.reduce(np.multiply(eq, first, out=ranks[:hi - lo]), axis=1,
-                              out=win[lo:hi])
+            block += c_signed[lo:hi]  # every edge's signed z
+
+    best, edge = T._blocked_winners(fill, b * n, c_out, k, p.dtype, recording)
+    if not recording:
+        best += c_signed
+    best *= sign
+    zero = np.flatnonzero(sign == 0)
+    best[:, zero] = p_rows[rows[:, :1], zero] + c_rows[:, zero]
     winners = np.ascontiguousarray(best.reshape(b, n, c_out).transpose(0, 2, 1))
     if not recording:
         return winners, None
-    edge = np.subtract(k, win, dtype=np.intp)
-    edge[edge == k] = 0  # no edge equals a NaN winner: its rank 0 goes to edge 0
     edge += (np.arange(b * n) * k)[:, None]
     keys = np.ascontiguousarray(np.take(nbrs, edge).reshape(b, n, c_out).transpose(0, 2, 1))
     keys += (np.arange(b * c_out) * n).reshape(b, c_out, 1)
@@ -379,11 +356,11 @@ def edge_conv(x: Tensor, idx: NeighborIndex, weight: Tensor, gamma: Tensor, beta
     Returns:
         (B, C_out, N), bit for bit for finite values. Edge (i, j) responds
         z = P[m] + C[i] to its neighbor m, with per-point products P = W_a x
-        and C = (W_b - W_a) x. Rounded P[m] + C[i] never decreases in P[m],
-        so each point's winner comes from P alone (:func:`_neighbor_max`),
-        and train-mode statistics and their gradient from sums over points
-        (:func:`_edge_moments`); the gradient at each winner goes to its
-        neighbor by one bincount.
+        and C = (W_b - W_a) x. Each point's winner comes from the blocked
+        max of ``T.batch_norm_leaky_max`` over the gathered P
+        (:func:`_neighbor_max`), and train-mode statistics and their
+        gradient from sums over points (:func:`_edge_moments`); the gradient
+        at each winner goes to its neighbor by one bincount.
     """
     _check_points(x, idx, "edge_conv")
     c_out = _check_weight(x, weight, "edge_conv")

@@ -453,44 +453,64 @@ def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     return _make(out, (x,), lambda g: (_leaky_grad(neg_mask, s, g),))
 
 
-# Values per block of the max over k (here and in graph.edge_conv): a
-# scratch of about 256 KB in f32, small enough to stay in cache while it is
-# reduced.
+# Values per block of the max over k and of graph's adjacency products:
+# about 256 KB in f32, small enough to stay in cache while it is reduced.
 _MAX_BLOCK_VALUES = 1 << 16
 
 
-def _winning_values(xd: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """The value of each point's winning edge, as :func:`batch_norm_leaky_max`
-    routes it, without its index: (B, C, N, k) -> (B, C, N).
-
-    The max over k on a positive scale, the min (the negated max of -x) on a
-    negative one, and edge 0 on a zero scale: bit for bit the reference's
-    winner for finite x, NaN for a row holding a NaN. A max over rows of k
-    values runs k-element reductions one row at a time, so rows are copied a
-    block at a time, transposed, into one (k, rows) scratch, whose max over
-    axis 0 is k - 1 elementwise passes over contiguous rows.
+def _blocked_winners(fill, groups: int, width: int, k: int, dtype, recording: bool):
+    """Max over axis 0 of a (k, groups, width) array that ``fill(block, lo,
+    hi)`` writes for groups [lo, hi), a block of about ``_MAX_BLOCK_VALUES``
+    values (at least one group) at a time, so the k - 1 elementwise passes
+    run over contiguous rows in cache. Returns (best, edge), both (groups,
+    width). With ``recording``, edge is each column's winning row, the first
+    that holds the max, k - max_j (k - j) [row_j == max]; a NaN max equals
+    no row and goes to row 0. Otherwise edge is None.
     """
+    best = np.empty((groups, width), dtype=dtype)
+    step = max(1, _MAX_BLOCK_VALUES // (k * width))
+    scratch = np.empty(k * min(step, groups) * width, dtype=dtype)
+    first = (k - np.arange(k, dtype=np.min_scalar_type(k))).reshape(k, 1, 1)
+    win = np.empty(best.shape, dtype=first.dtype) if recording else None
+    for lo in range(0, groups, step):
+        hi = min(lo + step, groups)
+        block = scratch[:k * (hi - lo) * width].reshape(k, hi - lo, width)
+        fill(block, lo, hi)
+        top = np.maximum.reduce(block, axis=0, out=best[lo:hi])
+        if recording:
+            np.maximum.reduce((block == top) * first, axis=0, out=win[lo:hi])
+    if not recording:
+        return best, None
+    edge = np.subtract(k, win, dtype=np.intp)
+    edge[edge == k] = 0  # no row holds a NaN max
+    return best, edge
+
+
+def _winning_values(xd: np.ndarray, scale: np.ndarray, recording: bool):
+    """Each point's winning edge, as :func:`batch_norm_leaky_max` routes it:
+    (B, C, N, k) -> (B, C, N) values and, when ``recording``, flat indices
+    into x. :func:`_blocked_winners` of the rows of x * sign(scale) (a plain
+    copy when every scale is positive); a zero scale takes edge 0."""
     b_dim, c, n, k = xd.shape
     rows = xd.reshape(-1, k)
-    picked = np.empty(rows.shape[0], dtype=xd.dtype)
-    step = max(1, _MAX_BLOCK_VALUES // k)
-    scratch = np.empty(min(step, rows.shape[0]) * k, dtype=xd.dtype)
-    sign = None
-    if not (scale > 0).all():
-        sign = np.repeat(np.tile(np.sign(scale).astype(xd.dtype), b_dim), n)
-    for lo in range(0, rows.shape[0], step):
-        hi = min(lo + step, rows.shape[0])
-        block = scratch[:(hi - lo) * k].reshape(k, hi - lo)
-        if sign is None:
+    sign = np.sign(scale).astype(xd.dtype)
+    row_sign = None if (sign > 0).all() else np.repeat(np.tile(sign, b_dim), n)
+
+    def fill(block, lo, hi):
+        block = block.reshape(k, hi - lo)
+        if row_sign is None:
             np.copyto(block, rows[lo:hi].T)
         else:
-            np.multiply(rows[lo:hi].T, sign[lo:hi], out=block)
-        np.maximum.reduce(block, axis=0, out=picked[lo:hi])
-    if sign is not None:
-        picked *= sign
-        zero = sign == 0
-        picked[zero] = rows[zero, 0]
-    return picked.reshape(b_dim, c, n)
+            np.multiply(rows[lo:hi].T, row_sign[lo:hi], out=block)
+
+    picked, edge = _blocked_winners(fill, rows.shape[0], 1, k, xd.dtype, recording)
+    picked = picked.reshape(b_dim, c, n)
+    if row_sign is not None:
+        picked *= sign.reshape(1, c, 1)
+        picked[:, sign == 0] = xd[..., 0][:, sign == 0]
+    if edge is not None:
+        edge = edge.reshape(-1) + np.arange(0, xd.size, k)
+    return picked, edge
 
 
 def batch_norm_leaky_max(x: Tensor, gamma: Tensor, beta: Tensor,
@@ -504,19 +524,15 @@ def batch_norm_leaky_max(x: Tensor, gamma: Tensor, beta: Tensor,
     Batch norm then leaky relu is, per channel, a map of x that never
     decreases when the scale gamma / sigma is >= 0 and never increases when it
     is < 0, and rounding keeps that true. So the max over k of the map is the
-    map of the edge that maximizes x * sign(scale): the first maximum of x,
-    the first minimum on a negative scale, and edge 0 on a zero scale, as the
-    reference routes it. Statistics and the running-buffer update come from
-    every edge, as in :func:`batch_norm`; only the (B, C, N) winners are
-    normalized and activated. :func:`_winning_values` takes the winners'
-    values block by block; when a graph is recorded, the winner's index is
-    the first edge that holds its value. Backward writes one dense
-    dx = x * a + b per channel, the batch-statistics terms, and adds the
-    routed gradient at the winning edges; besides x it keeps only (B, C, N)
-    arrays: the winners' index, their centred values and their activation
-    mask. Bit for bit holds for finite x: a row holding a NaN wins NaN,
-    which equals no edge, so its gradient goes to edge 0, not to the first
-    NaN as in the reference.
+    map of the reference's winner (:func:`_winning_values`). Statistics and
+    the running-buffer update come from every edge, as in :func:`batch_norm`;
+    only the (B, C, N) winners are normalized and activated. Backward writes
+    one dense dx = x * a + b per channel, the batch-statistics terms, and
+    adds the routed gradient at the winning edges; besides x it keeps only
+    (B, C, N) arrays: the winners' index, their centred values and their
+    activation mask. Bit for bit holds for finite x: a row holding a NaN
+    wins NaN, so its gradient goes to edge 0, not to the first NaN as in
+    the reference.
     """
     if x.ndim != 4:
         raise ShapeError(f"batch_norm_leaky_max expects (B, C, N, k), got {x.shape}")
@@ -528,13 +544,11 @@ def batch_norm_leaky_max(x: Tensor, gamma: Tensor, beta: Tensor,
         raise InvalidInputError(f"cannot reduce empty axis 3 of shape {x.shape}")
     _, mu, ivar, scale, _, _ = _norm_stats(
         x, gamma, beta, running_mean, running_var, mode, momentum, epsilon, False)
-    picked = _winning_values(xd, scale)
+    recording = _recording(x, gamma, beta)
+    picked, winners = _winning_values(xd, scale, recording)
     centred, z, out = _activate_winners(picked, mu, scale, beta, s)
-    if not _recording(x, gamma, beta):
+    if not recording:
         return _make(out, (x, gamma, beta), None)
-    # flat index of each point's winning edge: the first edge holding its value
-    winners = np.argmax(xd.reshape(-1, k) == picked.reshape(-1, 1), axis=1)
-    winners += np.arange(0, xd.size, k)
     neg_mask = z < 0
 
     def back(g):

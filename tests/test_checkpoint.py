@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adaptgraph import checkpoint
 from adaptgraph.checkpoint import (FORMAT_VERSION, load_checkpoint, load_state,
                                    save_checkpoint, state_dict)
 from adaptgraph.errors import ConfigError, DataError
@@ -102,6 +103,44 @@ def test_model_round_trip_preserves_logits(tmp_path):
     manifest, state = load_checkpoint(path)
     load_state(fresh, state)
     np.testing.assert_array_equal(fresh.eval()(x).data, want)
+
+
+def test_failing_save_keeps_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, some_state(), {"kind": "checkpoint"})
+    before = path.read_bytes()
+
+    class FailingFile:
+        """A file whose third write raises, as a full disk would."""
+
+        def __init__(self, f):
+            self.f, self.writes = f, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 3:
+                raise OSError("no space left on device")
+            return self.f.write(data)
+
+    monkeypatch.setattr(checkpoint, "open", lambda *a: FailingFile(open(*a)), raising=False)
+    bigger = {**some_state(), "extra": np.ones(1000, dtype=np.float32)}
+    with pytest.raises(OSError, match="no space"):
+        save_checkpoint(path, bigger, {"kind": "checkpoint"})
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.bin"]
+    # a save that succeeds replaces the file with exactly its own bytes
+    save_checkpoint(path, bigger, {"kind": "checkpoint"})
+    fresh = tmp_path / "fresh.bin"
+    save_checkpoint(fresh, bigger, {"kind": "checkpoint"})
+    assert path.read_bytes() == fresh.read_bytes() != before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.bin", "fresh.bin"]
 
 
 def test_unsupported_blob_dtype_rejected(tmp_path):

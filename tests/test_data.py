@@ -1,6 +1,8 @@
 """Data pipeline: frame normalization, windowing, splits, the synthetic
 generator's kinematics, streaming assembly, and the on-disk frame format."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,12 @@ def test_split_guards():
         split(make_samples(20), (0.5, 0.2, 0.2), seed=0)
     with pytest.raises(ConfigError):
         split(make_samples(20), (1.0, 0.0, 0.0), seed=0)
+    # the same ratio check as PipelineConfig: a NaN anywhere is a ConfigError
+    for ratios in ((0.5, math.nan, 0.5), (math.nan, 0.5, 0.5)):
+        with pytest.raises(ConfigError, match="positive finite"):
+            split(make_samples(20), ratios, seed=0)
+        with pytest.raises(ConfigError, match="positive finite"):
+            PipelineConfig(split_ratios=ratios)
 
 
 # ---------------------------------------------------------------------

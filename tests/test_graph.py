@@ -356,6 +356,27 @@ def test_edge_conv_train_matches_composition(case, dtype, blocks):
                                    err_msg=name)
 
 
+@pytest.mark.parametrize("gamma", [1.5, -0.5])
+def test_edge_conv_routes_a_nan_row_to_edge_0(gamma, blocks):
+    # W_a = W_b = 1 on one channel: z = x[m], and the gradient at x is the
+    # per-point P's, so each point's winner shows as one scale in dx[m]
+    x = np.random.default_rng(13).uniform(0.5, 1.5, size=(1, 1, 6))
+    x[0, 0, 4] = np.nan
+    indices = np.array([[[0, 1, 2], [1, 4, 0], [2, 3, 5], [3, 2, 4],
+                         [4, 0, 5], [5, 3, 1]]])  # rows 1, 3 and 4 see the NaN
+    idx = NeighborIndex(indices=indices, k=3, n_points=6)
+    leaves = [Tensor(a, requires_grad=True) for a in (x, [[1.0, 1.0]], [gamma], [10.0])]
+    out = graph.edge_conv(leaves[0], idx, *leaves[1:], np.zeros(1), np.ones(1), "eval")
+    assert np.isnan(out.data[0, 0]).tolist() == [False, True, False, True, True, False]
+    T.reduce_sum(out).backward()
+    z = x[0, 0, indices[0]] * np.sign(gamma)
+    edge = np.where(np.isnan(z).any(axis=1), 0, np.argmax(z, axis=1))
+    winners = indices[0, np.arange(6), edge]
+    scale = gamma / np.sqrt(1.0 + 1e-5)
+    np.testing.assert_allclose(leaves[0].grad[0, 0],
+                               scale * np.bincount(winners, minlength=6), rtol=1e-12)
+
+
 def test_grad_edge_conv():
     rng = np.random.default_rng(21)
     x = rng.normal(size=(2, 3, 8))

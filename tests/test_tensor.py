@@ -312,6 +312,27 @@ def test_batch_norm_leaky_max_gradients_match_composition(gammas, mode, monkeypa
                                        err_msg=name)
 
 
+@pytest.mark.parametrize("block_values", [None, 1], ids=["default-blocks", "one-row-blocks"])
+def test_batch_norm_leaky_max_routes_a_nan_row_to_edge_0(block_values, monkeypatch):
+    if block_values is not None:
+        monkeypatch.setattr(T, "_MAX_BLOCK_VALUES", block_values)
+    rng = np.random.default_rng(12)
+    x = rng.uniform(0.5, 1.5, size=(2, 2, 3, 5))
+    x[0, 0, 1, 3] = np.nan  # positive scale
+    x[1, 1, 2, 2] = np.nan  # negative scale
+    # first edge of the max of x * sign(gamma), or edge 0 for a NaN row
+    want = np.where(np.isnan(x).any(axis=3), 0,
+                    np.argmax(x * np.array([1.0, -1.0])[None, :, None, None], axis=3))
+    args = [leaf(x), leaf([1.5, -0.5]), leaf([10.0, 10.0])]  # every z > 0
+    out = T.batch_norm_leaky_max(*args, np.zeros(2), np.ones(2), "eval")
+    assert np.isnan(out.data[0, 0, 1]) and np.isnan(out.data[1, 1, 2])
+    assert np.isfinite(out.data).sum() == out.size - 2
+    T.reduce_sum(out).backward()
+    hit = np.zeros(x.shape, dtype=bool)
+    np.put_along_axis(hit, want[..., None], True, axis=3)
+    np.testing.assert_array_equal(args[0].grad != 0, hit)
+
+
 def test_grad_batch_norm_leaky_max():
     inputs = [rand(4, 3, 5, 6), np.array([1.2, -0.8, 0.6]), rand(3, seed=2)]
     check_grads(lambda a, g, b: T.batch_norm_leaky_max(a, g, b, None, None, "train"),
