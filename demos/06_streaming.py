@@ -1,8 +1,9 @@
 """Frame-by-frame inference with the streaming assembler.
 
-The batch pipeline and the stream assembler share one frame-keyed RNG, so a
-prediction made live, frame by frame, is bit-identical to the one you would
-get by windowing the recorded sequence after the fact.
+Batch windowing runs through the same stream assembler, whose frame-keyed
+RNG makes a frame normalize the same wherever it is met, so a prediction made
+live, frame by frame, is bit-identical to the one you would get by windowing
+the recorded sequence after the fact.
 """
 
 import numpy as np

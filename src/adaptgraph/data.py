@@ -10,9 +10,10 @@ Frame indices must run 0, 1, 2, ... with no gaps; subject -1 means unknown.
 A dataset manifest is a text file listing one frame-file path per line
 (relative to the manifest's directory); blank lines and #-comments skipped.
 
-Per-frame randomness (subsampling of crowded frames) is keyed by
-(seed, sequence id, frame index), so a frame normalizes identically whether
-it is met in batch windowing, an overlapping window, or the live stream.
+Windows are built in one place, StreamAssembler: the live stream pushes frames
+into it and make_windows drives one per sequence. Per-frame randomness
+(subsampling of crowded frames) is keyed by (seed, sequence id, frame index),
+so a frame normalizes identically in a batch window and in the live stream.
 """
 
 from __future__ import annotations
@@ -103,22 +104,19 @@ def normalize_frame(points: np.ndarray, p: int, rng: np.random.Generator) -> np.
 
 def make_windows(seq: FrameSequence, window_frames: int, stride: int,
                  points_per_frame: int, seed: int) -> List[Sample]:
-    """Slide a window of T frames by `stride`; each window stacks its frames'
-    normalized points into one (C, T*P) sample. Short sequences yield []."""
-    if window_frames < 1 or stride < 1:
-        raise ConfigError("window_frames and stride must be >= 1")
-    f = len(seq.frames)
-    if f < window_frames:
-        return []
-    c = seq.channels()
+    """Slide a window of T frames by `stride`, each a (C, T*P) sample, through
+    one StreamAssembler: batch and stream windows share one path, and each
+    frame a window holds is normalized once. Short sequences yield []."""
+    if stride < 1:
+        raise ConfigError(f"stride must be >= 1, got {stride}")
+    asm = StreamAssembler(window_frames, points_per_frame, seed, seq.seq_id, seq.label)
     samples = []
-    for start in range(0, f - window_frames + 1, stride):
-        parts = []
-        for i in range(window_frames):
-            g = frame_rng(seed, seq.seq_id, start + i)
-            parts.append(normalize_frame(seq.frames[start + i], points_per_frame, g))
-        stacked = np.concatenate(parts, axis=0)          # (T*P, C)
-        samples.append(Sample(tensor=np.ascontiguousarray(stacked.T), label=seq.label))
+    for start in range(0, len(seq.frames) - window_frames + 1, stride):
+        if start > asm.frames_seen:      # stride > T: skip the unused frames
+            asm.restart(start)
+        for i in range(asm.frames_seen, start + window_frames):
+            sample = asm.push(seq.frames[i], i)
+        samples.append(sample)
     return samples
 
 
@@ -228,8 +226,8 @@ def synth_generate(spec: SynthSpec, seed: int) -> List[FrameSequence]:
 
 class StreamAssembler:
     """Ring buffer of the last T normalized frames; emits a sliding Sample per
-    frame once warm. Matches make_windows(stride=1) bit for bit because frame
-    normalization is keyed by frame index, not arrival order."""
+    frame once warm. The one window builder: make_windows drives one per
+    sequence, and normalization is keyed by frame index, not arrival order."""
 
     def __init__(self, window_frames: int, points_per_frame: int,
                  seed: int, seq_id: int = 0, label: int = -1):

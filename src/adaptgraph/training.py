@@ -48,6 +48,8 @@ class TrainConfig:
             if isinstance(v, bool) or not isinstance(v, kind):
                 what = "an integer" if kind is numbers.Integral else "a number"
                 raise ConfigError(f"{name} must be {what}, got {v!r}")
+            if not -math.inf < v < math.inf:
+                raise ConfigError(f"{name} must be finite, got {v!r}")
         if not self.lr_max > self.lr_min >= 0:
             raise ConfigError(
                 f"need lr_max > lr_min >= 0, got lr_max={self.lr_max}, lr_min={self.lr_min}")

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from adaptgraph import data
 from adaptgraph.data import (PRESETS, FrameSequence, PipelineConfig, Sample,
                              StreamAssembler, SynthSpec, build_samples,
                              class_drift, frame_rng, make_windows,
@@ -109,6 +110,66 @@ def test_overlapping_windows_resample_consistently():
     a = samples[0].tensor[:, 3 * 6:4 * 6]  # frame 3 inside window 0
     b = samples[3].tensor[:, 0:6]          # frame 3 leading window 3
     np.testing.assert_array_equal(a, b)
+
+
+def oracle_windows(seq, t, stride, p, seed):
+    """Windows built straight from normalize_frame, frame by frame, with no
+    use of make_windows or StreamAssembler."""
+    return [np.concatenate([normalize_frame(seq.frames[i], p, frame_rng(seed, seq.seq_id, i))
+                            for i in range(start, start + t)]).T
+            for start in range(0, len(seq.frames) - t + 1, stride)]
+
+
+def varied_frames(n, lo, hi, seed=0):
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=(rng.integers(lo, hi + 1), 3)).astype(np.float32)
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("t,stride", [(5, 2), (5, 5), (5, 7), (1, 1), (1, 3)],
+                         ids=["stride<T", "stride=T", "stride>T", "T=1", "T=1,stride=3"])
+@pytest.mark.parametrize("lo,hi", [(10, 30), (0, 4)], ids=["crowded", "sparse"])
+@pytest.mark.parametrize("seq_id", [0, 3])
+def test_windows_equal_the_per_frame_oracle_bytewise(t, stride, lo, hi, seq_id):
+    seq = seq_of(varied_frames(23, lo, hi, seed=seq_id), label=4, seq_id=seq_id)
+    got = make_windows(seq, t, stride, 6, seed=9)
+    want = oracle_windows(seq, t, stride, 6, seed=9)
+    assert len(got) == len(want) == (23 - t) // stride + 1
+    for g, w in zip(got, want):
+        assert g.label == 4
+        assert g.tensor.dtype == np.float32 and g.tensor.flags.c_contiguous
+        assert g.tensor.shape == w.shape == (3, t * 6)
+        assert g.tensor.tobytes() == w.tobytes()
+
+
+def test_windows_normalize_each_used_frame_once(monkeypatch):
+    calls = []
+
+    def counting(points, p, rng):
+        calls.append(len(calls))
+        return normalize_frame(points, p, rng)
+
+    monkeypatch.setattr(data, "normalize_frame", counting)
+    seq = seq_of(varied_frames(300, 8, 24))
+    assert len(make_windows(seq, 60, 1, 16, seed=0)) == 241
+    assert len(calls) == 300
+    calls.clear()
+    # stride > T: frames 5, 6, 12, 13, ... lie in no window and are skipped
+    assert len(make_windows(seq_of(varied_frames(30, 8, 24)), 5, 7, 16, seed=0)) == 4
+    assert len(calls) == 20
+
+
+def test_windows_reject_invalid_arguments_as_the_assembler_does():
+    seq = seq_of(random_frames(8, 5))
+    with pytest.raises(ConfigError, match="points_per_frame must be >= 1"):
+        make_windows(seq, 4, 1, 0, seed=0)
+    with pytest.raises(ConfigError, match="seed and seq_id must be >= 0"):
+        make_windows(seq, 4, 1, 4, seed=-1)
+    with pytest.raises(ConfigError, match="stride must be >= 1"):
+        make_windows(seq, 4, 0, 4, seed=0)
+    mixed = seq_of(random_frames(3, 5) + random_frames(3, 5, c=2))
+    with pytest.raises(DataError, match="frame 3 has 2 channels"):
+        make_windows(mixed, 4, 1, 4, seed=0)
 
 
 def test_build_samples_concatenates_sequences():

@@ -85,6 +85,19 @@ def test_config_codec_names_unknown_and_malformed_fields():
         config_from_dict({**d, "split_ratios": 5}, PipelineConfig)
     with pytest.raises(ConfigError, match="JSON object"):
         config_from_dict(None, SynthSpec)
+    # lossy coercions are refused, not rounded: a bool for a number, a
+    # fractional float for an int, in scalars and list elements alike
+    m = config_to_dict(ModelConfig())
+    for field, v in (("k", 2.5), ("k", True), ("dropout", False),
+                     ("stage_widths", [64, 64.5, 128, 256]), ("fc_widths", [512, True])):
+        with pytest.raises(ConfigError, match=f"'{field}' is malformed"):
+            config_from_dict({**m, field: v})
+    with pytest.raises(ConfigError, match="'window_frames' is malformed: expected an integer"):
+        config_from_dict({**d, "window_frames": 59.7}, PipelineConfig)
+    with pytest.raises(ConfigError, match="'frames' is malformed: expected a number"):
+        config_from_dict({**config_to_dict(SynthSpec()), "frames": True}, SynthSpec)
+    # an integral float is exact, so it still decodes
+    assert config_from_dict({**m, "k": 7.0}).k == 7
 
 
 # --- codec properties: every config the checkpoints and manifests carry ---

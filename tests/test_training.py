@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from adaptgraph import cli
 from adaptgraph.data import Sample
 from adaptgraph.errors import ConfigError, DataError, DivergenceError, InvalidInputError
 from adaptgraph.network import ModelConfig, build
@@ -293,4 +294,15 @@ def test_train_config_validation():
         TrainConfig(momentum=1.0).validate()
     with pytest.raises(ConfigError):
         TrainConfig(dtype="f16").validate()
+    for name in ("lr_max", "lr_min", "momentum", "weight_decay"):
+        for v in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ConfigError, match=f"{name} must be finite"):
+                TrainConfig(**{name: v})
     TrainConfig().validate()
+
+
+def test_non_finite_learning_rate_flag_exits_2(tmp_path, capsys):
+    argv = ["train", "--preset", "synth", "--limit", "40", "--epochs", "1",
+            "--lr-max", "inf", "--out", str(tmp_path / "run")]
+    assert cli.main(argv) == 2
+    assert "lr_max must be finite" in capsys.readouterr().err
