@@ -7,6 +7,8 @@ Every command echoes its resolved configuration: train/ablate write
 run_manifest.json into the output directory before any compute (and accept
 --replay to rerun it bit-for-bit); the read-only commands print a one-line
 manifest echo on standard error so standard output stays machine-readable.
+Flags that feed a config default to its fields; a replayed manifest's opts
+must hold exactly the keys a fresh run records; train takes --seed or --seeds.
 """
 
 from __future__ import annotations
@@ -43,16 +45,16 @@ def _echo_manifest(manifest: dict) -> None:
 
 
 def _pipeline_from_opts(opts: dict) -> D.PipelineConfig:
-    base = D.preset(opts["preset"]) if opts.get("preset") else D.PipelineConfig()
-    return replace(base, seed=opts.get("data_seed", 0))
+    base = D.preset(opts["preset"]) if opts["preset"] else D.PipelineConfig()
+    return replace(base, seed=opts["data_seed"])
 
 
 def _source_from_opts(opts: dict) -> dict:
-    if opts.get("data"):
+    if opts["data"]:
         return {"kind": "manifest", "path": os.path.abspath(opts["data"])}
-    if opts.get("preset") == "synth":
+    if opts["preset"] == "synth":
         return {"kind": "synth", "spec": config_to_dict(D.SynthSpec()),
-                "seed": opts.get("data_seed", 0)}
+                "seed": opts["data_seed"]}
     raise ConfigError("a dataset is required: pass --data or --preset synth")
 
 
@@ -108,9 +110,9 @@ def _model_config_from_opts(opts: dict, data_shape: tuple, variant: str) -> Mode
     c, n, num_classes = data_shape
     cfg = ModelConfig(
         in_channels=c,
-        k=opts.get("k", 20),
-        num_heads=opts.get("heads", 1),
-        emb_dims=opts.get("emb_dims", 1024),
+        k=opts["k"],
+        num_heads=opts["heads"],
+        emb_dims=opts["emb_dims"],
         num_classes=num_classes,
         variant=Variant.from_string(variant))
     if n < cfg.k:
@@ -132,16 +134,17 @@ def _pct(x: float) -> str:
 # train / ablate
 # ---------------------------------------------------------------------
 
-def _parse_seeds(args) -> list:
-    if getattr(args, "seeds", None):
-        try:
-            seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
-        except ValueError:
-            raise ConfigError(f"--seeds must be a comma list of integers, got {args.seeds!r}")
-        if not seeds:
-            raise ConfigError("--seeds lists no seeds")
-        return seeds
-    return [args.seed]
+def _seed_list(text: str) -> list:
+    """--seeds' type; an empty list is left to _start_run's seeds check."""
+    return [int(s) for s in text.split(",") if s.strip()]
+
+
+def _run_opts(args) -> dict:
+    """The opts a train/ablate run records, and all a replay may hold: every
+    flag but --replay, the seeds as one list."""
+    opts = {k: v for k, v in vars(args).items() if k not in ("command", "func", "replay", "seed")}
+    opts["seeds"] = [args.seed] if getattr(args, "seeds", None) is None else args.seeds
+    return opts
 
 
 def _start_run(args, default_out: str):
@@ -159,30 +162,32 @@ def _start_run(args, default_out: str):
         opts = manifest.get("opts")
         if not isinstance(opts, dict):
             raise ConfigError(f"run manifest opts must be a JSON object, got {opts!r}")
+        keys = set(_run_opts(args))
+        if set(opts) != keys:
+            raise ConfigError(f"run manifest opts must hold the keys {args.command} records: "
+                              f"missing {sorted(keys - set(opts))}, "
+                              f"unknown {sorted(set(opts) - keys)}")
         if args.out:
             opts = {**opts, "out": args.out}
         spec = {"pipeline_config": manifest.get("pipeline_config"),
                 "data_source": manifest.get("data_source")}
     else:
-        opts = {k: v for k, v in vars(args).items()
-                if k not in ("command", "func", "replay", "seed")}
-        opts["seeds"] = _parse_seeds(args)
+        opts = _run_opts(args)
         spec = {"pipeline_config": config_to_dict(_pipeline_from_opts(opts)),
                 "data_source": _source_from_opts(opts)}
     # checked before any seed trains
-    seeds = opts.get("seeds")
+    seeds = opts["seeds"]
     if (not isinstance(seeds, list) or not seeds
             or any(isinstance(s, bool) or not isinstance(s, int) or s < 0 for s in seeds)):
         raise ConfigError(f"seeds must be a non-empty list of integers >= 0, got {seeds!r}")
-    if not isinstance(opts.get("out"), (str, type(None))):
+    if not isinstance(opts["out"], (str, type(None))):
         raise ConfigError(f"out must be a string or null, got {opts['out']!r}")
-    spec["limit"] = opts.get("limit") or 0
+    spec["limit"] = opts["limit"] or 0
     samples, splits = materialize(spec)
     tcfg = TrainConfig(
-        lr_max=opts.get("lr_max", 0.1), batch_size=opts.get("batch", 32),
-        max_epochs=opts.get("epochs", 250), patience=opts.get("patience", 30),
-        seed=opts["seeds"][0], dtype=opts.get("dtype", "f32"))
-    out_dir = opts.get("out") or default_out
+        lr_max=opts["lr_max"], batch_size=opts["batch"], max_epochs=opts["epochs"],
+        patience=opts["patience"], seed=seeds[0], dtype=opts["dtype"])
+    out_dir = opts["out"] or default_out
     return opts, spec, _infer_data_shape(samples), splits, tcfg, out_dir
 
 
@@ -216,8 +221,7 @@ def _run_one_seed(spec, seed, run_dir, mcfg, tcfg, splits):
 
 def cmd_train(args) -> int:
     opts, spec, data_shape, splits, tcfg, out_dir = _start_run(args, "runs/train")
-    mcfg = _model_config_from_opts(
-        opts, data_shape, opts.get("variant", Variant.SEQUENTIAL_FF.value))
+    mcfg = _model_config_from_opts(opts, data_shape, opts["variant"])
     seeds = opts["seeds"]
     _write_run_manifest(
         out_dir, "train", opts, spec, splits,
@@ -436,27 +440,29 @@ def cmd_cost(args) -> int:
 # parser / entry point
 # ---------------------------------------------------------------------
 
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    """Flags that train and ablate share; every one is recorded in the run manifest."""
+def _add_run_flags(p: argparse.ArgumentParser):
+    """Flags train and ablate share, all recorded in the run manifest; returns --seed's group."""
     p.add_argument("--data", help="dataset manifest (one frame-file path per line)")
     p.add_argument("--preset", choices=sorted(D.PRESETS),
                    help="pipeline preset; 'synth' also provides generated data")
-    p.add_argument("--data-seed", type=int, default=0,
+    p.add_argument("--data-seed", type=int, default=D.PipelineConfig.seed,
                    help="seed for synthesis, frame subsampling, and the split")
     p.add_argument("--limit", type=int, default=0,
                    help="cap the number of windowed samples (0 = no cap)")
-    p.add_argument("--k", type=int, default=20)
-    p.add_argument("--heads", type=int, default=1)
-    p.add_argument("--emb-dims", type=int, default=1024, dest="emb_dims")
-    p.add_argument("--lr-max", type=float, default=0.1, dest="lr_max")
-    p.add_argument("--epochs", type=int, default=250)
-    p.add_argument("--patience", type=int, default=30)
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--dtype", choices=("f32", "f64"), default="f32")
+    p.add_argument("--k", type=int, default=ModelConfig.k)
+    p.add_argument("--heads", type=int, default=ModelConfig.num_heads)
+    p.add_argument("--emb-dims", type=int, default=ModelConfig.emb_dims)
+    p.add_argument("--lr-max", type=float, default=TrainConfig.lr_max)
+    p.add_argument("--epochs", type=int, default=TrainConfig.max_epochs)
+    p.add_argument("--patience", type=int, default=TrainConfig.patience)
+    p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--dtype", choices=("f32", "f64"), default=TrainConfig.dtype)
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--replay", default=None,
                    help="rerun a previous run_manifest.json verbatim")
+    seed = p.add_mutually_exclusive_group()
+    seed.add_argument("--seed", type=int, default=TrainConfig.seed)
+    return seed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -466,12 +472,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    variants = [v.value for v in Variant]
     p = sub.add_parser("train", help="train a model and save the best checkpoint")
-    _add_run_flags(p)
-    p.add_argument("--variant", choices=[v.value for v in Variant],
-                   default=Variant.SEQUENTIAL_FF.value)
-    p.add_argument("--seeds", default=None,
-                   help="comma list; runs once per seed and prints mean ± std")
+    _add_run_flags(p).add_argument(
+        "--seeds", type=_seed_list, default=None,
+        help="comma list; runs once per seed and prints mean ± std")
+    p.add_argument("--variant", choices=variants, default=ModelConfig.variant.value)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint and print metrics")
@@ -479,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", default=None, help="override the recorded data manifest")
     p.add_argument("--split", choices=("train", "val", "test", "all"), default="test")
     p.add_argument("--average", choices=("weighted", "macro"), default="weighted")
-    p.add_argument("--batch", type=int, default=32)
+    p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
     p.add_argument("--out", default=None,
                    help="directory for confusion.csv/metrics.json (default: next to checkpoint)")
     p.set_defaults(func=cmd_eval)
@@ -491,13 +497,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("cost", help="report analytical MACs and parameter counts")
-    p.add_argument("--k", type=int, default=20)
-    p.add_argument("--heads", type=int, default=1)
-    p.add_argument("--variant", choices=[v.value for v in Variant],
-                   default=Variant.SEQUENTIAL_FF.value)
-    p.add_argument("--emb-dims", type=int, default=1024, dest="emb_dims")
-    p.add_argument("--classes", type=int, default=5)
-    p.add_argument("--in-channels", type=int, default=3, dest="in_channels")
+    p.add_argument("--k", type=int, default=ModelConfig.k)
+    p.add_argument("--heads", type=int, default=ModelConfig.num_heads)
+    p.add_argument("--emb-dims", type=int, default=ModelConfig.emb_dims)
+    p.add_argument("--variant", choices=variants, default=ModelConfig.variant.value)
+    p.add_argument("--classes", type=int, default=ModelConfig.num_classes)
+    p.add_argument("--in-channels", type=int, default=ModelConfig.in_channels)
     p.add_argument("--points", type=int, default=1024,
                    help="N used for the MACs figure")
     p.add_argument("--k-sweep", default=None, dest="k_sweep",
@@ -518,7 +523,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, InvalidInputError) as e:
+    except (ConfigError, InvalidInputError, MemoryError) as e:  # a size no machine holds
         print(f"error: {e}", file=sys.stderr)
         return 2
     except DivergenceError as e:

@@ -233,15 +233,15 @@ def config_to_dict(cfg) -> dict:
 
 
 def _decode_field(v, default):
-    """Coerce one JSON value to the type of a field's default, refusing the
-    lossy coercions: a bool for a number, a fractional float for an int."""
+    """Coerce one JSON value to the type of a field's default, refusing lossy
+    coercions: a bool or a string for a number, a fractional float for an int."""
     if isinstance(default, Variant):
         return Variant.from_string(v)
     if isinstance(default, tuple):
         if not isinstance(v, (list, tuple)):
             raise TypeError(f"expected a list, got {type(v).__name__}")
         return tuple(_decode_field(w, default[0]) for w in v)
-    if isinstance(v, bool):
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise TypeError(f"expected a number, got {v!r}")
     if isinstance(default, int) and isinstance(v, float) and not v.is_integer():
         raise ValueError(f"expected an integer, got {v!r}")

@@ -187,6 +187,20 @@ def test_train_rejects_a_later_negative_seed_before_training(dataset, tmp_path, 
     assert not out.exists()
 
 
+def test_train_seed_and_seeds_are_exclusive(dataset, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(train_args(dataset, tmp_path / "r") + ["--seed", "3", "--seeds", "0,1"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "r").exists()
+
+
+def test_train_rejects_an_empty_seed_list(dataset, tmp_path, capsys):
+    out = tmp_path / "r"
+    assert main(train_args(dataset, out) + ["--seeds", ","]) == 2
+    assert "seeds must be a non-empty list of integers >= 0, got []" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_replay_reproduces_bitwise(dataset, tmp_path):
     first = tmp_path / "first"
     assert main(train_args(dataset, first)) == 0
@@ -294,6 +308,8 @@ MALFORMED_OPTS = {
     "out a number": lambda m: {**m, "opts": {**m["opts"], "out": 5}},
     "emb_dims a bool": lambda m: {**m, "opts": {**m["opts"], "emb_dims": True}},
     "k a bool": lambda m: {**m, "opts": {**m["opts"], "k": True}},
+    "k missing": lambda m: {**m, "opts": _without(m["opts"], "k")},
+    "unknown key": lambda m: {**m, "opts": {**m["opts"], "colour": "red"}},
 }
 
 
@@ -304,6 +320,8 @@ def test_replay_rejects_malformed_opts_with_exit_2(dataset, tmp_path, capsys, co
     assert main(train_args(dataset, out)) == 0
     recorded = json.loads((out / "run_manifest.json").read_text())
     recorded["opts"]["out"] = str(tmp_path / "x")
+    if command == "ablate":
+        del recorded["opts"]["variant"]  # ablate records no variant: it runs all four
     manifest = tmp_path / "bad.json"
     manifest.write_text(json.dumps({**MALFORMED_OPTS[case](recorded), "command": command}))
     capsys.readouterr()
@@ -311,6 +329,21 @@ def test_replay_rejects_malformed_opts_with_exit_2(dataset, tmp_path, capsys, co
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err, err
     assert not (tmp_path / "x").exists()  # nothing trained or recorded
+    if case in ("k missing", "unknown key"):
+        assert {"k missing": "missing ['k']", "unknown key": "unknown ['colour']"}[case] in err
+
+
+# The default model's (10**12, 512) fusion weight needs 3.6 PiB, which no
+# allocator grants, so numpy refuses it before any memory is touched.
+_EMB_DIMS_NO_MACHINE_HOLDS = 10**12
+
+
+def test_train_with_an_embedding_no_machine_holds_exits_2(tmp_path, capsys):
+    assert main(["train", "--preset", "synth", "--limit", "40", "--epochs", "1",
+                 "--emb-dims", str(_EMB_DIMS_NO_MACHINE_HOLDS),
+                 "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Unable to allocate" in err, err
 
 
 # ---------------------------------------------------------------------
@@ -649,10 +682,12 @@ def test_eval_rejects_a_missing_or_malformed_recorded_config(tmp_path, capsys):
                       fc_widths=(8,), num_classes=3, mak_mid_channels=4)
     state = state_dict(build(cfg, seed=0))
     good = config_to_dict(cfg)
+    huge = {**config_to_dict(ModelConfig()), "emb_dims": _EMB_DIMS_NO_MACHINE_HOLDS}
     pipeline = config_to_dict(preset("synth"))
     for manifest, match in (({}, "ModelConfig must be a JSON object"),
                             ({"model_config": 5}, "JSON object"),
                             ({"model_config": {**good, "k": "five"}}, "'k' is malformed"),
+                            ({"model_config": huge}, "Unable to allocate"),
                             ({"model_config": good, "dtype": "i8"}, "dtype"),
                             ({"model_config": good, "pipeline_config": [1]}, "JSON object"),
                             ({"model_config": good, "pipeline_config": pipeline,

@@ -89,11 +89,16 @@ def test_config_codec_names_unknown_and_malformed_fields():
     # fractional float for an int, in scalars and list elements alike
     m = config_to_dict(ModelConfig())
     for field, v in (("k", 2.5), ("k", True), ("dropout", False),
-                     ("stage_widths", [64, 64.5, 128, 256]), ("fc_widths", [512, True])):
+                     ("stage_widths", [64, 64.5, 128, 256]), ("fc_widths", [512, True]),
+                     ("k", "5"), ("dropout", "0.25"), ("stage_widths", ["8", "8", "8", "8"])):
         with pytest.raises(ConfigError, match=f"'{field}' is malformed"):
             config_from_dict({**m, field: v})
     with pytest.raises(ConfigError, match="'window_frames' is malformed: expected an integer"):
         config_from_dict({**d, "window_frames": 59.7}, PipelineConfig)
+    # a numeric string is a string, not a number
+    for field, v in (("window_frames", " 7 "), ("split_ratios", ["0.8", "0.1", "0.1"])):
+        with pytest.raises(ConfigError, match=f"'{field}' is malformed: expected a number"):
+            config_from_dict({**d, field: v}, PipelineConfig)
     with pytest.raises(ConfigError, match="'frames' is malformed: expected a number"):
         config_from_dict({**config_to_dict(SynthSpec()), "frames": True}, SynthSpec)
     # an integral float is exact, so it still decodes
