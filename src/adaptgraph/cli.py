@@ -148,10 +148,16 @@ def _run_opts(args) -> dict:
 
 
 def _start_run(args, default_out: str):
-    """Resolve a train/ablate run from its flags, or with --replay from the
-    opts and run spec a previous run_manifest.json recorded, then materialize
-    its data."""
+    """Resolve a train/ablate run from its flags, or with --replay (and at
+    most --out) from the opts and run spec a previous run_manifest.json
+    recorded, then materialize its data."""
     if args.replay:
+        defaults = vars(build_parser().parse_args([args.command]))
+        ignored = [k for k, v in vars(args).items()
+                   if k not in ("replay", "out") and v != defaults[k]]
+        if ignored:
+            raise ConfigError("--replay reruns the recorded opts and takes only --out; got "
+                              + ", ".join("--" + k.replace("_", "-") for k in ignored))
         with open(args.replay, "r", encoding="utf-8") as f:
             try:
                 manifest = json.load(f)

@@ -194,18 +194,21 @@ def _check_weight(x: Tensor, weight: Tensor, op: str) -> int:
 def _per_point(x: Tensor, weight: Tensor):
     """Returns (stacked, per_point): stacked = [W_a; W_b - W_a], (2 C_out, C),
     and per_point = stacked x, (B, 2 C_out, N), whose first C_out channels are
-    W_a x and the rest (W_b - W_a) x."""
-    c = x.shape[1]
+    W_a x and the rest (W_b - W_a) x. One GEMM on x's channel-major columns,
+    as in ``T.pointwise_linear``."""
+    b, c, n = x.shape
     w_a = weight.data[:, :c]
     stacked = np.concatenate([w_a, weight.data[:, c:] - w_a])
-    return stacked, np.matmul(stacked, x.data)
+    return stacked, T._uncolumns(stacked @ T._columns(x.data), (b, stacked.shape[0], n))
 
 
 def _per_point_back(d_point: np.ndarray, stacked: np.ndarray, x: Tensor):
-    """(dx, dW) from the gradient of :func:`_per_point`'s per_point."""
+    """(dx, dW) from the gradient of :func:`_per_point`'s per_point, one GEMM
+    each."""
     c_out = stacked.shape[0] // 2
-    dx = np.matmul(stacked.T, d_point)
-    d_stacked = np.einsum("bon,bcn->oc", d_point, x.data, optimize=True)
+    gm = T._columns(d_point)
+    dx = T._uncolumns(stacked.T @ gm, x.shape)
+    d_stacked = gm @ T._columns(x.data).T
     d_a, d_diff = d_stacked[:c_out], d_stacked[c_out:]
     return dx, np.concatenate([d_a - d_diff, d_diff], axis=1)
 

@@ -20,8 +20,13 @@ features; edge features serve as the reference form.
 
 An identity residual is the constant kernel I. It adds to b, so the ones
 channel of the operand adds each edge's features x_e themselves, for both
-kinds (structural re-parameterisation, as in RepVGG). Only a projected
-residual forms features of its own, per point for point features.
+kinds (structural re-parameterisation, as in RepVGG). A projected residual
+is folded into the basis the same way: its batch norm is, per channel,
+alpha * (W x_e) + c, so the constant kernel alpha * W adds to b. In train
+mode alpha comes from the batch moments of W x_e (per-point products for
+point features), and c cancels under the output batch norm's batch mean;
+in eval mode c shifts that norm's mean. No residual forms a feature of its
+own.
 """
 
 from __future__ import annotations
@@ -255,9 +260,70 @@ def _contract(coeffs: Tensor, x: Tensor, basis: Tensor,
     return T._make(out, (coeffs, x, basis), back)
 
 
+def _projection_scale(x: Tensor, idx: Optional[graph.NeighborIndex], weight: Tensor,
+                      bn: BatchNorm):
+    """The per-channel scale alpha = gamma / sqrt(var + epsilon) of the batch
+    norm ``bn`` over the projected edges z_e = weight @ x_e, and their mean mu.
+
+    x holds edge features (B, C_in, N, k) or, with ``idx``, point features
+    (B, C_in / 2, N) as in :func:`apply_heads`. Train mode takes mean and
+    biased variance from the batch and updates the running buffers; with
+    point features they come from the per-point P = W_a x and
+    C = (W_b - W_a) x (``graph._edge_moments``), and no edge is formed. Eval
+    mode reads the running buffers. Returns (alpha, mu): alpha a Tensor on
+    (x, weight, gamma), mu an array. In train mode alpha's gradient reaches
+    the edges through the variance alone, as -g alpha ivar^2 (z_e - mu) / m.
+    """
+    gamma, _, running_mean, running_var, mode = bn._state()
+    dt = x.data.dtype
+    c_out = weight.shape[0]
+    parents = (x, weight, gamma)
+    moments = None
+    if mode == "train":
+        recording = T._recording(*parents)
+        if idx is None:  # the reference form: project every edge
+            if x.ndim != 4 or weight.shape[1] != x.shape[1]:
+                raise ShapeError(f"features (B, {weight.shape[1]}, N, k) expected, "
+                                 f"got {x.shape}")
+            xm = T._columns(x.data)
+            z = weight.data @ xm  # (C_out, edges)
+            m = z.shape[1]
+            mean = T._channel_sums(z[None]) / m
+            z -= mean.astype(dt)[:, None]
+            moments = (mean, T._channel_sums(np.square(z)[None]) / m)
+
+            def edge_grads(a):
+                dz = z * a[:, None]
+                return T._uncolumns(weight.data.T @ dz, x.shape), dz @ xm.T
+        else:
+            graph._check_points(x, idx, "projected residual")
+            graph._check_weight(x, weight, "projected residual")
+            m = idx.indices.size
+            stacked, per_point = graph._per_point(x, weight)
+            moments, terms = graph._edge_moments(per_point[:, :c_out], per_point[:, c_out:],
+                                                 idx.indices, recording)
+
+            def edge_grads(a):
+                _, u, v = terms
+                a = a.reshape(1, c_out, 1)
+                return graph._per_point_back(np.concatenate([a * u, a * v], axis=1),
+                                             stacked, x)
+    mu, ivar, alpha = T._norm_scale(moments, gamma, running_mean, running_var, mode,
+                                    bn.momentum, bn.epsilon, dt)
+
+    def back(g):
+        d_gamma = g * ivar
+        if moments is None:  # eval mode: the running buffers are constants
+            return None, None, d_gamma
+        dx, dw = edge_grads((-g * alpha * ivar * ivar / m).astype(dt))
+        return dx, dw, d_gamma
+
+    return T._make(alpha, parents, back), mu
+
+
 class MultiHeadAdaptiveKernel(Module):
-    """The full operator: generate kernels from geometry, filter the features,
-    add the (possibly projected) residual, normalize, activate."""
+    """The full operator: generate kernels from geometry, filter the features
+    with them plus the (possibly projected) residual, normalize, activate."""
 
     def __init__(self, cfg: MakConfig, rng: np.random.Generator,
                  dtype: str = "f32", leaky_slope: float = 0.2):
@@ -291,6 +357,19 @@ class MultiHeadAdaptiveKernel(Module):
                 f"generator expects {self.cfg.gen_in_channels} channels, got {geo.shape[1]}")
         return self.gen(geo)
 
+    def _folded_projection(self, feat: Tensor, idx: Optional[graph.NeighborIndex]):
+        """The projected residual proj_bn(proj(x_e)) = alpha * (W x_e) + c
+        per channel, as (alpha W, c): a constant kernel (C_out * C_in * H,)
+        in conv1's bias layout, at head 0, and the offset
+        c = beta - alpha * mu, (C_out,)."""
+        cfg = self.cfg
+        weight = self.proj.weight.value
+        alpha, mu = _projection_scale(feat, idx, weight, self.proj_bn)
+        kernel = T.mul(T.reshape(alpha, (cfg.out_channels, 1)), weight)
+        head0 = np.eye(1, cfg.num_heads, dtype=feat.data.dtype)  # (1, H): 1 at head 0
+        rows = T.reshape(T.mul(T.reshape(kernel, kernel.shape + (1,)), head0), (-1,))
+        return rows, T.add(self.proj_bn.beta.value, T.mul(alpha, -mu))
+
     def forward(self, geo: Tensor, feat: Tensor,
                 idx: Optional[graph.NeighborIndex] = None) -> Tensor:
         """geo: (B, C_geo, N, k) generator input.
@@ -301,21 +380,23 @@ class MultiHeadAdaptiveKernel(Module):
         (B, C_in / 2, N) whose edge features ``graph_feature(feat, idx)`` are
         filtered without being formed, and the result is
         ``reduce(edge result, 3, "max")``, (B, C_out, N), with BN, activation
-        and max in one op that normalizes only the edges the max keeps. An
-        identity residual rides in conv1's bias as the constant kernel I."""
+        and max in one op that normalizes only the edges the max keeps.
+
+        Both residuals ride in conv1's bias as constant kernels: the identity
+        I, or a projection's alpha W with proj_bn's scale alpha, so no edge
+        tensor of the residual is formed. The projection's per-channel
+        offset c enters ``bn_out`` as a shift of its mean."""
         cfg = self.cfg
         conv1 = self.gen.conv1
         bias = conv1.bias.value
+        shift = None
         if self.eye_rows is not None:
             bias = T.add(bias, self.eye_rows)
+        elif cfg.residual:
+            rows, shift = self._folded_projection(feat, idx)
+            bias = T.add(bias, rows)
         out = apply_heads(self.generate_kernels(geo), feat, conv1.weight.value, bias,
                           cfg.num_heads, cfg.out_channels, idx)
-        if cfg.residual and cfg.in_channels != cfg.out_channels:
-            if idx is None:
-                projected = self.proj_bn(self.proj(feat))
-            else:
-                projected = self.proj_bn(graph.edge_linear(feat, idx, self.proj.weight.value))
-            out = T.add(out, projected)
         if idx is None:
-            return T.leaky_relu(self.bn_out(out), self.slope)
-        return self.bn_out.leaky_max(out, self.slope)
+            return T.leaky_relu(self.bn_out(out, shift), self.slope)
+        return self.bn_out.leaky_max(out, self.slope, shift)

@@ -318,7 +318,8 @@ def count_macs(cfg: ModelConfig, n_points: int) -> int:
     its input points (C_p = C_in / 2 channels) rather than their edge
     features: about C_p * (mid + 1) * C_out MACs per edge for the neighbor
     term plus (mid + 1) * C_out for the center term, instead of
-    mid * full + full, and its projected residual runs per point. A conv
+    mid * full + full, and its projected residual is folded into that map
+    as a constant kernel, costing nothing per edge. A conv
     stage applies its weight per point (:func:`graph.edge_conv`),
     C_in * C_out MACs per point instead of per edge, k times fewer; in
     training its batch statistics add two (N, N) neighbor-adjacency

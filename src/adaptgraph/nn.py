@@ -158,14 +158,16 @@ class BatchNorm(Module):
             raise ShapeError(f"expected {self.channels} channels, got {x.shape}")
         return (x,) + self._state()
 
-    def forward(self, x: Tensor) -> Tensor:
-        return T.batch_norm(*self._args(x), momentum=self.momentum, epsilon=self.epsilon)
+    def forward(self, x: Tensor, shift: Optional[Tensor] = None) -> Tensor:
+        """Normalizes x, or with a (C,) ``shift`` x + shift without forming it."""
+        return T.batch_norm(*self._args(x), momentum=self.momentum, epsilon=self.epsilon,
+                            shift=shift)
 
-    def leaky_max(self, x: Tensor, slope: float) -> Tensor:
-        """``reduce(leaky_relu(self(x), slope), 3, "max")``, (B, C, N, k) ->
-        (B, C, N), without normalizing or activating the edges the max drops."""
-        return T.batch_norm_leaky_max(*self._args(x), slope=slope,
-                                      momentum=self.momentum, epsilon=self.epsilon)
+    def leaky_max(self, x: Tensor, slope: float, shift: Optional[Tensor] = None) -> Tensor:
+        """``reduce(leaky_relu(self(x, shift), slope), 3, "max")``, (B, C, N, k)
+        -> (B, C, N), without normalizing or activating the edges the max drops."""
+        return T.batch_norm_leaky_max(*self._args(x), slope=slope, momentum=self.momentum,
+                                      epsilon=self.epsilon, shift=shift)
 
     def edge_conv(self, points: Tensor, idx: graph.NeighborIndex, weight: Tensor,
                   slope: float) -> Tensor:

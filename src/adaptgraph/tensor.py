@@ -14,6 +14,7 @@ exists so gradient checks can run at full precision.
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -244,11 +245,29 @@ def _check_axis(axis: int, ndim: int) -> int:
 # linear algebra
 # ---------------------------------------------------------------------
 
+def _columns(a: np.ndarray) -> np.ndarray:
+    """(B, C, *grid) -> (C, B * G): channel-major columns, one per batch item
+    and grid cell. A view when B == 1 or G == 1, otherwise one copy."""
+    b_dim, c = a.shape[:2]
+    g = math.prod(a.shape[2:])
+    return a.reshape(b_dim, c, g).transpose(1, 0, 2).reshape(c, b_dim * g)
+
+
+def _uncolumns(m: np.ndarray, shape: tuple) -> np.ndarray:
+    """Inverse of :func:`_columns`: (C, B * G) -> a C-ordered (B, C, *grid)
+    array of ``shape``; no copy when B == 1."""
+    b_dim, c = shape[:2]
+    g = math.prod(shape[2:])
+    return np.ascontiguousarray(m.reshape(c, b_dim, g).transpose(1, 0, 2)).reshape(shape)
+
+
 def pointwise_linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Per-position affine map over the channel axis.
 
     x: (B, C_in, *grid), weight: (C_out, C_in), bias: (C_out) or None.
     Returns (B, C_out, *grid). Equivalent to a 1x1 convolution over the grid.
+    Whatever the rank, forward is one GEMM on x's channel-major columns
+    (:func:`_columns`), and backward one GEMM each for dx and the weight.
     """
     if x.ndim < 2:
         raise ShapeError(f"pointwise_linear input needs rank >= 2, got {x.shape}")
@@ -261,24 +280,21 @@ def pointwise_linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -
             f"channel mismatch: input has {c_in} channels, weight expects {c_in_w}")
     if bias is not None and bias.shape != (c_out,):
         raise ShapeError(f"bias must be ({c_out},), got {bias.shape}")
-    grid = x.shape[2:]
-    g_size = int(np.prod(grid, dtype=np.int64)) if grid else 1
-
-    xm = x.data.reshape(b_dim, c_in, g_size)
-    out = np.matmul(weight.data, xm)  # (B, C_out, G)
+    xm = _columns(x.data)
+    out = weight.data @ xm  # (C_out, B * G)
     if bias is not None:
-        out += bias.data[None, :, None]
-    out = out.reshape((b_dim, c_out) + grid)
+        out += bias.data[:, None]
+    out = _uncolumns(out, (b_dim, c_out) + x.shape[2:])
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def back(g):
-        gm = g.reshape(b_dim, c_out, g_size)
-        dx = np.matmul(weight.data.T, gm).reshape(x.shape)
-        dw = np.einsum("bog,big->oi", gm, xm, optimize=True)
+        gm = _columns(g)
+        dx = _uncolumns(weight.data.T @ gm, x.shape)
+        dw = gm @ xm.T
         if bias is None:
             return dx, dw
-        return dx, dw, gm.sum(axis=(0, 2))
+        return dx, dw, gm.sum(axis=1)
 
     return _make(out, parents, back)
 
@@ -308,19 +324,26 @@ def _check_norm(c: int, gamma: Tensor, beta: Tensor, mode: str, epsilon: float) 
 
 def _norm_scale(moments, gamma: Tensor, running_mean: Optional[np.ndarray],
                 running_var: Optional[np.ndarray], mode: str, momentum: float,
-                epsilon: float, dt):
+                epsilon: float, dt, shift: Optional[np.ndarray] = None):
     """Per-channel (mu, ivar, scale) of a batch norm in dtype ``dt``.
 
     Train mode takes ``moments`` = (mean, biased variance) of the batch,
     rounds them to dt and updates the running buffers in place by exponential
     moving average; eval mode reads the running buffers and ignores
     ``moments``. ivar = 1 / sqrt(var + epsilon) and scale = gamma * ivar.
+
+    ``shift`` is a per-channel constant the input stands for but does not
+    hold, (C,) or None. A batch mean would remove it, so train mode's mu is
+    unchanged and only the running mean records mean + shift; eval mode
+    returns mu = running mean - shift.
     """
     if mode == "train":
-        mu, var = (np.asarray(v).astype(dt) for v in moments)
+        mean, var = (np.asarray(v) for v in moments)
+        mu, var = mean.astype(dt), var.astype(dt)
         if running_mean is not None:
             running_mean *= 1.0 - momentum
-            running_mean += momentum * mu.astype(running_mean.dtype)
+            recorded = mu if shift is None else mean + shift
+            running_mean += momentum * recorded.astype(running_mean.dtype)
         if running_var is not None:
             running_var *= 1.0 - momentum
             running_var += momentum * var.astype(running_var.dtype)
@@ -329,13 +352,16 @@ def _norm_scale(moments, gamma: Tensor, running_mean: Optional[np.ndarray],
             raise InvalidInputError("batch_norm in eval mode needs populated running stats")
         mu = np.asarray(running_mean, dtype=dt)
         var = np.asarray(running_var, dtype=dt)
+        if shift is not None:
+            mu = mu - shift
     ivar = 1.0 / np.sqrt(var + np.asarray(epsilon, dtype=dt))
     return mu, ivar, gamma.data * ivar
 
 
 def _norm_stats(x: Tensor, gamma: Tensor, beta: Tensor,
                 running_mean: Optional[np.ndarray], running_var: Optional[np.ndarray],
-                mode: str, momentum: float, epsilon: float, keep_centred: bool):
+                mode: str, momentum: float, epsilon: float, keep_centred: bool,
+                shift: Optional[Tensor]):
     """Checks and per-channel statistics shared by :func:`batch_norm` and
     :func:`batch_norm_leaky_max`.
 
@@ -345,12 +371,15 @@ def _norm_stats(x: Tensor, gamma: Tensor, beta: Tensor,
     the batch (biased variance) in train mode. With ``keep_centred`` train
     mode also returns centred = x3 - mu and the squared deviations, a spare
     array the caller may reuse; otherwise the deviations are squared in
-    place and both are None, as they are in eval mode.
+    place and both are None, as they are in eval mode. ``shift`` is passed
+    to :func:`_norm_scale`.
     """
     if x.ndim < 2:
         raise ShapeError(f"batch_norm input needs rank >= 2, got {x.shape}")
     c = x.shape[1]
     _check_norm(c, gamma, beta, mode, epsilon)
+    if shift is not None and shift.shape != (c,):
+        raise ShapeError(f"shift must be ({c},), got {shift.shape}")
     xd = x.data
     dt = xd.dtype
     x3 = xd.reshape(x.shape[0], c, int(np.prod(x.shape[2:], dtype=np.int64)))
@@ -366,21 +395,39 @@ def _norm_stats(x: Tensor, gamma: Tensor, beta: Tensor,
         if not keep_centred:
             centred = spare = None
     mu, ivar, scale = _norm_scale(moments, gamma, running_mean, running_var, mode,
-                                  momentum, epsilon, dt)
+                                  momentum, epsilon, dt, None if shift is None else shift.data)
     return x3, mu, ivar, scale, centred, spare
+
+
+def _with_shift(parents: tuple, shift: Optional[Tensor]) -> tuple:
+    return parents if shift is None else parents + (shift,)
+
+
+def _shift_grad(grads: tuple, shift: Optional[Tensor], mode: str, dbeta: np.ndarray,
+                scale: np.ndarray) -> tuple:
+    """``grads`` plus, with a shift, its gradient: zero in train mode, where
+    the batch mean removes it, and the input's channel sums, dbeta * scale,
+    in eval mode."""
+    if shift is None:
+        return grads
+    if mode == "train":
+        return grads + (np.zeros_like(shift.data),)
+    return grads + ((dbeta * scale).astype(shift.data.dtype),)
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                running_mean: Optional[np.ndarray], running_var: Optional[np.ndarray],
-               mode: str, momentum: float = 0.1, epsilon: float = 1e-5) -> Tensor:
+               mode: str, momentum: float = 0.1, epsilon: float = 1e-5,
+               shift: Optional[Tensor] = None) -> Tensor:
     """Channel-wise batch normalization over all non-channel axes.
 
     Train mode uses batch statistics (biased variance) and updates the running
     buffers in place by exponential moving average. Eval mode normalizes with
-    the running buffers. gamma/beta then scale and shift per channel.
+    the running buffers. gamma/beta then scale and shift per channel. A
+    ``shift`` (C,) normalizes x + shift without forming it (:func:`_norm_scale`).
     """
     x3, mu, ivar, scale, centred, out = _norm_stats(
-        x, gamma, beta, running_mean, running_var, mode, momentum, epsilon, True)
+        x, gamma, beta, running_mean, running_var, mode, momentum, epsilon, True, shift)
     dt = x3.dtype
     m = x3.size // x3.shape[1] if x3.shape[1] else 0
     cshape = (1, x3.shape[1], 1)
@@ -408,9 +455,10 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
             dx *= scale
         else:
             np.multiply(g3, scale, out=dx)
-        return dx.reshape(x.shape), dgamma.astype(dt), dbeta.astype(dt)
+        return _shift_grad((dx.reshape(x.shape), dgamma.astype(dt), dbeta.astype(dt)),
+                           shift, mode, dbeta, scale.reshape(-1))
 
-    return _make(out.reshape(x.shape), (x, gamma, beta), back)
+    return _make(out.reshape(x.shape), _with_shift((x, gamma, beta), shift), back)
 
 
 def _leaky_slope(slope: float, dtype) -> np.ndarray:
@@ -517,9 +565,9 @@ def batch_norm_leaky_max(x: Tensor, gamma: Tensor, beta: Tensor,
                          running_mean: Optional[np.ndarray],
                          running_var: Optional[np.ndarray], mode: str,
                          slope: float = 0.2, momentum: float = 0.1,
-                         epsilon: float = 1e-5) -> Tensor:
-    """``reduce(leaky_relu(batch_norm(x, ...), slope), 3, "max")`` in one op,
-    bit for bit: (B, C, N, k) -> (B, C, N).
+                         epsilon: float = 1e-5, shift: Optional[Tensor] = None) -> Tensor:
+    """``reduce(leaky_relu(batch_norm(x, ..., shift), slope), 3, "max")`` in
+    one op, bit for bit: (B, C, N, k) -> (B, C, N).
 
     Batch norm then leaky relu is, per channel, a map of x that never
     decreases when the scale gamma / sigma is >= 0 and never increases when it
@@ -543,12 +591,13 @@ def batch_norm_leaky_max(x: Tensor, gamma: Tensor, beta: Tensor,
     if k == 0:
         raise InvalidInputError(f"cannot reduce empty axis 3 of shape {x.shape}")
     _, mu, ivar, scale, _, _ = _norm_stats(
-        x, gamma, beta, running_mean, running_var, mode, momentum, epsilon, False)
-    recording = _recording(x, gamma, beta)
+        x, gamma, beta, running_mean, running_var, mode, momentum, epsilon, False, shift)
+    parents = _with_shift((x, gamma, beta), shift)
+    recording = _recording(*parents)
     picked, winners = _winning_values(xd, scale, recording)
     centred, z, out = _activate_winners(picked, mu, scale, beta, s)
     if not recording:
-        return _make(out, (x, gamma, beta), None)
+        return _make(out, parents, None)
     neg_mask = z < 0
 
     def back(g):
@@ -561,9 +610,9 @@ def batch_norm_leaky_max(x: Tensor, gamma: Tensor, beta: Tensor,
             dx = xd * a.astype(dt).reshape(1, c, 1, 1)
             dx += (b - a * mu).astype(dt).reshape(1, c, 1, 1)
         dx.reshape(-1)[winners] += routed.ravel()
-        return dx, dgamma.astype(dt), dbeta.astype(dt)
+        return _shift_grad((dx, dgamma.astype(dt), dbeta.astype(dt)), shift, mode, dbeta, scale)
 
-    return _make(out, (x, gamma, beta), back)
+    return _make(out, parents, back)
 
 
 def _activate_winners(picked: np.ndarray, mu: np.ndarray, scale: np.ndarray,

@@ -238,6 +238,31 @@ def test_ablate_replay_reproduces_bitwise(dataset, tmp_path, capsys):
                    (second / variant / name).read_bytes()
 
 
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_replay_refuses_the_flags_it_would_ignore(tmp_path, capsys, command):
+    # replay reruns the recorded opts, so any other flag set away from its
+    # default is refused by name before the manifest is read; --out is kept
+    manifest = tmp_path / "run_manifest.json"
+    manifest.write_text("{}")
+    out = tmp_path / "r"
+    cases = [(["--epochs", "1", "--k", "6"], ["--k", "--epochs"]),
+             (["--data-seed", "3", "--lr-max", "0.5", "--dtype", "f64"],
+              ["--data-seed", "--lr-max", "--dtype"]),
+             (["--preset", "synth", "--limit", "9", "--seed", "4"],
+              ["--preset", "--limit", "--seed"])]
+    if command == "train":
+        cases += [(["--variant", "mak-only", "--seeds", "0,1"], ["--variant", "--seeds"])]
+    for flags, named in cases:
+        assert main([command, "--replay", str(manifest), "--out", str(out)] + flags) == 2
+        err = capsys.readouterr().err
+        assert "takes only --out" in err, flags
+        assert all(flag in err for flag in named), (flags, err)
+    # a flag left at its default is no conflict: the empty manifest fails instead
+    assert main([command, "--replay", str(manifest), "--k", "20", "--out", str(out)]) == 2
+    assert f"is not a run manifest of {command}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_replay_rejects_wrong_manifest_kind(dataset, tmp_path):
     out = tmp_path / "r"
     assert main(train_args(dataset, out)) == 0

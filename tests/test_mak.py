@@ -522,3 +522,109 @@ def test_point_features_must_match_the_index():
     for shape in ((b, cp, n + 1), (b + 1, cp, n), (b, 2 * cp, n), (b, cp, n, k)):
         with pytest.raises(ShapeError):
             op(geo, Tensor(np.zeros(shape)), idx)
+
+
+# ---------------------------------------------------------------------
+# the projected residual folded into the adaptive kernel
+# ---------------------------------------------------------------------
+
+def unfolded_forward(op, geo, feat, idx=None):
+    """The composition the fold replaces: the contraction with conv1's own
+    bias, plus proj_bn of every projected edge, then bn_out."""
+    cfg, conv1 = op.cfg, op.gen.conv1
+    out = apply_heads(op.generate_kernels(geo), feat, conv1.weight.value, conv1.bias.value,
+                      cfg.num_heads, cfg.out_channels, idx)
+    if idx is None:
+        projected = op.proj_bn(op.proj(feat))
+        return T.leaky_relu(op.bn_out(T.add(out, projected)), SLOPE)
+    projected = op.proj_bn(graph.edge_linear(feat, idx, op.proj.weight.value))
+    return op.bn_out.leaky_max(T.add(out, projected), SLOPE)
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("kind", ["edges", "points"])
+def test_projection_fold_equals_the_unfolded_composition(kind, mode, dtype):
+    cp, co, b, n, k, heads = 3, 5, 3, 6, 3, 2
+    cfg = MakConfig(in_channels=2 * cp, out_channels=co, gen_in_channels=6,
+                    num_heads=heads, mid_channels=4)
+    op = MultiHeadAdaptiveKernel(cfg, np.random.default_rng(110), dtype=dtype)
+    rng = np.random.default_rng(111)
+    for bn in (op.gen.bn0, op.gen.bn_mid, op.proj_bn, op.bn_out):
+        randomize_bn(bn, rng)
+    op.train(mode == "train")
+    np_dt = T._DTYPES[dtype]
+    geo = rng.normal(size=(b, 6, n, k)).astype(np_dt)
+    points = rng.normal(size=(b, cp, n)).astype(np_dt)
+    idx = repeated_index(b, n, k, seed=112)
+    if kind == "edges":
+        feat, idx = graph.graph_feature(Tensor(points), idx).data, None
+    else:
+        feat = points
+    weights = Tensor(rng.normal(size=(b, co, n) if kind == "points" else (b, co, n, k)),
+                     dtype=dtype)
+    buffers = {name: buf.copy() for name, buf in op.named_buffers()}
+
+    def run(forward):
+        for name, buf in op.named_buffers():
+            buf[:] = buffers[name]
+        for _, p in op.named_parameters():
+            p.value.grad = None
+        g, f = Tensor(geo, requires_grad=True), Tensor(feat, requires_grad=True)
+        out = forward(op, g, f, idx)
+        T.reduce_sum(T.mul(out, weights)).backward()
+        grads = {name: p.value.grad for name, p in op.named_parameters()}
+        return (out.data, g.grad, f.grad, grads,
+                {name: buf.copy() for name, buf in op.named_buffers()})
+
+    got = run(MultiHeadAdaptiveKernel.forward)
+    want = run(unfolded_forward)
+    tol = dict(rtol=1e-9, atol=1e-10) if dtype == "f64" else dict(rtol=2e-4, atol=2e-5)
+    assert_runs_match(got[:4], want[:4], **tol)
+    for name in ("proj.weight", "proj_bn.gamma", "proj_bn.beta"):
+        assert got[3][name] is not None, name
+    assert got[4].keys() == want[4].keys()
+    for name in want[4]:
+        np.testing.assert_allclose(got[4][name], want[4][name], err_msg=name, **tol)
+        if name.startswith(("proj_bn.", "bn_out.")) and mode == "train":
+            assert not np.array_equal(got[4][name], buffers[name]), name
+
+
+def test_projection_fold_forms_no_edge_tensor_of_its_own(monkeypatch):
+    # mak2 of the default model on one mmactivity window (B=1, C_p=64,
+    # N=960, k=20, C_out=64, f32), in eval mode: nothing but the contraction
+    # may allocate a (B, C_out, N, k) array, 4.9 MB. The fold runs before it
+    # and bn_out's pooling after it; each stays under half that size
+    cp, co, b, n, k = 64, 64, 1, 960, 20
+    cfg = MakConfig(in_channels=2 * cp, out_channels=co, gen_in_channels=6, mid_channels=8)
+    op = MultiHeadAdaptiveKernel(cfg, np.random.default_rng(0), dtype="f32")
+    assert hasattr(op, "proj")
+    op.eval()
+    rng = np.random.default_rng(1)
+    idx = graph.NeighborIndex(indices=rng.integers(0, n, size=(b, n, k)), k=k, n_points=n)
+    geo = Tensor(rng.normal(size=(b, 6, n, k)), dtype="f32")
+    points = Tensor(rng.normal(size=(b, cp, n)), dtype="f32")
+    edge_bytes = 4 * b * co * n * k
+    real_apply = kernels.apply_heads
+    marks = []  # traced peak before the contraction, traced size after it
+
+    def apply_heads(*args):
+        marks.append(tracemalloc.get_traced_memory()[1])
+        out = real_apply(*args)
+        tracemalloc.reset_peak()
+        marks.append(tracemalloc.get_traced_memory()[0])
+        return out
+
+    monkeypatch.setattr(kernels, "apply_heads", apply_heads)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        with T.no_grad():
+            out = op(geo, points, idx)
+        end_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (b, co, n)
+    before, after = marks[0] - start, end_peak - marks[1]
+    assert before < edge_bytes / 2, f"before the contraction: {before / 1e6:.1f} MB"
+    assert after < edge_bytes / 2, f"after the contraction: {after / 1e6:.1f} MB"

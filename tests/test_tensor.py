@@ -342,6 +342,32 @@ def test_grad_batch_norm_leaky_max():
                                                        "eval", slope=0.1), inputs)
 
 
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("op", [T.batch_norm, T.batch_norm_leaky_max])
+def test_batch_norm_shift_stands_for_an_added_constant(op, mode):
+    # a (C,) shift normalizes x + shift without forming it: same output,
+    # running buffers and gradients; in train mode the batch mean removes it
+    x, gamma, beta = rand(4, 3, 5, 6), np.array([1.2, -0.8, 0.6]), rand(3, seed=2)
+    shift = np.array([0.7, -2.0, 0.1])
+    start = rand(3, seed=3), 1.0 + 0.1 * np.abs(rand(3, seed=4))
+
+    def run(shifted):
+        rm, rv = (v.copy() for v in start)
+        leaves = [leaf(v) for v in (x, gamma, beta, shift)]
+        xt, g, b, s = leaves
+        if shifted:
+            out = op(xt, g, b, rm, rv, mode, shift=s)
+        else:
+            out = op(T.add(xt, T.reshape(s, (1, 3, 1, 1))), g, b, rm, rv, mode)
+        T.reduce_sum(T.mul(out, Tensor(rand(*out.shape, seed=5)))).backward()
+        return [out.data, rm, rv] + [t.grad for t in leaves]
+
+    for got, want in zip(run(True), run(False)):
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+    check_grads(lambda a, g, b, s: op(a, g, b, *(v.copy() for v in start), mode, shift=s),
+                [x, gamma, beta, shift], rtol=1e-5)
+
+
 def test_batch_norm_leaky_max_guards():
     ones, zeros = Tensor(np.ones(2)), Tensor(np.zeros(2))
     with pytest.raises(ShapeError):
@@ -556,6 +582,31 @@ def test_grad_pointwise_linear():
                 [rand(2, 3, 4, 5), rand(6, 3, seed=1), rand(6, seed=2)])
     check_grads(lambda x, w: T.pointwise_linear(x, w),
                 [rand(2, 3, 7), rand(4, 3, seed=1)])
+    check_grads(lambda x, w, b: T.pointwise_linear(x, w, b),  # rank 2, as in the head
+                [rand(5, 3), rand(4, 3, seed=1), rand(4, seed=2)])
+    check_grads(lambda x, w, b: T.pointwise_linear(x, w, b),  # B=1, as when streaming
+                [rand(1, 3, 7), rand(4, 3, seed=1), rand(4, seed=2)])
+    check_grads(lambda x, w: T.pointwise_linear(x, w), [rand(1, 3), rand(4, 3, seed=1)])
+
+
+@pytest.mark.parametrize("shape", [(5, 6), (1, 6), (3, 6, 7), (1, 6, 7), (3, 6, 4, 5),
+                                   (1, 6, 4, 5), (2, 6, 1, 3)])
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_pointwise_linear_matches_an_einsum_reference(shape, dtype):
+    # one flat GEMM whatever the rank, checked in f64 against the per-position sum
+    x, w, b = rand(*shape, seed=3), rand(4, 6, seed=4), rand(4, seed=5)
+    xt, wt, bt = (Tensor(v, dtype=dtype, requires_grad=True) for v in (x, w, b))
+    out = T.pointwise_linear(xt, wt, bt)
+    g = rand(*out.shape, seed=6)
+    T.reduce_sum(T.mul(out, Tensor(g, dtype=dtype))).backward()
+    xr, gr = x.reshape(shape[0], 6, -1), g.reshape(shape[0], 4, -1)
+    tol = dict(rtol=1e-12, atol=1e-12) if dtype == "f64" else dict(rtol=1e-5, atol=1e-5)
+    assert out.shape == (shape[0], 4) + shape[2:] and out.data.flags.c_contiguous
+    want = np.einsum("oi,big->bog", w, xr) + b[:, None]
+    np.testing.assert_allclose(out.data, want.reshape(out.shape), **tol)
+    np.testing.assert_allclose(xt.grad, np.einsum("oi,bog->big", w, gr).reshape(shape), **tol)
+    np.testing.assert_allclose(wt.grad, np.einsum("bog,big->oi", gr, xr), **tol)
+    np.testing.assert_allclose(bt.grad, gr.sum(axis=(0, 2)), **tol)
 
 
 def test_grad_gather_and_dropout():
