@@ -3,12 +3,12 @@
 Exit codes are a stable scripting contract: 0 success, 2 configuration
 problem, 3 data or I/O problem, 4 numeric failure during training.
 
-Every command echoes its resolved configuration: train/ablate write
-run_manifest.json into the output directory before any compute (and accept
---replay to rerun it bit-for-bit); the read-only commands print a one-line
-manifest echo on standard error so standard output stays machine-readable.
-Flags that feed a config default to its fields; a replayed manifest's opts
-must hold exactly the keys a fresh run records; train takes --seed or --seeds.
+Every command echoes its resolved configuration: train/ablate build their
+models, then write run_manifest.json into the output directory before any
+training (and accept --replay to rerun it bit-for-bit); read-only commands
+echo a one-line manifest on standard error so standard output stays
+machine-readable. Flags that feed a config default to its fields; a replayed
+manifest's opts hold exactly the keys a fresh run records; seeds must differ.
 """
 
 from __future__ import annotations
@@ -186,6 +186,8 @@ def _start_run(args, default_out: str):
     if (not isinstance(seeds, list) or not seeds
             or any(isinstance(s, bool) or not isinstance(s, int) or s < 0 for s in seeds)):
         raise ConfigError(f"seeds must be a non-empty list of integers >= 0, got {seeds!r}")
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"seed {max(seeds, key=seeds.count)} is repeated in {seeds!r}")
     if not isinstance(opts["out"], (str, type(None))):
         raise ConfigError(f"out must be a string or null, got {opts['out']!r}")
     spec["limit"] = opts["limit"] or 0
@@ -198,7 +200,7 @@ def _start_run(args, default_out: str):
 
 
 def _write_run_manifest(out_dir, command, opts, spec, splits, **fields) -> None:
-    """Record the run in out_dir/run_manifest.json before any compute."""
+    """Record the run in out_dir/run_manifest.json before any training."""
     os.makedirs(out_dir, exist_ok=True)
     manifest = {"command": command, "version": __version__, "opts": opts,
                 "pipeline_config": spec["pipeline_config"],
@@ -209,11 +211,10 @@ def _write_run_manifest(out_dir, command, opts, spec, splits, **fields) -> None:
         f.write("\n")
 
 
-def _run_one_seed(spec, seed, run_dir, mcfg, tcfg, splits):
+def _run_one_seed(spec, seed, run_dir, model, tcfg, splits):
     os.makedirs(run_dir, exist_ok=True)
     train_set, val_set, test_set = splits
     tcfg = replace(tcfg, seed=seed)
-    model = build(mcfg, seed=seed, dtype=tcfg.dtype)
     result = fit(model, train_set, val_set, tcfg,
                  checkpoint_path=os.path.join(run_dir, "checkpoint.bin"),
                  extra_manifest={**spec, "version": __version__},
@@ -229,6 +230,7 @@ def cmd_train(args) -> int:
     opts, spec, data_shape, splits, tcfg, out_dir = _start_run(args, "runs/train")
     mcfg = _model_config_from_opts(opts, data_shape, opts["variant"])
     seeds = opts["seeds"]
+    models = [build(mcfg, seed=s, dtype=tcfg.dtype) for s in seeds]  # before any write
     _write_run_manifest(
         out_dir, "train", opts, spec, splits,
         model_config=config_to_dict(mcfg),
@@ -239,17 +241,14 @@ def cmd_train(args) -> int:
     accs = []
     for seed in seeds:
         run_dir = out_dir if len(seeds) == 1 else os.path.join(out_dir, f"seed_{seed}")
-        result, metrics = _run_one_seed(spec, seed, run_dir, mcfg, tcfg, splits)
+        result, metrics = _run_one_seed(spec, seed, run_dir, models.pop(0), tcfg, splits)
         accs.append(metrics.accuracy)
-        print(f"seed {seed}: test acc {_pct(metrics.accuracy)}%  "
-              f"pre {_pct(metrics.precision)}%  rec {_pct(metrics.recall)}%  "
-              f"f1 {_pct(metrics.f1)}%  "
+        print(f"seed {seed}: test acc {_pct(metrics.accuracy)}%  pre {_pct(metrics.precision)}%  "
+              f"rec {_pct(metrics.recall)}%  f1 {_pct(metrics.f1)}%  "
               f"(best epoch {result.best_epoch}, val loss {result.best_val_loss:.6f})")
     if len(seeds) > 1:
-        mean = float(np.mean(accs))
-        std = float(np.std(accs))
-        print(f"summary over {len(seeds)} seeds: accuracy {_pct(mean)}% "
-              f"± {100.0 * std:.2f}%")
+        print(f"summary over {len(seeds)} seeds: accuracy {_pct(float(np.mean(accs)))}% "
+              f"± {100.0 * float(np.std(accs)):.2f}%")
     return 0
 
 
@@ -257,6 +256,7 @@ def cmd_ablate(args) -> int:
     opts, spec, data_shape, splits, tcfg, out_dir = _start_run(args, "runs/ablate")
     # Variant's declaration order is report order
     mcfgs = [_model_config_from_opts(opts, data_shape, v.value) for v in Variant]
+    models = [build(m, seed=tcfg.seed, dtype=tcfg.dtype) for m in mcfgs]
     _write_run_manifest(out_dir, "ablate", opts, spec, splits,
                         train_config=config_to_dict(tcfg),
                         variants=[v.value for v in Variant])
@@ -265,7 +265,7 @@ def cmd_ablate(args) -> int:
     n = data_shape[1]
     for mcfg in mcfgs:
         run_dir = os.path.join(out_dir, mcfg.variant.value)
-        _, metrics = _run_one_seed(spec, tcfg.seed, run_dir, mcfg, tcfg, splits)
+        _, metrics = _run_one_seed(spec, tcfg.seed, run_dir, models.pop(0), tcfg, splits)
         print(f"{_VARIANT_LABELS[mcfg.variant]:<14} {count_macs(mcfg, n) / 1e9:>10.4f} "
               f"{count_params(mcfg) / 1e6:>10.4f} {_pct(metrics.accuracy):>9}")
     return 0

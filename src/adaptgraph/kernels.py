@@ -398,5 +398,9 @@ class MultiHeadAdaptiveKernel(Module):
         out = apply_heads(self.generate_kernels(geo), feat, conv1.weight.value, bias,
                           cfg.num_heads, cfg.out_channels, idx)
         if idx is None:
-            return T.leaky_relu(self.bn_out(out, shift), self.slope)
+            # per edge: the max over one-edge neighbourhoods, so both kinds
+            # end in the op the network runs
+            b, c, n, k = out.shape
+            edges = self.bn_out.leaky_max(T.reshape(out, (b, c, n * k, 1)), self.slope, shift)
+            return T.reshape(edges, (b, c, n, k))
         return self.bn_out.leaky_max(out, self.slope, shift)

@@ -27,7 +27,7 @@ from . import graph
 from . import tensor as T
 from .errors import ConfigError, InvalidInputError, ShapeError, UsageError
 from .kernels import MakConfig, MultiHeadAdaptiveKernel, _positive_int
-from .nn import BatchNorm, Module, PointwiseLinear, finalize_names
+from .nn import BatchNorm, Module, PointwiseLinear
 from .tensor import Tensor
 
 
@@ -213,9 +213,7 @@ class _ConvBlock(Module):
 def build(cfg: ModelConfig, seed: int, dtype: str = "f32") -> ActivityNet:
     """Construct a model with deterministic, seed-keyed initialization."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    model = ActivityNet(cfg, rng, dtype=dtype)
-    finalize_names(model)
-    return model
+    return ActivityNet(cfg, rng, dtype=dtype)
 
 
 def config_to_dict(cfg) -> dict:

@@ -1,4 +1,8 @@
-"""Parameter containers and the two layer primitives the network is built from."""
+"""Parameters, plain-attribute modules and the two layer primitives the
+network is built from.
+
+A module holds its parameters and submodules as ordinary attributes; no
+registry or attribute hook tracks them, and a walk of ``vars`` finds them."""
 
 from __future__ import annotations
 
@@ -20,14 +24,13 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
 
 
 class Parameter:
-    """A named trainable tensor plus its optimizer state."""
+    """A trainable tensor plus its optimizer state."""
 
-    __slots__ = ("value", "name", "momentum_buffer")
+    __slots__ = ("value", "momentum_buffer")
 
-    def __init__(self, value: Tensor, name: str = ""):
+    def __init__(self, value: Tensor):
         value.requires_grad = True  # grad stays None until the first backward
         self.value = value
-        self.name = name
         self.momentum_buffer: Optional[np.ndarray] = None
 
     @property
@@ -35,45 +38,33 @@ class Parameter:
         return self.value.shape
 
     def __repr__(self):
-        return f"Parameter({self.name or '<unnamed>'}, shape={self.shape})"
+        return f"Parameter(shape={self.shape})"
 
 
 class Module:
-    """Composable layer base: attribute assignment registers children.
+    """Composable layer base with plain attributes.
 
-    Parameters and submodules are discovered by name, depth-first, so the
-    dotted paths from named_parameters() are stable across rebuilds with the
-    same configuration.
+    A module's parameters and submodules are its attributes whose values are
+    a Parameter or a Module; running statistics go through register_buffer.
+    named_parameters() lists a module's own parameters, then each
+    submodule's, each in assignment order, so the dotted paths are stable
+    across rebuilds with the same configuration.
     """
 
     def __init__(self):
-        object.__setattr__(self, "_params", {})
-        object.__setattr__(self, "_modules", {})
-        object.__setattr__(self, "_buffers", {})
-        object.__setattr__(self, "training", True)
+        self._buffers = {}
+        self.training = True
 
-    def __setattr__(self, name, value):
-        if isinstance(value, Parameter):
-            self._params[name] = value
-        elif isinstance(value, Module):
-            self._modules[name] = value
-        else:
-            object.__setattr__(self, name, value)
-
-    def __getattr__(self, name):
-        for table in ("_params", "_modules", "_buffers"):
-            d = object.__getattribute__(self, table)
-            if name in d:
-                return d[name]
-        raise AttributeError(f"{type(self).__name__} has no attribute {name!r}")
+    def _attrs(self, kind: type) -> list:
+        return [(n, v) for n, v in vars(self).items() if isinstance(v, kind)]
 
     def register_buffer(self, name: str, array: np.ndarray) -> None:
         self._buffers[name] = array
 
     def named_parameters(self, prefix: str = "") -> Iterator[Tuple[str, Parameter]]:
-        for n, p in self._params.items():
+        for n, p in self._attrs(Parameter):
             yield prefix + n, p
-        for n, m in self._modules.items():
+        for n, m in self._attrs(Module):
             yield from m.named_parameters(prefix + n + ".")
 
     def parameters(self) -> list:
@@ -82,12 +73,12 @@ class Module:
     def named_buffers(self, prefix: str = "") -> Iterator[Tuple[str, np.ndarray]]:
         for n, b in self._buffers.items():
             yield prefix + n, b
-        for n, m in self._modules.items():
+        for n, m in self._attrs(Module):
             yield from m.named_buffers(prefix + n + ".")
 
     def train(self, mode: bool = True) -> "Module":
-        object.__setattr__(self, "training", mode)
-        for m in self._modules.values():
+        self.training = mode
+        for _, m in self._attrs(Module):
             m.train(mode)
         return self
 
@@ -101,16 +92,6 @@ class Module:
         raise NotImplementedError
 
 
-def finalize_names(root: Module) -> None:
-    """Stamp dotted paths onto every parameter and check uniqueness."""
-    seen = set()
-    for name, p in root.named_parameters():
-        if name in seen:
-            raise ConfigError(f"duplicate parameter name {name!r}")
-        seen.add(name)
-        p.name = name
-
-
 class PointwiseLinear(Module):
     """1x1 convolution: an affine map applied independently at each grid cell."""
 
@@ -119,14 +100,9 @@ class PointwiseLinear(Module):
         super().__init__()
         if in_channels < 1 or out_channels < 1:
             raise ConfigError("channel counts must be positive")
-        self.in_channels = in_channels
-        self.out_channels = out_channels
         w = glorot_uniform(rng, in_channels, out_channels, (out_channels, in_channels), dtype)
         self.weight = Parameter(Tensor(w, dtype=dtype))
-        if bias:
-            self.bias = Parameter(Tensor(np.zeros(out_channels), dtype=dtype))
-        else:
-            object.__setattr__(self, "bias", None)
+        self.bias = Parameter(Tensor(np.zeros(out_channels), dtype=dtype)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
         b = self.bias.value if self.bias is not None else None
@@ -158,14 +134,13 @@ class BatchNorm(Module):
             raise ShapeError(f"expected {self.channels} channels, got {x.shape}")
         return (x,) + self._state()
 
-    def forward(self, x: Tensor, shift: Optional[Tensor] = None) -> Tensor:
-        """Normalizes x, or with a (C,) ``shift`` x + shift without forming it."""
-        return T.batch_norm(*self._args(x), momentum=self.momentum, epsilon=self.epsilon,
-                            shift=shift)
+    def forward(self, x: Tensor) -> Tensor:
+        return T.batch_norm(*self._args(x), momentum=self.momentum, epsilon=self.epsilon)
 
     def leaky_max(self, x: Tensor, slope: float, shift: Optional[Tensor] = None) -> Tensor:
-        """``reduce(leaky_relu(self(x, shift), slope), 3, "max")``, (B, C, N, k)
-        -> (B, C, N), without normalizing or activating the edges the max drops."""
+        """``reduce(leaky_relu(self(x), slope), 3, "max")``, (B, C, N, k)
+        -> (B, C, N), without normalizing or activating the edges the max
+        drops. A (C,) ``shift`` normalizes x + shift without forming it."""
         return T.batch_norm_leaky_max(*self._args(x), slope=slope, momentum=self.momentum,
                                       epsilon=self.epsilon, shift=shift)
 

@@ -399,10 +399,6 @@ def _norm_stats(x: Tensor, gamma: Tensor, beta: Tensor,
     return x3, mu, ivar, scale, centred, spare
 
 
-def _with_shift(parents: tuple, shift: Optional[Tensor]) -> tuple:
-    return parents if shift is None else parents + (shift,)
-
-
 def _shift_grad(grads: tuple, shift: Optional[Tensor], mode: str, dbeta: np.ndarray,
                 scale: np.ndarray) -> tuple:
     """``grads`` plus, with a shift, its gradient: zero in train mode, where
@@ -417,17 +413,15 @@ def _shift_grad(grads: tuple, shift: Optional[Tensor], mode: str, dbeta: np.ndar
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                running_mean: Optional[np.ndarray], running_var: Optional[np.ndarray],
-               mode: str, momentum: float = 0.1, epsilon: float = 1e-5,
-               shift: Optional[Tensor] = None) -> Tensor:
+               mode: str, momentum: float = 0.1, epsilon: float = 1e-5) -> Tensor:
     """Channel-wise batch normalization over all non-channel axes.
 
     Train mode uses batch statistics (biased variance) and updates the running
     buffers in place by exponential moving average. Eval mode normalizes with
-    the running buffers. gamma/beta then scale and shift per channel. A
-    ``shift`` (C,) normalizes x + shift without forming it (:func:`_norm_scale`).
+    the running buffers. gamma/beta then scale and shift per channel.
     """
     x3, mu, ivar, scale, centred, out = _norm_stats(
-        x, gamma, beta, running_mean, running_var, mode, momentum, epsilon, True, shift)
+        x, gamma, beta, running_mean, running_var, mode, momentum, epsilon, True, None)
     dt = x3.dtype
     m = x3.size // x3.shape[1] if x3.shape[1] else 0
     cshape = (1, x3.shape[1], 1)
@@ -455,10 +449,9 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
             dx *= scale
         else:
             np.multiply(g3, scale, out=dx)
-        return _shift_grad((dx.reshape(x.shape), dgamma.astype(dt), dbeta.astype(dt)),
-                           shift, mode, dbeta, scale.reshape(-1))
+        return dx.reshape(x.shape), dgamma.astype(dt), dbeta.astype(dt)
 
-    return _make(out.reshape(x.shape), _with_shift((x, gamma, beta), shift), back)
+    return _make(out.reshape(x.shape), (x, gamma, beta), back)
 
 
 def _leaky_slope(slope: float, dtype) -> np.ndarray:
@@ -566,8 +559,9 @@ def batch_norm_leaky_max(x: Tensor, gamma: Tensor, beta: Tensor,
                          running_var: Optional[np.ndarray], mode: str,
                          slope: float = 0.2, momentum: float = 0.1,
                          epsilon: float = 1e-5, shift: Optional[Tensor] = None) -> Tensor:
-    """``reduce(leaky_relu(batch_norm(x, ..., shift), slope), 3, "max")`` in
-    one op, bit for bit: (B, C, N, k) -> (B, C, N).
+    """``reduce(leaky_relu(batch_norm(x, ...), slope), 3, "max")`` in one op,
+    bit for bit: (B, C, N, k) -> (B, C, N). A (C,) ``shift`` normalizes
+    x + shift without forming it (:func:`_norm_scale`).
 
     Batch norm then leaky relu is, per channel, a map of x that never
     decreases when the scale gamma / sigma is >= 0 and never increases when it
@@ -592,7 +586,7 @@ def batch_norm_leaky_max(x: Tensor, gamma: Tensor, beta: Tensor,
         raise InvalidInputError(f"cannot reduce empty axis 3 of shape {x.shape}")
     _, mu, ivar, scale, _, _ = _norm_stats(
         x, gamma, beta, running_mean, running_var, mode, momentum, epsilon, False, shift)
-    parents = _with_shift((x, gamma, beta), shift)
+    parents = (x, gamma, beta) if shift is None else (x, gamma, beta, shift)
     recording = _recording(*parents)
     picked, winners = _winning_values(xd, scale, recording)
     centred, z, out = _activate_winners(picked, mu, scale, beta, s)

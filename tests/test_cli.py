@@ -187,6 +187,13 @@ def test_train_rejects_a_later_negative_seed_before_training(dataset, tmp_path, 
     assert not out.exists()
 
 
+def test_train_refuses_a_repeated_seed_before_anything_is_written(dataset, tmp_path, capsys):
+    out = tmp_path / "multi"
+    assert main(train_args(dataset, out) + ["--seeds", "0,1,0"]) == 2
+    assert "seed 0 is repeated in [0, 1, 0]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_seed_and_seeds_are_exclusive(dataset, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(train_args(dataset, tmp_path / "r") + ["--seed", "3", "--seeds", "0,1"])
@@ -330,6 +337,7 @@ MALFORMED_OPTS = {
     "seeds missing": lambda m: {**m, "opts": _without(m["opts"], "seeds")},
     "seeds empty": lambda m: {**m, "opts": {**m["opts"], "seeds": []}},
     "a later seed negative": lambda m: {**m, "opts": {**m["opts"], "seeds": [0, -1]}},
+    "a seed repeated": lambda m: {**m, "opts": {**m["opts"], "seeds": [3, 3]}},
     "out a number": lambda m: {**m, "opts": {**m["opts"], "out": 5}},
     "emb_dims a bool": lambda m: {**m, "opts": {**m["opts"], "emb_dims": True}},
     "k a bool": lambda m: {**m, "opts": {**m["opts"], "k": True}},
@@ -354,8 +362,10 @@ def test_replay_rejects_malformed_opts_with_exit_2(dataset, tmp_path, capsys, co
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err, err
     assert not (tmp_path / "x").exists()  # nothing trained or recorded
-    if case in ("k missing", "unknown key"):
-        assert {"k missing": "missing ['k']", "unknown key": "unknown ['colour']"}[case] in err
+    named = {"k missing": "missing ['k']", "unknown key": "unknown ['colour']",
+             "a seed repeated": "seed 3 is repeated"}
+    if case in named:
+        assert named[case] in err
 
 
 # The default model's (10**12, 512) fusion weight needs 3.6 PiB, which no
@@ -369,6 +379,16 @@ def test_train_with_an_embedding_no_machine_holds_exits_2(tmp_path, capsys):
                  "--out", str(tmp_path / "r")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Unable to allocate" in err, err
+    assert not (tmp_path / "r").exists()  # models are built before the manifest
+
+
+def test_ablate_with_an_embedding_no_machine_holds_leaves_no_run(tmp_path, capsys):
+    assert main(["ablate", "--preset", "synth", "--limit", "40", "--epochs", "1",
+                 "--emb-dims", str(_EMB_DIMS_NO_MACHINE_HOLDS),
+                 "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Unable to allocate" in err, err
+    assert not (tmp_path / "r").exists()
 
 
 # ---------------------------------------------------------------------

@@ -20,7 +20,7 @@ from adaptgraph import tensor as T
 from adaptgraph.data import PipelineConfig, SynthSpec
 from adaptgraph.errors import ConfigError, InvalidInputError, UsageError
 from adaptgraph.kernels import MultiHeadAdaptiveKernel
-from adaptgraph.nn import BatchNorm
+from adaptgraph.nn import BatchNorm, Module, Parameter
 from adaptgraph.network import (ActivityNet, ModelConfig, Variant, build,
                                 config_from_dict, config_to_dict, count_macs,
                                 count_params)
@@ -215,6 +215,76 @@ def test_count_params_equals_built_model(variant):
     assert count_params(cfg) == built
 
 
+DEFAULT_PARAMETER_NAMES = [
+    "mak1.gen.conv0.weight", "mak1.gen.bn0.gamma", "mak1.gen.bn0.beta",
+    "mak1.gen.conv_mid.weight", "mak1.gen.bn_mid.gamma", "mak1.gen.bn_mid.beta",
+    "mak1.gen.conv1.weight", "mak1.gen.conv1.bias", "mak1.proj.weight",
+    "mak1.proj_bn.gamma", "mak1.proj_bn.beta", "mak1.bn_out.gamma", "mak1.bn_out.beta",
+    "mak2.gen.conv0.weight", "mak2.gen.bn0.gamma", "mak2.gen.bn0.beta",
+    "mak2.gen.conv_mid.weight", "mak2.gen.bn_mid.gamma", "mak2.gen.bn_mid.beta",
+    "mak2.gen.conv1.weight", "mak2.gen.conv1.bias", "mak2.proj.weight",
+    "mak2.proj_bn.gamma", "mak2.proj_bn.beta", "mak2.bn_out.gamma", "mak2.bn_out.beta",
+    "conv3.conv.weight", "conv3.bn.gamma", "conv3.bn.beta", "conv4.conv.weight",
+    "conv4.bn.gamma", "conv4.bn.beta", "fuse.weight", "fuse_bn.gamma", "fuse_bn.beta",
+    "fc1.weight", "fc_bn1.gamma", "fc_bn1.beta", "fc2.weight", "fc_bn2.gamma",
+    "fc_bn2.beta", "head.weight", "head.bias"
+]
+DEFAULT_BUFFER_NAMES = [
+    "mak1.gen.bn0.running_mean", "mak1.gen.bn0.running_var", "mak1.gen.bn_mid.running_mean",
+    "mak1.gen.bn_mid.running_var", "mak1.proj_bn.running_mean", "mak1.proj_bn.running_var",
+    "mak1.bn_out.running_mean", "mak1.bn_out.running_var", "mak2.gen.bn0.running_mean",
+    "mak2.gen.bn0.running_var", "mak2.gen.bn_mid.running_mean",
+    "mak2.gen.bn_mid.running_var", "mak2.proj_bn.running_mean", "mak2.proj_bn.running_var",
+    "mak2.bn_out.running_mean", "mak2.bn_out.running_var", "conv3.bn.running_mean",
+    "conv3.bn.running_var", "conv4.bn.running_mean", "conv4.bn.running_var",
+    "fuse_bn.running_mean", "fuse_bn.running_var", "fc_bn1.running_mean",
+    "fc_bn1.running_var", "fc_bn2.running_mean", "fc_bn2.running_var"
+]
+
+
+def test_default_model_names_its_parameters_and_buffers_in_order():
+    # a module's own parameters first, then each submodule's, in assignment
+    # order: the names and order checkpoints are keyed by
+    model = build(ModelConfig(), seed=0)
+    assert [n for n, _ in model.named_parameters()] == DEFAULT_PARAMETER_NAMES
+    assert [n for n, _ in model.named_buffers()] == DEFAULT_BUFFER_NAMES
+
+
+@pytest.mark.parametrize("variant", [Variant.MAK_ONLY, Variant.MAK_FF, Variant.SANDWICH_FF])
+def test_variants_name_every_parameter_and_buffer_once(variant):
+    model = build(ModelConfig(variant=variant), seed=0)
+    params = [n for n, _ in model.named_parameters()]
+    buffers = [n for n, _ in model.named_buffers()]
+    assert (len(params), len(buffers)) == {Variant.MAK_ONLY: (57, 34), Variant.MAK_FF: (57, 34),
+                                           Variant.SANDWICH_FF: (40, 24)}[variant]
+    assert len(set(params)) == len(params) and len(set(buffers)) == len(buffers)
+
+
+def test_module_lists_its_parameters_before_its_submodules():
+    class Outer(Module):
+        def __init__(self):
+            super().__init__()
+            self.inner = BatchNorm(2)
+            self.label = "not a parameter"
+            self.scale = Parameter(Tensor(np.ones(2)))
+
+    outer = Outer()
+    assert [n for n, _ in outer.named_parameters()] == ["scale", "inner.gamma", "inner.beta"]
+    assert [n for n, _ in outer.named_buffers()] == ["inner.running_mean",
+                                                     "inner.running_var"]
+    assert outer.parameters() == [outer.scale, outer.inner.gamma, outer.inner.beta]
+
+
+def test_eval_and_train_reach_nested_modules():
+    model = build(small_cfg(), seed=0)
+    nested = [model.mak1, model.mak1.gen, model.mak1.gen.bn0, model.mak1.bn_out,
+              model.conv3.bn, model.fc_bn1, model.head]
+    assert model.eval() is model
+    assert not any(m.training for m in [model] + nested)
+    model.train()
+    assert all(m.training for m in [model] + nested)
+
+
 def test_count_params_default_config_frozen_total():
     assert count_params(ModelConfig()) == 1_878_053
 
@@ -371,10 +441,10 @@ def test_stages_pool_before_they_normalize(variant, monkeypatch):
         assert not (x.ndim == 4 and x.shape[1] in widths), x.shape
         return real_leaky(x, slope)
 
-    def forward(bn, x, shift=None):
+    def forward(bn, x):
         if x.ndim == 4 and x.shape[1] in widths:
             per_edge.append(bn)
-        return real_forward(bn, x, shift)
+        return real_forward(bn, x)
 
     def leaky_max(bn, x, slope, shift=None):
         pooled.append(bn)
