@@ -8,6 +8,7 @@ and reused by every layer that needs graph features.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -37,6 +38,43 @@ class NeighborIndex:
             raise InvalidInputError("indices must be integer-typed")
         if idx.size and (idx.min() < 0 or idx.max() >= self.n_points):
             raise InvalidInputError(f"indices must lie in [0, {self.n_points})")
+
+    @cached_property
+    def rows(self) -> "NeighborRows":
+        """The edges grouped by the point they read, in rows of k slots that a
+        point's edges fill in edge order; built once, shared by every stage."""
+        b, n, k = self.indices.shape
+        flat = (self.indices + (np.arange(b) * n)[:, None, None]).ravel()
+        counts = np.bincount(flat, minlength=b * n)
+        extra = np.maximum(counts - 1, 0) // k  # overflow rows per point
+        # edges sorted by point (a small key sorts by radix), ranked within it
+        order = np.argsort(flat.astype(np.min_scalar_type(b * n)), kind="stable")
+        point = flat[order]
+        rank = np.arange(flat.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        over_slot = (np.cumsum(extra) - extra + b * n) * k  # a point's first overflow slot
+        slots = np.empty_like(flat)
+        slots[order] = np.where(rank < k, point * k + rank, over_slot[point] + rank - k)
+        return NeighborRows(slots, np.repeat(np.arange(b * n), extra), b * n, k)
+
+
+@dataclass(frozen=True)
+class NeighborRows:
+    """Edges grouped by the point they read, in rows of ``width`` slots. Row
+    p < ``points`` is point p's first row; a point read by d > width edges
+    continues in ceil(d / width) - 1 overflow rows after them, and ``over``
+    holds each overflow row's point. ``slots`` (E,) is each edge's flat slot
+    in the (rows, width) layout; slots no edge holds are padding."""
+    slots: np.ndarray
+    over: np.ndarray
+    points: int
+    width: int
+
+    def spread(self, values: np.ndarray) -> np.ndarray:
+        """Per-edge values (E, ...) -> (rows, width, ...), zero in the padding."""
+        out = np.zeros(((self.points + self.over.size) * self.width,) + values.shape[1:],
+                       dtype=values.dtype)
+        out[self.slots] = values
+        return out.reshape((-1, self.width) + values.shape[1:])
 
 
 def _gather(xd: np.ndarray, index: np.ndarray,
@@ -213,34 +251,6 @@ def _per_point_back(d_point: np.ndarray, stacked: np.ndarray, x: Tensor):
     return dx, np.concatenate([d_a - d_diff, d_diff], axis=1)
 
 
-def edge_linear(x: Tensor, idx: NeighborIndex, weight: Tensor) -> Tensor:
-    """``pointwise_linear(graph_feature(x, idx), weight)`` without forming
-    either edge tensor.
-
-    Args:
-        x: point features, (B, C, N)
-        idx: neighborhood structure over the same N points
-        weight: (C_out, 2C) = [W_a | W_b], acting on [x_j - x_i, x_i]
-    Returns:
-        (B, C_out, N, k). The map is linear in [x_j - x_i, x_i], so it equals
-        W_a x_j + (W_b - W_a) x_i: one (2 C_out, C) product per point, then
-        a gather, k times fewer multiply-accumulates than per edge.
-    """
-    _check_points(x, idx, "edge_linear")
-    c_out = _check_weight(x, weight, "edge_linear")
-    n = x.shape[2]
-    stacked, per_point = _per_point(x, weight)
-    out = _gather(per_point[:, :c_out], idx.indices)
-    out += per_point[:, c_out:, :, None]
-
-    def back(g):
-        d_point = np.concatenate(
-            [_scatter_add(g, idx.indices, n), g.sum(axis=3)], axis=1)
-        return _per_point_back(d_point, stacked, x)
-
-    return T._make(out, (x, weight), back)
-
-
 def _adjacency_product(h: np.ndarray, nbrs: np.ndarray, scatter: bool = False) -> np.ndarray:
     """Per batch item, h A^T, or h A with ``scatter``: (B, C, N) -> (B, C, N).
 
@@ -347,8 +357,8 @@ def edge_conv(x: Tensor, idx: NeighborIndex, weight: Tensor, gamma: Tensor, beta
               running_mean: Optional[np.ndarray], running_var: Optional[np.ndarray],
               mode: str, slope: float = 0.2, momentum: float = 0.1,
               epsilon: float = 1e-5) -> Tensor:
-    """An EdgeConv stage, ``T.batch_norm_leaky_max(edge_linear(x, idx,
-    weight), gamma, beta, ...)``, without any (B, C_out, N, k) array.
+    """An EdgeConv stage, ``T.batch_norm_leaky_max`` of ``T.pointwise_linear(
+    graph_feature(x, idx), weight)``, without any (B, C_out, N, k) array.
 
     Args:
         x: point features, (B, C, N)

@@ -8,25 +8,25 @@ are applied to the content features and summed over heads. A residual path
 The matrices are never formed. The generator's last layer is affine in its
 mid-width output y, so each edge kernel is a y-weighted mix of a shared
 basis, and the head sum folds into a sum of that layer's weights. One
-contraction applies them: an edge operand outer [y, 1] against the summed
-basis [A | b] (the assembly PAConv uses), one cache-sized chunk at a time, in
-working memory independent of H and C_out. The operand comes in two kinds.
-Edge features (B, C_in, N, k) are their own operand. Point features
-(B, C_p, N) with a neighbor index stand for the edge features
-[x_j - x_i, x_i], which are linear in them: the gathered neighbors x_j are
-the operand, the x_i half becomes a per-point product, and working memory
-falls to B*N*k*C_p*(mid+1) with C_in = 2*C_p. The network uses point
-features; edge features serve as the reference form.
+contraction applies them, assembled as PAConv does: every point is
+projected by the summed basis once, and each edge weights the projection of
+the point it reads by its [y, 1], grouped by that point into rows of at
+most k so that this is one batched matmul (gather-GEMM-scatter, as in
+TorchSparse). Point features (B, C_p, N) with a neighbor index stand for
+the edge features [x_j - x_i, x_i], linear in them: the x_j half is read
+through the rows, the x_i half applied to each point's own k edges. The
+network uses point features; edge features (B, C_in, N, k), each edge its
+own point, serve as the reference form.
 
-An identity residual is the constant kernel I. It adds to b, so the ones
-channel of the operand adds each edge's features x_e themselves, for both
-kinds (structural re-parameterisation, as in RepVGG). A projected residual
-is folded into the basis the same way: its batch norm is, per channel,
-alpha * (W x_e) + c, so the constant kernel alpha * W adds to b. In train
-mode alpha comes from the batch moments of W x_e (per-point products for
-point features), and c cancels under the output batch norm's batch mean;
-in eval mode c shifts that norm's mean. No residual forms a feature of its
-own.
+An identity residual is the constant kernel I. It adds to b, which each edge
+weights by the 1 of its [y, 1], so the edge's features x_e are added
+themselves, for both kinds (structural re-parameterisation, as in RepVGG). A
+projected residual is folded into the basis the same way: its batch norm is,
+per channel, alpha * (W x_e) + c, so the constant kernel alpha * W adds to
+b. In train mode alpha comes from the batch moments of W x_e (per-point
+products for point features), and c cancels under the output batch norm's
+batch mean; in eval mode c shifts that norm's mean. No residual forms a
+feature of its own.
 """
 
 from __future__ import annotations
@@ -118,10 +118,9 @@ def apply_heads(coeffs: Tensor, x: Tensor, weight: Tensor, bias: Tensor,
         out[b,:,n,j] = sum_h W_h[b,n,j] @ x[b,:,n,j],
         W_h[b,n,j][o,i] = weight[(o*C_in+i)*H+h] @ y[b,:,n,j] + bias[(o*C_in+i)*H+h].
 
-    Heads fold exactly into summed weights A = sum_h A_h, b = sum_h b_h, and
-    out is the basis [A | b] (C_out, C_in, mid + 1) contracted with
-    x outer [y, 1]: one operator, :func:`_contract`, for both kinds. Memory
-    does not grow with H.
+    Heads fold exactly into summed weights A = sum_h A_h, b = sum_h b_h, the
+    basis [A | b] (C_out, C_in, mid + 1) that one operator, :func:`_contract`,
+    applies for both kinds, in memory that does not grow with H.
     """
     if heads < 1:
         raise ConfigError("head count must be at least 1")
@@ -154,110 +153,100 @@ def apply_heads(coeffs: Tensor, x: Tensor, weight: Tensor, bias: Tensor,
     return _contract(coeffs, x, T.concat([a_sum, b_sum], axis=2), idx)
 
 
-# Values per chunk of the edge operand outer y1: about 1 MB in f32, so a
-# chunk's product stays in cache and its buffers are reused.
-_CHUNK_VALUES = 1 << 18
-
-
 def _contract(coeffs: Tensor, x: Tensor, basis: Tensor,
               idx: Optional[graph.NeighborIndex]) -> Tensor:
     """The contraction behind :func:`apply_heads`: with y1 = [y, 1] and the
-    basis [A | b] (C_out, C_in, mid+1), out = basis . (x_e outer y1), summed
-    over the C_in * (mid+1) channels of each edge.
-
-    Without ``idx`` the edge features x_e are x itself, and the edge operand
-    is x. With it, x_e = [x_j - x_i, x_i] with C_in = 2C. The basis splits
-    into A_a, acting on x_j - x_i, and A_b, acting on x_i:
-
-        out = A_a (x_j outer y1) + sum_m y1_m ((A_b - A_a)_m x)_i,
-
-    so the edge operand is the gathered neighbors x_j (B, C, N, k), and the
-    center term is a per-point product (C_out*(mid+1), C) @ x, then per
-    point a (C_out, mid+1) @ (mid+1, k) matmul with that point's
-    coefficients.
-
-    The edge term is one matmul over the C * (mid+1) channels of the edge
-    operand outer y1, built one chunk at a time in one scratch buffer: a run
-    of at most ``_CHUNK_VALUES`` // (C * (mid+1)) edges inside one batch item
-    (at least one edge, at most the item's N * k). Backward keeps the edge
-    operand and y1 (B, mid+1, N, k) and rebuilds each chunk's outer product
-    from them. Only the basis gradient is summed across chunks, so it alone
-    depends on the chunk size, in the order of its sum.
+    basis [A | b] (C_out, C_in, mid+1) as maps A_m, out_e = sum_m y1_e[m]
+    A_m x_e. With ``idx``, x_e = [x_p - x_i, x_i] for the edge from center i
+    to neighbor p, so out_e = y1_e Q[p] + y1_e R[i] with Q = A_a x and
+    R = (A_b - A_a) x, (mid+1, C_out) per point. The neighbor term is one
+    batched matmul over ``idx.rows``, (rows, k, mid+1) @ (rows, mid+1, C_out):
+    a point's first row reads its Q in place, overflow rows gather it. Per
+    block of about ``T._MAX_BLOCK_VALUES`` output values, the block's edges
+    are gathered from the rows, each source point's k edges get its R term,
+    and the sum is written into (B, C_out, N, k). Without ``idx`` every edge
+    is its own point in a one-slot row, with Q = A x_e and no R term.
+    Backward runs on the same rows and blocks (dQ = y1ᵀ G, d_y1 = G Qᵀ),
+    then one GEMM each for dx and the basis gradient.
     """
     b, mid, n, k = coeffs.shape
-    c_out, c_in, m1 = basis.shape
-    c = c_in if idx is None else c_in // 2
+    c_out, _, m1 = basis.shape
     e = n * k
     dt = x.data.dtype
-    a_nb = np.ascontiguousarray(basis.data[:, :c]).reshape(c_out, c * m1)  # columns (i, m)
-    y1 = np.empty((b, m1, n, k), dtype=dt)
-    y1[:, :mid] = coeffs.data
-    y1[:, mid] = 1
-    y1_edges = y1.reshape(b, 1, m1, e)
-    nb = (x.data if idx is None else graph._gather(x.data, idx.indices)).reshape(b, c, 1, e)
-    per_edge = c * m1
-    step = min(e, max(1, _CHUNK_VALUES // per_edge))
-    chunks = [(i, slice(lo, lo + step)) for i in range(b) for lo in range(0, e, step)]
-    scratch = np.empty(per_edge * step, dtype=dt)
+    q_cols = m1 * c_out  # one point's Q, columns (m, o)
+    center, c = idx is not None, x.shape[1]
+    rows = idx.rows if center else graph.NeighborRows(np.arange(b * e), np.arange(0), b * e, 1)
+    x_pt = x.data.reshape(b, c, -1).transpose(0, 2, 1).reshape(-1, c)  # point-major
+    halves = [basis.data[:, :c], basis.data[:, c:] - basis.data[:, :c]] if center else [basis.data]
+    w = np.concatenate([h.transpose(1, 2, 0).reshape(c, q_cols) for h in halves], axis=1)
+    pts, over = rows.points, rows.over  # x_pt @ w = [Q | R]
 
-    def outer(item, edges):
-        """Edge operand outer y1 of one chunk, (C, mid+1, edges), written
-        into the front of ``scratch``."""
-        src = nb[item, :, :, edges]
-        o = scratch[:src.size * m1].reshape(c, m1, src.shape[2])
-        np.multiply(src, y1_edges[item, :, :, edges], out=o)
-        return o
+    def by_row(lhs, per_point):
+        """lhs[r] @ per_point[point of row r] for every row r."""
+        res = np.empty(lhs.shape[:2] + per_point.shape[2:], dtype=dt)
+        np.matmul(lhs[:pts], per_point, out=res[:pts])
+        np.matmul(lhs[pts:], per_point[over], out=res[pts:])
+        return res
 
+    def center_rows(sources):
+        """R of the source points ``sources``, (points, mid+1, C_out)."""
+        return np.matmul(x_pt[sources], w[:, q_cols:]).reshape(-1, m1, c_out)
+
+    y1 = np.concatenate([coeffs.data.reshape(b, mid, e), np.ones((b, 1, e), dtype=dt)], axis=1)
+    y1_pt = y1.transpose(0, 2, 1).reshape(b * n, k, m1)  # each source point's k edges
+    y_rows = rows.spread(y1_pt.reshape(b * e, m1))
+    q = np.matmul(x_pt, w[:, :q_cols]).reshape(pts, m1, c_out)
+    prod = by_row(y_rows, q).reshape(-1, c_out)
+    # blocks of whole source points, about T._MAX_BLOCK_VALUES output values
+    # each: (item, its edges, the same edges flat, their source points)
+    per = min(n, max(1, T._MAX_BLOCK_VALUES // (c_out * k)))
+    spans = [(i, lo, min(n, lo + per)) for i in range(b) for lo in range(0, n, per)]
+    blocks = [(i, slice(lo * k, hi * k), slice((i * n + lo) * k, (i * n + hi) * k),
+               slice(i * n + lo, i * n + hi)) for i, lo, hi in spans]
+    buf, term = np.empty((per * k, c_out), dtype=dt), np.empty((per * k, c_out), dtype=dt)
     out = np.empty((b, c_out, e), dtype=dt)
-    for item, edges in chunks:
-        o = outer(item, edges)
-        np.matmul(a_nb, o.reshape(per_edge, o.shape[2]), out=out[item, :, edges])
-    out = out.reshape(b, c_out, n, k)
-    if idx is not None:
-        # rows (o, m): the center map, one (C_out, mid+1) block per input channel
-        center_w = (basis.data[:, c:] - basis.data[:, :c]).transpose(0, 2, 1).reshape(
-            c_out * m1, c)
-        y1_pt = y1.transpose(0, 2, 1, 3)  # (B, N, mid+1, k)
-        x_pt = x.data.transpose(0, 2, 1)  # (B, N, C)
-        center = np.matmul(x_pt, center_w.T).reshape(b, n, c_out, m1)
-        term = np.empty_like(out)  # in out's layout, so the add runs contiguously
-        np.matmul(center, y1_pt, out=term.transpose(0, 2, 1, 3))
-        out += term
+    for i, edges, flat, sources in blocks:
+        # mode "clip" lets np.take write into buf; every slot is in range
+        blk = np.take(prod, rows.slots[flat], 0, buf[:flat.stop - flat.start], "clip")
+        if center:
+            t = term[:len(blk)]
+            np.matmul(y1_pt[sources], center_rows(sources), out=t.reshape(-1, k, c_out))
+            blk += t
+        out[i, :, edges] = blk.T
 
     def back(g):
-        g3 = g.reshape(b, c_out, e)
-        d_a = np.zeros((c_out, c * m1), dtype=dt)  # columns (i, m), like a_nb
-        d_y1 = np.empty((b, m1, e), dtype=dt)
-        d_nb = np.empty((b, c, e), dtype=dt)
-        d_outer = np.empty_like(scratch)
-        for item, edges in chunks:
-            o = outer(item, edges)
-            o2 = o.reshape(per_edge, o.shape[2])
-            g_chunk = g3[item, :, edges]
-            d_a += np.matmul(g_chunk, o2.T)
-            d = d_outer[:o.size].reshape(o.shape)
-            np.matmul(a_nb.T, g_chunk, out=d.reshape(o2.shape))
-            np.multiply(d, nb[item, :, :, edges], out=o)
-            o.sum(axis=0, out=d_y1[item, :, edges])
-            d *= y1_edges[item, :, :, edges]
-            d.sum(axis=1, out=d_nb[item, :, edges])
-        d_a = d_a.reshape(c_out, c, m1)
-        if idx is None:
-            return d_y1[:, :mid].reshape(b, mid, n, k), d_nb.reshape(x.shape), d_a
-        dx = graph._scatter_add(d_nb.reshape(b, c, n, k), idx.indices, n)
+        g = g.reshape(b, c_out, e)
+        d_prod = np.zeros(y_rows.shape[:2] + (c_out,), dtype=dt)  # padding slots stay zero
+        d_y1_center = np.empty((b * e, m1), dtype=dt) if center else None
+        d_pt = np.empty((pts, w.shape[1]), dtype=dt)  # [dQ | dR]
+        for i, edges, flat, sources in blocks:
+            gb = buf[:edges.stop - edges.start]
+            np.copyto(gb, g[i, :, edges].T)
+            d_prod.reshape(-1, c_out)[rows.slots[flat]] = gb
+            if center:
+                g_pt = gb.reshape(-1, k, c_out)
+                np.matmul(g_pt, center_rows(sources).transpose(0, 2, 1),
+                          out=d_y1_center[flat].reshape(-1, k, m1))
+                np.matmul(y1_pt[sources].transpose(0, 2, 1), g_pt,
+                          out=d_pt[sources, q_cols:].reshape(-1, m1, c_out))
+        d_q = d_pt[:, :q_cols].reshape(pts, m1, c_out)
+        np.matmul(y_rows[:pts].transpose(0, 2, 1), d_prod[:pts], out=d_q)
+        if over.size:  # each point's overflow rows are adjacent
+            heads = np.flatnonzero(np.diff(over, prepend=-1))
+            d_q[over[heads]] += np.add.reduceat(
+                np.matmul(y_rows[pts:].transpose(0, 2, 1), d_prod[pts:]), heads, axis=0)
+        d_y1 = by_row(d_prod, q.transpose(0, 2, 1)).reshape(-1, m1)[rows.slots]
+        if center:
+            d_y1 += d_y1_center
+        d_coeffs = np.ascontiguousarray(
+            d_y1.reshape(b, e, m1)[:, :, :mid].transpose(0, 2, 1)).reshape(coeffs.shape)
+        dx = np.matmul(d_pt, w.T).reshape(b, -1, c).transpose(0, 2, 1)
+        dw = np.matmul(x_pt.T, d_pt).reshape(-1, m1, c_out).transpose(2, 0, 1)
+        if center:  # rows (i, half) hold dQ and dR: A_a gets dQ - dR, A_b gets dR
+            dw = np.concatenate([dw[:, 0::2] - dw[:, 1::2], dw[:, 1::2]], axis=1)
+        return d_coeffs, np.ascontiguousarray(dx).reshape(x.shape), dw
 
-        g_pt = g.transpose(0, 2, 1, 3)  # (B, N, C_out, k)
-        d_center = np.matmul(g_pt, y1_pt.transpose(0, 1, 3, 2))  # (B, N, C_out, mid+1)
-        d_y1 += np.matmul(center.transpose(0, 1, 3, 2), g_pt).transpose(0, 2, 1, 3).reshape(
-            b, m1, e)
-        d_center = d_center.reshape(b * n, c_out * m1)
-        dx += np.matmul(d_center, center_w).reshape(b, n, c).transpose(0, 2, 1)
-        d_cw = np.matmul(d_center.T, x_pt.reshape(b * n, c))  # (C_out*(mid+1), C)
-        d_cw = d_cw.reshape(c_out, m1, c).transpose(0, 2, 1)
-        d_basis = np.concatenate([d_a - d_cw, d_cw], axis=1)
-        return d_y1[:, :mid].reshape(b, mid, n, k), dx, d_basis
-
-    return T._make(out, (coeffs, x, basis), back)
+    return T._make(out.reshape(b, c_out, n, k), (coeffs, x, basis), back)
 
 
 def _projection_scale(x: Tensor, idx: Optional[graph.NeighborIndex], weight: Tensor,

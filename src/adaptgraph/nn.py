@@ -146,7 +146,7 @@ class BatchNorm(Module):
 
     def edge_conv(self, points: Tensor, idx: graph.NeighborIndex, weight: Tensor,
                   slope: float) -> Tensor:
-        """``self.leaky_max(graph.edge_linear(points, idx, weight), slope)``,
-        (B, C, N) -> (B, channels, N), without forming the edge responses."""
+        """``self.leaky_max(T.pointwise_linear(graph.graph_feature(points, idx), weight),
+        slope)``, (B, C, N) -> (B, channels, N), forming no edge array."""
         return graph.edge_conv(points, idx, weight, *self._state(), slope=slope,
                                momentum=self.momentum, epsilon=self.epsilon)

@@ -494,8 +494,8 @@ def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     return _make(out, (x,), lambda g: (_leaky_grad(neg_mask, s, g),))
 
 
-# Values per block of the max over k and of graph's adjacency products:
-# about 256 KB in f32, small enough to stay in cache while it is reduced.
+# Values per block of the max over k, of graph's adjacency products and of the
+# kernel write-back: about 256 KB in f32, small enough to stay in cache.
 _MAX_BLOCK_VALUES = 1 << 16
 
 

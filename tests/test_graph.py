@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptgraph import graph
 from adaptgraph import tensor as T
@@ -13,7 +15,7 @@ from adaptgraph.errors import InvalidInputError, ShapeError, UsageError
 from adaptgraph.graph import NeighborIndex, graph_feature, knn, pairwise_similarity
 from adaptgraph.network import _ConvBlock
 from adaptgraph.tensor import Tensor
-from test_tensor import check_grads
+from test_tensor import check_grads, edge_linear
 
 
 def points(b, c, n, seed=0, dtype=np.float64):
@@ -166,6 +168,42 @@ def test_neighbor_index_validation():
         NeighborIndex(indices=np.full((1, 5, 2), -1, dtype=np.int64), k=2, n_points=5)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_neighbor_rows_group_each_points_edges_into_rows_of_k(data):
+    b, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 12))
+    k = data.draw(st.integers(1, n))
+    if data.draw(st.booleans()):  # every edge reads one point
+        indices = np.full((b, n, k), data.draw(st.integers(0, n - 1)))
+    else:
+        indices = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=b * n * k,
+                                              max_size=b * n * k))).reshape(b, n, k)
+    rows = NeighborIndex(indices=indices, k=k, n_points=n).rows
+    n_rows = rows.points + rows.over.size
+    read = (indices + (np.arange(b) * n)[:, None, None]).ravel()  # each edge's point
+    assert rows.width == k and rows.points == b * n
+    # every edge holds exactly one slot
+    assert rows.slots.shape == read.shape
+    assert np.unique(rows.slots).size == read.size
+    assert 0 <= rows.slots.min() and rows.slots.max() < n_rows * k
+    # each row holds edges of one point only: its own first row, or an
+    # overflow row of that point
+    row_point = np.concatenate([np.arange(b * n), rows.over])
+    np.testing.assert_array_equal(row_point[rows.slots // k], read)
+    # no row holds more than k edges, and each point has as few rows as that
+    # allows, one when no edge reads it
+    assert np.bincount(rows.slots // k, minlength=n_rows).max() <= k
+    in_degree = np.bincount(read, minlength=b * n)
+    assert n_rows == np.maximum(1, -(-in_degree // k)).sum()
+    # padding slots carry zero coefficients
+    values = np.arange(1.0, read.size + 1).reshape(-1, 1) * [1.0, -2.0]
+    spread = rows.spread(values).reshape(-1, 2)
+    np.testing.assert_array_equal(spread[rows.slots], values)
+    pad = np.ones(len(spread), dtype=bool)
+    pad[rows.slots] = False
+    np.testing.assert_array_equal(spread[pad], 0.0)
+
+
 def test_graph_feature_line_fixture():
     x = np.array([[[0.0, 1.0, 3.0]]])
     idx = knn(Tensor(x), 2)
@@ -295,7 +333,7 @@ def conv_buffers(dtype):
 
 
 def conv_reference(x, idx, w, gamma, beta, rm, rv, mode):
-    return T.batch_norm_leaky_max(graph.edge_linear(x, idx, w), gamma, beta, rm, rv, mode)
+    return T.batch_norm_leaky_max(edge_linear(x, idx, w), gamma, beta, rm, rv, mode)
 
 
 def run_conv(op, x, idx, params, mode, recorded):
@@ -399,7 +437,7 @@ def test_edge_op_guards(op):
 
     def call(x, idx, w):
         if op == "edge_linear":
-            return graph.edge_linear(x, idx, w)
+            return edge_linear(x, idx, w)
         return graph.edge_conv(x, idx, w, gamma, beta, None, None, "train")
 
     assert call(Tensor(x), idx, w).shape[:2] == (2, 6)

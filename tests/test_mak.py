@@ -12,7 +12,7 @@ from adaptgraph import tensor as T
 from adaptgraph.errors import ConfigError, ShapeError, UsageError
 from adaptgraph.kernels import MakConfig, MultiHeadAdaptiveKernel, apply_heads
 from adaptgraph.tensor import Tensor
-from test_tensor import check_grads
+from test_tensor import check_grads, edge_linear
 
 EPS = 1e-5
 SLOPE = 0.2
@@ -37,10 +37,10 @@ def randomize_bn(mod, rng):
     mod._buffers["running_var"][:] = rng.uniform(0.5, 2.0, mod.channels)
 
 
-def build_op(ci=3, co=4, gen_in=6, heads=2, mid=4, residual=True, seed=0):
+def build_op(ci=3, co=4, gen_in=6, heads=2, mid=4, residual=True, seed=0, dtype="f64"):
     cfg = MakConfig(in_channels=ci, out_channels=co, gen_in_channels=gen_in,
                     num_heads=heads, mid_channels=mid, residual=residual)
-    op = MultiHeadAdaptiveKernel(cfg, np.random.default_rng(seed), dtype="f64")
+    op = MultiHeadAdaptiveKernel(cfg, np.random.default_rng(seed), dtype=dtype)
     rng = np.random.default_rng(seed + 100)
     for name in ("bn0", "bn_mid"):
         randomize_bn(getattr(op.gen, name), rng)
@@ -237,35 +237,86 @@ def assert_runs_match(got, want, **tol):
         np.testing.assert_allclose(got[-1][name], want[-1][name], err_msg=name, **tol)
 
 
+LAYOUTS = ("complete", "hub", "isolated")
+TOLERANCE = {"f64": dict(rtol=1e-9, atol=1e-10), "f32": dict(rtol=2e-4, atol=2e-5)}
+
+
+def layout_index(name, b, seed):
+    """A neighbor index for each way the contraction's rows can fill: a
+    complete graph (every point read by exactly k edges, one full row each),
+    a cloud of repeated points whose copies all read the same few copies
+    (in-degree above 2k, so those points span three or more rows), and an
+    index some points of which no edge reads (rows of padding only)."""
+    rng = np.random.default_rng(seed)
+    if name == "complete":
+        n = k = 5
+        idx = graph.knn(Tensor(rng.normal(size=(b, 3, n))), k)
+    elif name == "hub":
+        n, k = 10, 3
+        cloud = rng.normal(size=(b, 3, n))
+        cloud[:, :, 2:] = cloud[:, :, 2:3]  # eight copies of point 2
+        idx = graph.knn(Tensor(cloud), k)
+    else:
+        n, k = 6, 3
+        idx = graph.NeighborIndex(indices=rng.integers(0, n // 2, size=(b, n, k)), k=k,
+                                  n_points=n)
+    in_degree = np.stack([np.bincount(i.ravel(), minlength=n) for i in idx.indices])
+    assert {"complete": (in_degree == k).all(), "hub": in_degree.max() > 2 * k,
+            "isolated": in_degree.min() == 0}[name]
+    return idx
+
+
+def layout_cases(op_dtype=None):
+    """(dtype, mode, layout) triples, f64 first."""
+    for dtype in ("f64", "f32") if op_dtype is None else (op_dtype,):
+        for mode in ("train", "eval"):
+            for name in LAYOUTS:
+                yield dtype, mode, name
+
+
 @pytest.mark.parametrize("heads", [1, 3])
 @pytest.mark.parametrize("residual", ["projected", "identity", "none"])
 def test_operator_matches_dense_bank_values_and_gradients(heads, residual, monkeypatch):
-    ci, co = (3, 5) if residual == "projected" else (3, 3)
-    op = build_op(ci=ci, co=co, heads=heads, residual=residual != "none", seed=heads + 40)
-    mid, n, k = op.cfg.mid_channels, 5, 3
-    # B=2, then B=3 with room for two items' edges per chunk: either way one
-    # whole item per chunk, as a chunk never spans items; then each item's
-    # 15 edges in chunks of 4, the last a short one
-    for b, chunk in ((2, None), (3, 2 * ci * (mid + 1) * n * k), (2, 4 * ci * (mid + 1))):
-        geo, feat = rand_inputs(op, b=b, n=n, k=k, seed=heads + 60)
-        weights = np.random.default_rng(61).normal(size=(b, co, n, k))
+    # edge and point features over each neighbor layout, f64 and f32, train
+    # and eval mode: output, input and every parameter gradient against the
+    # dense bank, which shares no code with the contraction
+    cp, b = 2, 2
+    ci = 2 * cp
+    co = 5 if residual == "projected" else ci
+    ops = {dt: build_op(ci=ci, co=co, heads=heads, residual=residual != "none",
+                        seed=heads + 40, dtype=dt) for dt in ("f64", "f32")}
+    for dtype, mode, name in layout_cases():
+        op = ops[dtype]
+        op.train(mode == "train")
+        buffers = {key: buf.copy() for key, buf in op.named_buffers()}
+        idx = layout_index(name, b, seed=heads + 60)
+        n, k = idx.n_points, idx.k
+        rng = np.random.default_rng(61)
+        geo = rng.normal(size=(b, op.cfg.gen_in_channels, n, k))
+        points = rng.normal(size=(b, cp, n))
+        for kind in ("edges", "points"):
+            feat, f_idx = ((graph.graph_feature(Tensor(points), idx).data, None)
+                           if kind == "edges" else (points, idx))
+            weights = Tensor(rng.normal(size=(b, co, n, k) if kind == "edges" else (b, co, n)),
+                             dtype=dtype)
 
-        def run():
-            for _, p in op.named_parameters():
-                p.value.grad = None
-            g, f = Tensor(geo, requires_grad=True), Tensor(feat, requires_grad=True)
-            out = op(g, f)
-            T.reduce_sum(T.mul(out, Tensor(weights))).backward()
-            grads = {name: p.value.grad for name, p in op.named_parameters()}
-            return out.data, g.grad, f.grad, grads
+            def run():
+                for key, buf in op.named_buffers():
+                    buf[:] = buffers[key]
+                for _, p in op.named_parameters():
+                    p.value.grad = None
+                g = Tensor(geo, dtype=dtype, requires_grad=True)
+                f = Tensor(feat, dtype=dtype, requires_grad=True)
+                out = op(g, f, f_idx)
+                T.reduce_sum(T.mul(out, weights)).backward()
+                grads = {key: p.value.grad for key, p in op.named_parameters()}
+                return out.data, g.grad, f.grad, grads
 
-        with monkeypatch.context() as m:
-            if chunk is not None:
-                m.setattr(kernels, "_CHUNK_VALUES", chunk)
-            got = run()
-            m.setattr(kernels, "apply_heads", dense_apply_heads)
-            want = run()
-        assert_runs_match(got, want, rtol=0, atol=1e-10)
+            with monkeypatch.context() as m:
+                got = run()
+                m.setattr(kernels, "apply_heads", dense_apply_heads)
+                want = run()
+            assert_runs_match(got, want, **TOLERANCE[dtype])
 
 
 def test_zeroed_generator_leaves_only_the_residual():
@@ -357,89 +408,140 @@ def repeated_index(b, n, k, seed):
     return graph.NeighborIndex(indices=indices, k=k, n_points=n)
 
 
-@pytest.mark.parametrize("chunk", [None, 1])
+def with_grads(fn, weights, dtype, *arrays):
+    """fn's output and the gradients of sum(fn(*arrays) * weights) with
+    respect to every argument, in ``dtype``."""
+    leaves = [Tensor(a, dtype=dtype, requires_grad=True) for a in arrays]
+    out = fn(*leaves)
+    T.reduce_sum(T.mul(out, Tensor(weights, dtype=dtype))).backward()
+    return (out.data,) + tuple(leaf.grad for leaf in leaves)
+
+
 @pytest.mark.parametrize("heads", [1, 3])
-def test_apply_heads_on_points_equals_edge_form(heads, chunk, monkeypatch):
-    if chunk is not None:  # one edge per chunk
-        monkeypatch.setattr(kernels, "_CHUNK_VALUES", chunk)
-    b, cp, n, k, mid, co = 2, 2, 5, 3, 3, 3
-    idx = repeated_index(b, n, k, seed=heads)
-    coeffs, _, weight, bias = rand_head_inputs(b, mid, n, k, ci=2 * cp, co=co,
-                                               heads=heads, seed=heads + 20)
-    points = np.random.default_rng(heads + 21).normal(size=(b, cp, n))
-    got = apply_heads(coeffs, Tensor(points), weight, bias, heads, co, idx=idx).data
-    want = apply_heads(coeffs, graph.graph_feature(Tensor(points), idx), weight, bias,
-                       heads, co).data
-    assert got.shape == (b, co, n, k)
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-    # the dense bank shares no code with the contraction both forms run
-    dense = dense_apply_heads(coeffs, Tensor(points), weight, bias, heads, co, idx).data
-    np.testing.assert_allclose(got, dense, rtol=1e-12, atol=1e-12)
+def test_apply_heads_on_points_equals_edge_form(heads):
+    b, cp, mid, co = 2, 2, 3, 3
+    for dtype in ("f64", "f32"):
+        for name in LAYOUTS:
+            idx = layout_index(name, b, seed=heads)
+            n, k = idx.n_points, idx.k
+            coeffs, _, weight, bias = rand_head_inputs(b, mid, n, k, ci=2 * cp, co=co,
+                                                       heads=heads, seed=heads + 20)
+            rng = np.random.default_rng(heads + 21)
+            points, weights = rng.normal(size=(b, cp, n)), rng.normal(size=(b, co, n, k))
+            args = (coeffs.data, points, weight.data, bias.data)
+
+            def points_form(c, x, w, bi):
+                return apply_heads(c, x, w, bi, heads, co, idx=idx)
+
+            def edge_form(c, x, w, bi):
+                return apply_heads(c, graph.graph_feature(x, idx), w, bi, heads, co)
+
+            def dense(c, x, w, bi):
+                # the dense bank shares no code with the contraction both forms run
+                return dense_apply_heads(c, x, w, bi, heads, co, idx)
+
+            got = with_grads(points_form, weights, dtype, *args)
+            assert got[0].shape == (b, co, n, k)
+            for reference in (edge_form, dense):
+                want = with_grads(reference, weights, dtype, *args)
+                for a, w in zip(got, want):
+                    np.testing.assert_allclose(a, w, **TOLERANCE[dtype])
+    # finite differences, on the index the contraction was first checked on
+    idx = repeated_index(b, 5, 3, seed=heads)
+    coeffs, _, weight, bias = rand_head_inputs(b, mid, 5, 3, ci=2 * cp, co=co, heads=heads,
+                                               seed=heads + 20)
+    points = np.random.default_rng(heads + 21).normal(size=(b, cp, 5))
     check_grads(lambda c, x, w, bi: apply_heads(c, x, w, bi, heads, co, idx=idx),
                 [coeffs.data, points, weight.data, bias.data])
+
+
+def test_apply_heads_across_write_back_blocks():
+    # at C_out = 64 the output is written back in blocks of 1020 edges, so
+    # each of these 1200-edge items takes two, the second a short one
+    b, n, k, cp, mid, co = 2, 60, 20, 2, 3, 64
+    idx = repeated_index(b, n, k, seed=n)
+    coeffs, _, weight, bias = rand_head_inputs(b, mid, n, k, ci=2 * cp, co=co, heads=1,
+                                               seed=n + 1)
+    rng = np.random.default_rng(n + 2)
+    args = (coeffs.data, rng.normal(size=(b, cp, n)), weight.data, bias.data)
+    weights = rng.normal(size=(b, co, n, k))
+    got = with_grads(lambda c, x, w, bi: apply_heads(c, x, w, bi, 1, co, idx=idx),
+                     weights, "f64", *args)
+    want = with_grads(lambda c, x, w, bi: dense_apply_heads(c, x, w, bi, 1, co, idx),
+                      weights, "f64", *args)
+    for a, w in zip(got, want):
+        np.testing.assert_allclose(a, w, **TOLERANCE["f64"])
 
 
 def test_no_grad_apply_heads_memory_at_the_mmwave_window():
     # mak2 of the default model on one mmactivity window (B=1, C_p=64, N=960,
     # k=20, mid=8, C_out=64, f32): the output and the gathered neighbors are
     # 4.9 MB each, and the traced peak stays under three times their sum
-    # because the outer product is built a cache-sized chunk at a time
+    # because the neighbor term's rows hold at most about two slots per edge
+    # and the center term is added a block of source points at a time. In
+    # the hub case every edge reads one of three points: those points' rows
+    # hold all the edges, and the other points' rows are padding only
     b, cp, n, k, mid, co = 1, 64, 960, 20, 8, 64
-    rng = np.random.default_rng(0)
-    idx = graph.NeighborIndex(indices=rng.integers(0, n, size=(b, n, k)), k=k, n_points=n)
-    coeffs = Tensor(rng.normal(size=(b, mid, n, k)), dtype="f32")
-    points = Tensor(rng.normal(size=(b, cp, n)), dtype="f32")
-    weight = Tensor(rng.normal(size=(co * 2 * cp, mid)), dtype="f32")
-    bias = Tensor(rng.normal(size=(co * 2 * cp,)), dtype="f32")
     budget = 3 * 4 * (b * co * n * k + b * cp * n * k)
-    tracemalloc.start()
-    try:
-        with T.no_grad():
-            out = apply_heads(coeffs, points, weight, bias, 1, co, idx=idx)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert out.shape == (b, co, n, k) and out.node is None
-    assert peak < budget, f"traced peak {peak / 1e6:.1f} MB, budget {budget / 1e6:.1f} MB"
+    for spread in (n, 3):
+        rng = np.random.default_rng(0)
+        idx = graph.NeighborIndex(indices=rng.integers(0, spread, size=(b, n, k)), k=k,
+                                  n_points=n)
+        coeffs = Tensor(rng.normal(size=(b, mid, n, k)), dtype="f32")
+        points = Tensor(rng.normal(size=(b, cp, n)), dtype="f32")
+        weight = Tensor(rng.normal(size=(co * 2 * cp, mid)), dtype="f32")
+        bias = Tensor(rng.normal(size=(co * 2 * cp,)), dtype="f32")
+        tracemalloc.start()
+        try:
+            with T.no_grad():
+                out = apply_heads(coeffs, points, weight, bias, 1, co, idx=idx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (b, co, n, k) and out.node is None
+        assert peak < budget, (f"neighbors among {spread} points: traced peak "
+                               f"{peak / 1e6:.1f} MB, budget {budget / 1e6:.1f} MB")
 
 
 @pytest.mark.parametrize("residual", ["projected", "identity", "none"])
 def test_operator_on_points_equals_edge_form(residual, monkeypatch):
-    cp = 2
+    cp, b = 2, 3
     co = 5 if residual == "projected" else 2 * cp
-    op = build_op(ci=2 * cp, co=co, heads=2, residual=residual != "none", seed=70)
-    op.train()
-    b, n, k = 3, 5, 3
-    idx = repeated_index(b, n, k, seed=71)
-    rng = np.random.default_rng(72)
-    geo, points = rng.normal(size=(b, op.cfg.gen_in_channels, n, k)), rng.normal(size=(b, cp, n))
-    weights = rng.normal(size=(b, co, n))
+    ops = {dt: build_op(ci=2 * cp, co=co, heads=2, residual=residual != "none", seed=70,
+                        dtype=dt) for dt in ("f64", "f32")}
+    for dtype, mode, name in layout_cases():
+        op = ops[dtype]
+        op.train(mode == "train")
+        buffers = {key: buf.copy() for key, buf in op.named_buffers()}
+        idx = layout_index(name, b, seed=71)
+        n, k = idx.n_points, idx.k
+        rng = np.random.default_rng(72)
+        geo = rng.normal(size=(b, op.cfg.gen_in_channels, n, k))
+        points = rng.normal(size=(b, cp, n))
+        weights = Tensor(rng.normal(size=(b, co, n)), dtype=dtype)
 
-    def run(per_point):
-        for _, p in op.named_parameters():
-            p.value.grad = None
-        g, x = Tensor(geo, requires_grad=True), Tensor(points, requires_grad=True)
-        if per_point:  # the network's form maps points to points
-            out = op(g, x, idx)
-            assert out.shape == (b, co, n)
-        else:
-            out = T.reduce(op(g, graph.graph_feature(x, idx)), 3, "max")
-        T.reduce_sum(T.mul(out, Tensor(weights))).backward()
-        return out.data, g.grad, x.grad, {name: p.value.grad
-                                          for name, p in op.named_parameters()}
+        def run(per_point):
+            for key, buf in op.named_buffers():
+                buf[:] = buffers[key]
+            for _, p in op.named_parameters():
+                p.value.grad = None
+            g = Tensor(geo, dtype=dtype, requires_grad=True)
+            x = Tensor(points, dtype=dtype, requires_grad=True)
+            if per_point:  # the network's form maps points to points
+                out = op(g, x, idx)
+                assert out.shape == (b, co, n)
+            else:
+                out = T.reduce(op(g, graph.graph_feature(x, idx)), 3, "max")
+            T.reduce_sum(T.mul(out, weights)).backward()
+            return out.data, g.grad, x.grad, {key: p.value.grad
+                                              for key, p in op.named_parameters()}
 
-    # B=3 with room for two items' edges per chunk: one whole item per
-    # chunk; then each item's 15 edges in chunks of 4 (point form), the
-    # last a short one
-    m1 = op.cfg.mid_channels + 1
-    for chunk in (2 * cp * m1 * n * k, 4 * cp * m1):
         with monkeypatch.context() as m:
-            m.setattr(kernels, "_CHUNK_VALUES", chunk)
             got = run(True)
-            assert_runs_match(got, run(False), rtol=1e-9, atol=1e-10)
+            assert_runs_match(got, run(False), **TOLERANCE[dtype])
             # the network's form against the dense bank, which shares no code with it
             m.setattr(kernels, "apply_heads", dense_apply_heads)
-            assert_runs_match(got, run(True), rtol=1e-9, atol=1e-10)
+            assert_runs_match(got, run(True), **TOLERANCE[dtype])
 
 
 @pytest.mark.parametrize("heads", [1, 2])
@@ -537,7 +639,7 @@ def unfolded_forward(op, geo, feat, idx=None):
     if idx is None:
         projected = op.proj_bn(op.proj(feat))
         return T.leaky_relu(op.bn_out(T.add(out, projected)), SLOPE)
-    projected = op.proj_bn(graph.edge_linear(feat, idx, op.proj.weight.value))
+    projected = op.proj_bn(edge_linear(feat, idx, op.proj.weight.value))
     return op.bn_out.leaky_max(T.add(out, projected), SLOPE)
 
 

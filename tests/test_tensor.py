@@ -510,18 +510,39 @@ def test_concat_and_slice_round_trip():
         T.concat([a, Tensor(rand(2, 2), dtype="f32")], axis=1)
 
 
+def edge_linear(x, idx, weight):
+    """``pointwise_linear(graph_feature(x, idx), weight)``, (B, C, N) ->
+    (B, C_out, N, k), from per-point products, as ``graph.edge_conv`` builds
+    its edge responses: the map is linear in [x_j - x_i, x_i], so it equals
+    W_a x_j + (W_b - W_a) x_i, one (2 C_out, C) product per point and a
+    gather. The reference that ``edge_conv``'s tests normalize and pool."""
+    graph._check_points(x, idx, "edge_linear")
+    c_out = graph._check_weight(x, weight, "edge_linear")
+    n = x.shape[2]
+    stacked, per_point = graph._per_point(x, weight)
+    out = graph._gather(per_point[:, :c_out], idx.indices)
+    out += per_point[:, c_out:, :, None]
+
+    def back(g):
+        d_point = np.concatenate(
+            [graph._scatter_add(g, idx.indices, n), g.sum(axis=3)], axis=1)
+        return graph._per_point_back(d_point, stacked, x)
+
+    return T._make(out, (x, weight), back)
+
+
 def test_edge_linear_equals_linear_map_of_graph_feature():
     rng = np.random.default_rng(12)
     x, w = rng.normal(size=(2, 3, 6)), rng.normal(size=(4, 6))
     indices = rng.integers(0, 3, size=(2, 6, 4))  # neighbours repeat heavily
     idx = graph.NeighborIndex(indices=indices, k=4, n_points=6)
-    got = graph.edge_linear(Tensor(x), idx, Tensor(w)).data
+    got = edge_linear(Tensor(x), idx, Tensor(w)).data
     want = T.pointwise_linear(graph.graph_feature(Tensor(x), idx), Tensor(w)).data
     assert got.shape == (2, 4, 6, 4)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-    check_grads(lambda x, w: graph.edge_linear(x, idx, w), [x, w])
+    check_grads(lambda x, w: edge_linear(x, idx, w), [x, w])
     with pytest.raises(ShapeError):
-        graph.edge_linear(Tensor(x), idx, Tensor(rng.normal(size=(4, 5))))
+        edge_linear(Tensor(x), idx, Tensor(rng.normal(size=(4, 5))))
 
 
 def test_dropout_scaling_and_determinism():
