@@ -418,8 +418,11 @@ def with_grads(fn, weights, dtype, *arrays):
     return (out.data,) + tuple(leaf.grad for leaf in leaves)
 
 
+@pytest.mark.parametrize("block", [None, 1])
 @pytest.mark.parametrize("heads", [1, 3])
-def test_apply_heads_on_points_equals_edge_form(heads):
+def test_apply_heads_on_points_equals_edge_form(heads, block, monkeypatch):
+    if block is not None:  # one source point per write-back block
+        monkeypatch.setattr(T, "_MAX_BLOCK_VALUES", block)
     b, cp, mid, co = 2, 2, 3, 3
     for dtype in ("f64", "f32"):
         for name in LAYOUTS:
