@@ -76,9 +76,10 @@ def save_checkpoint(path, state: Dict[str, np.ndarray], manifest: dict) -> None:
             tag = "f64"
         else:
             raise ConfigError(f"blob {name!r} has unsupported dtype {arr.dtype}")
-        raw = arr.astype(_BLOB_DTYPES[tag], copy=False).tobytes()
+        # written through its buffer: no bytes copy of the state is held
+        raw = arr.astype(_BLOB_DTYPES[tag], copy=False).reshape(-1).view(np.uint8)
         blobs.append({"name": name, "dtype": tag,
-                      "shape": list(arr.shape), "nbytes": len(raw)})
+                      "shape": list(arr.shape), "nbytes": raw.size})
         payloads.append(raw)
 
     header = dict(manifest)

@@ -256,24 +256,30 @@ def _adjacency_product(h: np.ndarray, nbrs: np.ndarray, scatter: bool = False) -
 
     A[b, i, m] counts m among point i's neighbors nbrs[b, i], repeats
     included, so h A^T sums each point's neighbors' columns and h A adds
-    each point's column into its neighbors. A (or A^T) is built for a block
-    of batch items at a time, about ``T._MAX_BLOCK_VALUES`` values but at
-    least one item.
+    each point's column into its neighbors. A block of source points i, about
+    ``T._MAX_BLOCK_VALUES`` values of A (whole items when they fit, else at
+    least one row), is counted by one np.bincount of its flat positions.
     """
     b, _, n = h.shape
-    out = np.empty_like(h)
-    step = max(1, T._MAX_BLOCK_VALUES // (n * n))
-    point = np.arange(n)
-    for lo in range(0, b, step):
-        hi = min(lo + step, b)
-        adj = np.zeros((hi - lo, n, n), dtype=h.dtype)
-        item = np.arange(hi - lo)[:, None]
-        for j in range(nbrs.shape[2]):  # one edge per point at a time, so repeats add up
+    per = max(1, T._MAX_BLOCK_VALUES // n)  # source points per block
+    items, span = max(1, per // n), min(per, n)
+    out = np.zeros_like(h) if scatter else np.empty_like(h)
+    for lo in range(0, b, items):
+        hi = min(lo + items, b)
+        for r0 in range(0, n, span):
+            r1 = min(r0 + span, n)
+            rows = r1 - r0
+            item = np.arange(hi - lo)[:, None, None]
+            src = np.arange(rows)[None, :, None]
+            dst = nbrs[lo:hi, r0:r1]
+            # A's block (items, rows, N) with scatter, A^T's (items, N, rows) without
+            pos = ((item * rows + src) * n + dst if scatter
+                   else (item * n + dst) * rows + src)
+            adj = np.bincount(pos.ravel(), minlength=(hi - lo) * rows * n).astype(h.dtype)
             if scatter:
-                adj[item, point, nbrs[lo:hi, :, j]] += 1
+                out[lo:hi] += h[lo:hi, :, r0:r1] @ adj.reshape(hi - lo, rows, n)
             else:
-                adj[item, nbrs[lo:hi, :, j], point] += 1
-        np.matmul(h[lo:hi], adj, out=out[lo:hi])
+                out[lo:hi, :, r0:r1] = h[lo:hi] @ adj.reshape(hi - lo, n, rows)
     return out
 
 

@@ -197,53 +197,98 @@ def _contract(coeffs: Tensor, x: Tensor, basis: Tensor,
     y_rows = rows.spread(y1_pt.reshape(b * e, m1))
     q = np.matmul(x_pt, w[:, :q_cols]).reshape(pts, m1, c_out)
     prod = by_row(y_rows, q).reshape(-1, c_out)
-    # blocks of whole source points, about T._MAX_BLOCK_VALUES output values
-    # each: (item, its edges, the same edges flat, their source points)
-    per = min(n, max(1, T._MAX_BLOCK_VALUES // (c_out * k)))
-    spans = [(i, lo, min(n, lo + per)) for i in range(b) for lo in range(0, n, per)]
-    blocks = [(i, slice(lo * k, hi * k), slice((i * n + lo) * k, (i * n + hi) * k),
-               slice(i * n + lo, i * n + hi)) for i, lo, hi in spans]
-    buf, term = np.empty((per * k, c_out), dtype=dt), np.empty((per * k, c_out), dtype=dt)
+    # blocks of about T._MAX_BLOCK_VALUES output values: whole items when
+    # one fits, else runs of one item's source points. Each block is (its
+    # items, their edges, the same edges flat, their source points)
+    per = max(1, T._MAX_BLOCK_VALUES // (c_out * k))
+    items, per = max(1, per // n), min(per, n)
+    spans = [(i, min(i + items, b), lo, min(n, lo + per))
+             for i in range(0, b, items) for lo in range(0, n, per)]
+    blocks = [(slice(i, j), slice(lo * k, hi * k), slice((i * n + lo) * k, ((j - 1) * n + hi) * k),
+               slice(i * n + lo, (j - 1) * n + hi)) for i, j, lo, hi in spans]
+    size = items * per * k
+    buf, term = np.empty((size, c_out), dtype=dt), np.empty((size, c_out), dtype=dt)
     out = np.empty((b, c_out, e), dtype=dt)
-    for i, edges, flat, sources in blocks:
+    for its, edges, flat, sources in blocks:
         # mode "clip" lets np.take write into buf; every slot is in range
         blk = np.take(prod, rows.slots[flat], 0, buf[:flat.stop - flat.start], "clip")
         if center:
             t = term[:len(blk)]
             np.matmul(y1_pt[sources], center_rows(sources), out=t.reshape(-1, k, c_out))
             blk += t
-        out[i, :, edges] = blk.T
+        out[its, :, edges] = blk.reshape(its.stop - its.start, -1, c_out).transpose(0, 2, 1)
+    # consecutive blocks whose source points' dR, about 16 blocks' worth of
+    # values or one block at least, is held at once in backward
+    cap = max(items * per, 16 * T._MAX_BLOCK_VALUES // q_cols)
+    chunks = []
+    for blk in blocks:
+        if chunks and blk[3].stop - chunks[-1][0][3].start <= cap:
+            chunks[-1].append(blk)
+        else:
+            chunks.append([blk])
+    n_rows, width = y_rows.shape[:2]
+    row_step = max(1, T._MAX_BLOCK_VALUES // (width * c_out))
+    row_blocks = [(lo, min(lo + row_step, end)) for start, end in ((0, pts), (pts, n_rows))
+                  for lo in range(start, end, row_step)]
 
     def back(g):
         g = g.reshape(b, c_out, e)
-        d_prod = np.zeros(y_rows.shape[:2] + (c_out,), dtype=dt)  # padding slots stay zero
+        # the gradient edge-major, plus a zero row that the padding slots read
+        g_em = np.empty((b * e + 1, c_out), dtype=dt)
+        g_em[-1] = 0
         d_y1_center = np.empty((b * e, m1), dtype=dt) if center else None
-        d_pt = np.empty((pts, w.shape[1]), dtype=dt)  # [dQ | dR]
-        for i, edges, flat, sources in blocks:
-            gb = buf[:edges.stop - edges.start]
-            np.copyto(gb, g[i, :, edges].T)
-            d_prod.reshape(-1, c_out)[rows.slots[flat]] = gb
-            if center:
-                g_pt = gb.reshape(-1, k, c_out)
-                np.matmul(g_pt, center_rows(sources).transpose(0, 2, 1),
-                          out=d_y1_center[flat].reshape(-1, k, m1))
-                np.matmul(y1_pt[sources].transpose(0, 2, 1), g_pt,
-                          out=d_pt[sources, q_cols:].reshape(-1, m1, c_out))
-        d_q = d_pt[:, :q_cols].reshape(pts, m1, c_out)
-        np.matmul(y_rows[:pts].transpose(0, 2, 1), d_prod[:pts], out=d_q)
-        if over.size:  # each point's overflow rows are adjacent
-            heads = np.flatnonzero(np.diff(over, prepend=-1))
-            d_q[over[heads]] += np.add.reduceat(
-                np.matmul(y_rows[pts:].transpose(0, 2, 1), d_prod[pts:]), heads, axis=0)
-        d_y1 = by_row(d_prod, q.transpose(0, 2, 1)).reshape(-1, m1)[rows.slots]
+        dx_pt = np.empty((pts, c), dtype=dt)
+        dw_r = np.zeros((c, q_cols), dtype=dt) if center else None
+        d_r = np.empty((cap, q_cols), dtype=dt) if center else None
+        for chunk in chunks:
+            first = chunk[0][3].start
+            for its, edges, flat, sources in chunk:
+                gb = g_em[flat]
+                np.copyto(gb.reshape(its.stop - its.start, -1, c_out),
+                          g[its, :, edges].transpose(0, 2, 1))
+                if center:
+                    g_pt = gb.reshape(-1, k, c_out)
+                    np.matmul(g_pt, center_rows(sources).transpose(0, 2, 1),
+                              out=d_y1_center[flat].reshape(-1, k, m1))
+                    np.matmul(y1_pt[sources].transpose(0, 2, 1), g_pt,
+                              out=d_r[sources.start - first:sources.stop - first]
+                              .reshape(-1, m1, c_out))
+            if center:  # the chunk's dR goes straight into dx and dW
+                last = chunk[-1][3].stop
+                held = d_r[:last - first]
+                np.matmul(held, w[:, q_cols:].T, out=dx_pt[first:last])
+                dw_r += x_pt[first:last].T @ held
+        # the neighbor term by rows: each row's slots gather the edges' gradient
+        slot_edge = np.full(n_rows * width, b * e)
+        slot_edge[rows.slots] = np.arange(b * e)
+        d_q = np.empty((pts, m1, c_out), dtype=dt)
+        d_y1_rows = np.empty((n_rows, width, m1), dtype=dt)
+        for lo, hi in row_blocks:
+            d_rows = np.take(g_em, slot_edge[lo * width:hi * width], 0).reshape(-1, width, c_out)
+            q_rows = q[lo:hi] if hi <= pts else q[over[lo - pts:hi - pts]]
+            np.matmul(d_rows, q_rows.transpose(0, 2, 1), out=d_y1_rows[lo:hi])
+            y_t = y_rows[lo:hi].transpose(0, 2, 1)
+            if hi <= pts:
+                np.matmul(y_t, d_rows, out=d_q[lo:hi])
+            else:  # a point's overflow rows are adjacent
+                point = over[lo - pts:hi - pts]
+                heads = np.flatnonzero(np.diff(point, prepend=-1))
+                d_q[point[heads]] += np.add.reduceat(np.matmul(y_t, d_rows), heads, axis=0)
+        d_y1 = d_y1_rows.reshape(-1, m1)[rows.slots]
         if center:
             d_y1 += d_y1_center
         d_coeffs = np.ascontiguousarray(
             d_y1.reshape(b, e, m1)[:, :, :mid].transpose(0, 2, 1)).reshape(coeffs.shape)
-        dx = np.matmul(d_pt, w.T).reshape(b, -1, c).transpose(0, 2, 1)
-        dw = np.matmul(x_pt.T, d_pt).reshape(-1, m1, c_out).transpose(2, 0, 1)
-        if center:  # rows (i, half) hold dQ and dR: A_a gets dQ - dR, A_b gets dR
-            dw = np.concatenate([dw[:, 0::2] - dw[:, 1::2], dw[:, 1::2]], axis=1)
+        d_q = d_q.reshape(pts, q_cols)
+        if center:
+            dx_pt += d_q @ w[:, :q_cols].T
+        else:
+            np.matmul(d_q, w.T, out=dx_pt)
+        dx = dx_pt.reshape(b, -1, c).transpose(0, 2, 1)
+        dw = (x_pt.T @ d_q).reshape(c, m1, c_out).transpose(2, 0, 1)
+        if center:  # A_a gets dQ - dR, A_b gets dR
+            dw_r = dw_r.reshape(c, m1, c_out).transpose(2, 0, 1)
+            dw = np.concatenate([dw - dw_r, dw_r], axis=1)
         return d_coeffs, np.ascontiguousarray(dx).reshape(x.shape), dw
 
     return T._make(out.reshape(b, c_out, n, k), (coeffs, x, basis), back)

@@ -178,10 +178,8 @@ class ActivityNet(Module):
             prev = y
 
         fused = outs[-1] if cfg.variant is Variant.MAK_ONLY else T.concat(outs, 1)
-        emb = T.leaky_relu(self.fuse_bn(self.fuse(fused)), self.slope)  # (B, emb, N)
-        pooled = T.concat([T.reduce(emb, 2, "max"), T.reduce(emb, 2, "mean")], 1)
-
-        h = pooled
+        # embed, normalize, activate, then max and mean over points: (B, 2 emb)
+        h = self.fuse_bn.linear_pool(fused, self.fuse.weight.value, self.slope)
         for fc_name, bn_name in self._fc_names:
             h = T.leaky_relu(getattr(self, bn_name)(getattr(self, fc_name)(h)), self.slope)
             if self.training and cfg.dropout > 0:

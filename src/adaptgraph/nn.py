@@ -144,6 +144,12 @@ class BatchNorm(Module):
         return T.batch_norm_leaky_max(*self._args(x), slope=slope, momentum=self.momentum,
                                       epsilon=self.epsilon, shift=shift)
 
+    def linear_pool(self, x: Tensor, weight: Tensor, slope: float) -> Tensor:
+        """[max | mean] over points of ``leaky_relu(self(T.pointwise_linear(x,
+        weight)), slope)``, (B, C, N) -> (B, 2 * channels), in one op."""
+        return T.linear_norm_pool(x, weight, *self._state(), slope=slope,
+                                  momentum=self.momentum, epsilon=self.epsilon)
+
     def edge_conv(self, points: Tensor, idx: graph.NeighborIndex, weight: Tensor,
                   slope: float) -> Tensor:
         """``self.leaky_max(T.pointwise_linear(graph.graph_feature(points, idx), weight),

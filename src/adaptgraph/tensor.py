@@ -1,10 +1,11 @@
 """Minimal numpy-backed tensors with reverse-mode automatic differentiation.
 
 Just enough machinery for point-cloud networks: per-position affine maps,
-batch norm, leaky relu, the two fused with a max over neighbors, axis
-reductions, dropout and a stable softmax cross entropy. Neighbor gathers live
-in :mod:`graph`. Every differentiable op builds a closure-based graph node;
-``backward`` walks the graph once in reverse topological order.
+batch norm, leaky relu, the two fused with a max over neighbors, the
+embedding head's map, norm, activation and max+mean over points as one op,
+axis reductions, dropout and a stable softmax cross entropy. Neighbor
+gathers live in :mod:`graph`. Every differentiable op builds a closure-based
+graph node; ``backward`` walks the graph once in reverse topological order.
 
 Shapes follow the (B, C, ...) convention used throughout the package: batch
 first, channels second, grid axes last. dtype is tagged "f32" or "f64"; f64
@@ -460,13 +461,13 @@ def _leaky_slope(slope: float, dtype) -> np.ndarray:
     return np.asarray(slope, dtype=dtype)
 
 
-def _leaky(xd: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Forward of :func:`leaky_relu` on an array; s is the slope in its dtype."""
+def _leaky(xd: np.ndarray, s: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Forward of :func:`leaky_relu` on an array, into ``out`` (which may be
+    xd) or a new array; s is the slope in its dtype."""
     if s:
-        out = xd * s
-        np.maximum(xd, out, out=out)
-        return out
-    return xd * (xd >= 0)
+        scaled = xd * s
+        return np.maximum(xd, scaled, out=scaled if out is None else out)
+    return np.multiply(xd, xd >= 0, out=out)
 
 
 def _leaky_grad(neg_mask: np.ndarray, s: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -640,6 +641,112 @@ def _pooled_grads(g: np.ndarray, neg_mask: np.ndarray, s: np.ndarray,
         return routed, None, None, dgamma, dbeta
     # scale * (-dbeta / m - xhat * dgamma / m), with xhat = (x - mu) * ivar
     return routed, scale * (-dgamma * ivar / m), scale * (-dbeta / m), dgamma, dbeta
+
+
+def _row_blocks(rows: int, width: int) -> list:
+    """Slices over ``rows`` rows of ``width`` values, about
+    ``_MAX_BLOCK_VALUES`` values (at least one row) each."""
+    step = max(1, _MAX_BLOCK_VALUES // max(width, 1))
+    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
+def linear_norm_pool(x: Tensor, weight: Tensor, gamma: Tensor, beta: Tensor,
+                     running_mean: Optional[np.ndarray], running_var: Optional[np.ndarray],
+                     mode: str, slope: float = 0.2, momentum: float = 0.1,
+                     epsilon: float = 1e-5) -> Tensor:
+    """The embedding head in one op: with a = ``leaky_relu(batch_norm(
+    pointwise_linear(x, weight), ...), slope)``, ``concat([reduce(a, 2,
+    "max"), reduce(a, 2, "mean")], 1)``, (B, C, N) -> (B, 2E) for an (E, C)
+    weight.
+
+    The map is one GEMM into point-major (B * N, E) rows, reading x's
+    channel-major columns (:func:`_columns`) transposed, so it copies
+    nothing at B == 1. Train mode takes the batch mean and biased variance
+    from float64 column sums and updates the running buffers as
+    :func:`batch_norm` does. Each block of whole items is normalized,
+    activated and pooled by :func:`_blocked_winners`, so the max routes to
+    the first point holding it, as ``reduce`` does (a NaN max to point 0).
+    Backward keeps the centred rows, their activation mask and the winners,
+    forms the rows' gradient as one more (B * N, E) array, and runs one
+    GEMM each for dx and the weight.
+    """
+    if x.ndim != 3:
+        raise ShapeError(f"linear_norm_pool expects (B, C, N), got {x.shape}")
+    b_dim, c, n = x.shape
+    if weight.ndim != 2 or weight.shape[1] != c:
+        raise ShapeError(f"weight must be (E, {c}), got {weight.shape}")
+    if weight.dtype != x.dtype:
+        raise UsageError(f"linear_norm_pool: dtype mismatch: {x.dtype} vs {weight.dtype}")
+    e = weight.shape[0]
+    _check_norm(e, gamma, beta, mode, epsilon)
+    if n == 0:
+        raise InvalidInputError(f"cannot pool over the empty point axis of shape {x.shape}")
+    dt = x.data.dtype
+    s = _leaky_slope(slope, dt)
+    parents = (x, weight, gamma, beta)
+    recording = _recording(*parents)
+    xm = _columns(x.data)
+    rows = xm.T @ weight.data.T  # (B * N, E); BLAS reads both operands transposed
+    m = rows.shape[0]
+    moments = None
+    if mode == "train":
+        if m == 0:
+            raise InvalidInputError("batch_norm in train mode needs a non-empty batch")
+        mean = rows.sum(axis=0, dtype=np.float64) / m
+        rows -= mean.astype(dt)
+        squares = np.zeros(e)
+        for blk in _row_blocks(m, e):
+            squares += np.square(rows[blk]).sum(axis=0, dtype=np.float64)
+        moments = (mean, squares / m)
+    mu, ivar, scale = _norm_scale(moments, gamma, running_mean, running_var, mode,
+                                  momentum, epsilon, dt)
+    if mode == "eval":
+        rows -= mu
+    centred = rows.reshape(b_dim, n, e)
+    out = np.empty((b_dim, 2 * e), dtype=dt)
+    neg = np.empty(centred.shape, dtype=bool) if recording else None
+
+    def fill(block, lo, hi):
+        """Items [lo, hi) activated into block, (N, items, E), and their mean."""
+        np.multiply(centred[lo:hi].transpose(1, 0, 2), scale, out=block)
+        block += beta.data
+        if neg is not None:
+            np.less(block, 0, out=neg[lo:hi].transpose(1, 0, 2))
+        _leaky(block, s, out=block)
+        np.add.reduce(block, axis=0, out=out[lo:hi, e:])
+
+    out[:, :e], winners = _blocked_winners(fill, b_dim, e, n, dt, recording)
+    out[:, e:] /= n
+    if not recording:
+        return _make(out, parents, None)
+    neg = neg.reshape(m, e)
+    winners = ((winners + (np.arange(b_dim) * n)[:, None]) * e + np.arange(e)).ravel()
+
+    def back(g):
+        d = np.empty_like(rows)  # the rows' gradient
+        d.reshape(b_dim, n, e)[...] = (g[:, e:] / np.asarray(n, dtype=dt))[:, None, :]
+        d.reshape(-1)[winners] += g[:, :e].ravel()
+        dbeta, dgamma = np.zeros(e), np.zeros(e)
+        blocks = _row_blocks(m, e)
+        for blk in blocks:
+            gz = d[blk] = _leaky_grad(neg[blk], s, d[blk])
+            dbeta += gz.sum(axis=0, dtype=np.float64)
+            dgamma += np.multiply(gz, rows[blk]).sum(axis=0, dtype=np.float64)
+        dgamma *= ivar  # sum of g * xhat
+        if mode == "train":
+            # as in batch_norm: gamma * ivar * (g - dbeta / m - xhat * dgamma / m)
+            coef, shift = (-dgamma * ivar / m).astype(dt), (-dbeta / m).astype(dt)
+            for blk in blocks:
+                t = np.multiply(rows[blk], coef)
+                t += d[blk]
+                t += shift
+                np.multiply(t, scale, out=d[blk])
+        else:
+            d *= scale
+        dx = _uncolumns(weight.data.T @ d.T, x.shape)
+        return dx, d.T @ xm.T, dgamma.astype(dt), dbeta.astype(dt)
+
+    return _make(out, parents, back)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:

@@ -93,6 +93,29 @@ def test_save_is_byte_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_saved_bytes_match_the_byte_string_writer(tmp_path):
+    # the writer streams each array's buffer; the file must hold exactly
+    # what joining every blob's tobytes() after the manifest gives, for a
+    # model state plus a non-contiguous, a 0-d and an empty array
+    state = state_dict(build(CFG, seed=2))
+    state["strided"] = np.arange(12, dtype=np.float32).reshape(3, 4)[:, ::2]
+    state["scalar"] = np.array(2.5, dtype=np.float32)
+    state["empty"] = np.zeros((0, 3), dtype=np.float64)
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, state, {"kind": "checkpoint"})
+    blobs, payload = [], b""
+    for name in sorted(state):
+        arr = np.ascontiguousarray(state[name])
+        tag = "f32" if arr.dtype == np.float32 else "f64"
+        raw = arr.astype("<f4" if tag == "f32" else "<f8").tobytes()
+        blobs.append({"name": name, "dtype": tag, "shape": list(arr.shape),
+                      "nbytes": len(raw)})
+        payload += raw
+    header = {"kind": "checkpoint", "format_version": FORMAT_VERSION, "blobs": blobs}
+    encoded = json.dumps(header, sort_keys=True).encode("utf-8")
+    assert path.read_bytes() == struct.pack("<I", len(encoded)) + encoded + payload
+
+
 def test_model_round_trip_preserves_logits(tmp_path):
     path = tmp_path / "model.bin"
     model = build(CFG, seed=5)

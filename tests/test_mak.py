@@ -479,6 +479,25 @@ def test_apply_heads_across_write_back_blocks():
         np.testing.assert_allclose(a, w, rtol=1e-12, atol=1e-12)
 
 
+def test_apply_heads_across_multi_item_write_back_blocks():
+    # at C_out = 64 one 400-edge item is 25,600 output values, so a
+    # write-back block holds two whole items and the last of these five
+    # items is written back alone
+    b, n, k, cp, mid, co = 5, 20, 20, 2, 3, 64
+    idx = repeated_index(b, n, k, seed=n)
+    coeffs, _, weight, bias = rand_head_inputs(b, mid, n, k, ci=2 * cp, co=co, heads=1,
+                                               seed=n + 1)
+    rng = np.random.default_rng(n + 2)
+    args = (coeffs.data, rng.normal(size=(b, cp, n)), weight.data, bias.data)
+    weights = rng.normal(size=(b, co, n, k))
+    got = with_grads(lambda c, x, w, bi: apply_heads(c, x, w, bi, 1, co, idx=idx),
+                     weights, "f64", *args)
+    want = with_grads(lambda c, x, w, bi: dense_apply_heads(c, x, w, bi, 1, co, idx),
+                      weights, "f64", *args)
+    for a, w in zip(got, want):
+        np.testing.assert_allclose(a, w, rtol=1e-12, atol=1e-12)
+
+
 def test_no_grad_apply_heads_memory_at_the_mmwave_window():
     # mak2 of the default model on one mmactivity window (B=1, C_p=64, N=960,
     # k=20, mid=8, C_out=64, f32): the output and the gathered neighbors are

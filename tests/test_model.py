@@ -335,15 +335,15 @@ def test_variant_stage_layout():
 
 def capture_fused(model, x, monkeypatch):
     """Run model on x and return the fused stage outputs: the input of its
-    fusion layer."""
+    embedding head, ``fuse_bn.linear_pool``."""
     seen = []
-    real = model.fuse.forward
+    real = model.fuse_bn.linear_pool
 
-    def recording(v):
+    def recording(v, *args, **kwargs):
         seen.append(v)
-        return real(v)
+        return real(v, *args, **kwargs)
 
-    monkeypatch.setattr(model.fuse, "forward", recording)
+    monkeypatch.setattr(model.fuse_bn, "linear_pool", recording)
     model(x)
     return seen[0]
 
@@ -358,6 +358,36 @@ def test_fusion_width_depends_on_variant(monkeypatch):
     fused_last = capture_fused(model_last.eval(), x, monkeypatch)
     assert fused_all.shape[1] == sum(SMALL["stage_widths"])
     assert fused_last.shape[1] == SMALL["stage_widths"][-1]
+
+
+def composed_head(bn, x, weight, slope):
+    """``BatchNorm.linear_pool`` as the five ops it fuses."""
+    emb = T.leaky_relu(bn(T.pointwise_linear(x, weight)), slope)
+    return T.concat([T.reduce(emb, 2, "max"), T.reduce(emb, 2, "mean")], 1)
+
+
+@pytest.mark.parametrize("variant", [Variant.MAK_ONLY, Variant.SEQUENTIAL_FF])
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_network_head_matches_the_five_op_composition(variant, dtype, monkeypatch):
+    # a train step's logits, every parameter's gradient and every running
+    # buffer, then eval logits, with the fused head and with the composition
+    cfg = small_cfg(variant=variant, dropout=0.0)
+    x = cloud(b=3, n=10, dtype=np.float64 if dtype == "f64" else np.float32)
+    runs = []
+    for head in (None, composed_head):
+        with monkeypatch.context() as m:
+            if head is not None:
+                m.setattr(BatchNorm, "linear_pool", head)
+            model = build(cfg, seed=4, dtype=dtype)
+            train_logits = model(Tensor(x))
+            T.softmax_cross_entropy(train_logits, [0, 1, 3]).backward()
+            eval_logits = model.eval()(Tensor(x))
+        runs.append([train_logits.data, eval_logits.data]
+                    + [p.value.grad for _, p in model.named_parameters()]
+                    + [b for _, b in model.named_buffers()])
+    rtol = 1e-4 if dtype == "f32" else 1e-9
+    for got, want in zip(*runs):
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.abs(want).max())
 
 
 def test_build_is_seed_deterministic():

@@ -2,6 +2,7 @@
 finite-difference oracle for every differentiable op (f64, rel err < 1e-6)."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -381,6 +382,136 @@ def test_batch_norm_leaky_max_guards():
     with pytest.raises(ShapeError):
         T.batch_norm_leaky_max(Tensor(np.zeros((2, 3, 3, 2))), ones, zeros, None, None,
                                "train")
+
+
+# ---------------------------------------------------------------------
+# embedding head: map -> batch norm -> leaky relu -> max and mean over points
+# ---------------------------------------------------------------------
+
+def head_composed(x, weight, gamma, beta, rm, rv, mode, slope=0.2):
+    emb = T.leaky_relu(T.batch_norm(T.pointwise_linear(x, weight), gamma, beta, rm, rv, mode),
+                       slope)
+    return T.concat([T.reduce(emb, 2, "max"), T.reduce(emb, 2, "mean")], 1)
+
+
+def head_inputs(b, n, dtype, seed=0):
+    """x (B, 4, N), weight (6, 4), gamma and beta (6,) with two exact ties:
+    channel 1 reads only x's channel 0, which is constant across points, and
+    channel 4 has gamma 0, so every point of an item holds its max."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(b, 4, n)) + rng.normal(size=(1, 4, 1))
+    x[:, 0, :] = rng.normal(size=(b, 1))
+    weight = rng.normal(size=(6, 4))
+    weight[1] = [1.5, 0.0, 0.0, 0.0]
+    gamma = np.array([0.5, 1.2, -0.7, 2.0, 0.0, 1.0])
+    beta = rng.normal(size=6)
+    return [a.astype(dtype) for a in (x, weight, gamma, beta)]
+
+
+def run_head(op, inputs, mode, seed=1):
+    """Output, running buffers and the four gradients of op under a fixed
+    random weighting of its output."""
+    dtype = inputs[0].dtype
+    rm = np.random.default_rng(2).normal(size=6).astype(dtype)
+    rv = np.random.default_rng(3).uniform(0.5, 2.0, size=6).astype(dtype)
+    leaves = [Tensor(a, requires_grad=True) for a in inputs]
+    out = op(*leaves, rm, rv, mode)
+    w = Tensor(np.random.default_rng(seed).normal(size=out.shape).astype(dtype))
+    T.reduce_sum(T.mul(out, w)).backward()
+    return [out.data, rm, rv] + [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("block_items", [None, 2], ids=["one-block", "two-item-blocks"])
+@pytest.mark.parametrize("b,n", [(1, 1), (1, 5), (3, 1), (3, 5)])
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_linear_norm_pool_matches_the_five_op_composition(dtype, mode, b, n, block_items,
+                                                          monkeypatch):
+    if block_items is not None:  # pooling blocks of 2 items, a short last one at B = 3
+        monkeypatch.setattr(T, "_MAX_BLOCK_VALUES", block_items * n * 6)
+    inputs = head_inputs(b, n, dtype)
+    got = run_head(T.linear_norm_pool, inputs, mode)
+    want = run_head(head_composed, inputs, mode)
+    assert got[0].shape == (b, 12) and got[0].dtype == dtype
+    rtol = 1e-5 if dtype == np.float32 else 1e-11
+    names = ("out", "running_mean", "running_var", "x", "weight", "gamma", "beta")
+    for g, w, name in zip(got, want, names):
+        np.testing.assert_allclose(g, w, rtol=rtol, atol=rtol * np.abs(w).max(), err_msg=name)
+
+
+def test_linear_norm_pool_routes_a_tied_max_to_the_first_point():
+    # channel 1 is tied across points; with a positive scale and a large
+    # beta every z > 0, so the max's gradient reaches x's channel 0 at point 0
+    x, weight, gamma, beta = head_inputs(2, 5, np.float64)
+    beta = beta + 100.0
+    leaves = [leaf(a) for a in (x, weight, gamma, beta)]
+    out = T.linear_norm_pool(*leaves, np.zeros(6), np.ones(6), "eval")
+    g = np.zeros(out.shape)
+    g[:, 1] = 1.0  # the max half of channel 1 only
+    T.reduce_sum(T.mul(out, Tensor(g))).backward()
+    dx = leaves[0].grad
+    scale = gamma[1] / np.sqrt(1.0 + 1e-5)
+    np.testing.assert_allclose(dx[:, 0, 0], weight[1, 0] * scale)
+    assert not dx[:, 0, 1:].any() and not dx[:, 1:].any()
+
+
+def test_grad_linear_norm_pool():
+    inputs = [rand(3, 4, 5), rand(6, 4, seed=1), 1.0 + 0.2 * rand(6, seed=2), rand(6, seed=3)]
+    check_grads(lambda x, w, g, b: T.linear_norm_pool(x, w, g, b, None, None, "train"),
+                inputs, rtol=1e-5)
+    rm, rv = rand(6, seed=4), 1.0 + 0.1 * np.abs(rand(6, seed=5))
+    check_grads(lambda x, w, g, b: T.linear_norm_pool(x, w, g, b, rm.copy(), rv.copy(),
+                                                      "eval", slope=0.1), inputs)
+
+
+def test_linear_norm_pool_memory_at_the_mmwave_window():
+    # sequential-ff's head on one mmactivity window (C 512 -> E 1024, N=960,
+    # f32), train mode: forward plus backward keep the centred rows and their
+    # activation mask, and form the rows' gradient; with x's and the
+    # weight's gradients the traced peak stays under four (E, N) f32 arrays,
+    # 15.7 MB. The five-op composition keeps one such array per op (28.8 MB)
+    b, c, n, e = 1, 512, 960, 1024
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(b, c, n)), dtype="f32", requires_grad=True)
+    weight = Tensor(rng.normal(size=(e, c)), dtype="f32", requires_grad=True)
+    gamma = Tensor(np.ones(e), dtype="f32", requires_grad=True)
+    beta = Tensor(np.zeros(e), dtype="f32", requires_grad=True)
+    w = Tensor(rng.normal(size=(b, 2 * e)), dtype="f32")
+    budget = 4 * 4 * b * e * n
+    for op, fits in ((T.linear_norm_pool, True), (head_composed, False)):
+        tracemalloc.start()
+        try:
+            out = op(x, weight, gamma, beta, np.zeros(e, np.float32), np.ones(e, np.float32),
+                     "train")
+            T.reduce_sum(T.mul(out, w)).backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak < budget) == fits, (
+            f"{op.__name__}: traced peak {peak / 1e6:.1f} MB, budget {budget / 1e6:.1f} MB")
+        for t in (x, weight, gamma, beta):
+            t.grad = None
+
+
+def test_linear_norm_pool_guards():
+    x, weight = Tensor(np.zeros((2, 4, 3))), Tensor(np.zeros((6, 4)))
+    ones, zeros = Tensor(np.ones(6)), Tensor(np.zeros(6))
+    with pytest.raises(ShapeError):
+        T.linear_norm_pool(Tensor(np.zeros((2, 4))), weight, ones, zeros, None, None, "train")
+    with pytest.raises(ShapeError):
+        T.linear_norm_pool(x, Tensor(np.zeros((6, 5))), ones, zeros, None, None, "train")
+    with pytest.raises(ShapeError):
+        T.linear_norm_pool(x, weight, Tensor(np.ones(5)), zeros, None, None, "train")
+    with pytest.raises(UsageError):
+        T.linear_norm_pool(x, Tensor(np.zeros((6, 4)), dtype="f32"), ones, zeros, None, None,
+                           "train")
+    with pytest.raises(InvalidInputError):
+        T.linear_norm_pool(Tensor(np.zeros((2, 4, 0))), weight, ones, zeros, None, None,
+                           "train")
+    with pytest.raises(InvalidInputError):
+        T.linear_norm_pool(x, weight, ones, zeros, None, None, "eval")
+    with pytest.raises(InvalidInputError):
+        T.linear_norm_pool(x, weight, ones, zeros, None, None, "train", slope=1.0)
 
 
 def test_leaky_relu_fixtures():
