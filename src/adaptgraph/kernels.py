@@ -162,12 +162,15 @@ def _contract(coeffs: Tensor, x: Tensor, basis: Tensor,
     R = (A_b - A_a) x, (mid+1, C_out) per point. The neighbor term is one
     batched matmul over ``idx.rows``, (rows, k, mid+1) @ (rows, mid+1, C_out):
     a point's first row reads its Q in place, overflow rows gather it. Per
-    block of about ``T._MAX_BLOCK_VALUES`` output values, the block's edges
-    are gathered from the rows, each source point's k edges get its R term,
-    and the sum is written into (B, C_out, N, k). Without ``idx`` every edge
-    is its own point in a one-slot row, with Q = A x_e and no R term.
-    Backward runs on the same rows and blocks (dQ = y1ᵀ G, d_y1 = G Qᵀ),
-    then one GEMM each for dx and the basis gradient.
+    block of about ``T._MAX_BLOCK_VALUES`` output values (whole items when
+    one fits), the block's edges are gathered from the rows, each source
+    point's k edges get its R term, and the sum is written into
+    (B, C_out, N, k). Without ``idx`` every edge is its own point in a
+    one-slot row, with Q = A x_e and no R term. Backward copies the
+    gradient G edge-major on the same blocks and takes dR = y1ᵀ G per block,
+    adding it into dx and the basis gradient a chunk of source points at a
+    time; then each block of rows gathers its slots' G for dQ = y1ᵀ G and
+    d_y1 = G Qᵀ, and dQ takes one GEMM each for dx and the basis gradient.
     """
     b, mid, n, k = coeffs.shape
     c_out, _, m1 = basis.shape
