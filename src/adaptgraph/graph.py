@@ -40,12 +40,19 @@ class NeighborIndex:
             raise InvalidInputError(f"indices must lie in [0, {self.n_points})")
 
     @cached_property
+    def counts(self) -> np.ndarray:
+        """(B * N,) int: how many edges read each point, repeats included."""
+        b, n, _ = self.indices.shape
+        return np.bincount((self.indices + (np.arange(b) * n)[:, None, None]).ravel(),
+                           minlength=b * n)
+
+    @cached_property
     def rows(self) -> "NeighborRows":
         """The edges grouped by the point they read, in rows of k slots that a
         point's edges fill in edge order; built once, shared by every stage."""
         b, n, k = self.indices.shape
         flat = (self.indices + (np.arange(b) * n)[:, None, None]).ravel()
-        counts = np.bincount(flat, minlength=b * n)
+        counts = self.counts
         extra = np.maximum(counts - 1, 0) // k  # overflow rows per point
         # edges sorted by point (a small key sorts by radix), ranked within it
         order = np.argsort(flat.astype(np.min_scalar_type(b * n)), kind="stable")
@@ -251,70 +258,57 @@ def _per_point_back(d_point: np.ndarray, stacked: np.ndarray, x: Tensor):
     return dx, np.concatenate([d_a - d_diff, d_diff], axis=1)
 
 
-def _adjacency_product(h: np.ndarray, nbrs: np.ndarray, scatter: bool = False) -> np.ndarray:
-    """Per batch item, h A^T, or h A with ``scatter``: (B, C, N) -> (B, C, N).
+def _adjacency_products(pc: np.ndarray, cc: np.ndarray, nbrs: np.ndarray):
+    """Per batch item, (pc A^T, cc A): (B, C, N) twice -> (B, C, N) twice.
 
     A[b, i, m] counts m among point i's neighbors nbrs[b, i], repeats
-    included, so h A^T sums each point's neighbors' columns and h A adds
-    each point's column into its neighbors. A block of source points i, about
-    ``T._MAX_BLOCK_VALUES`` values of A (whole items when they fit, else at
-    least one row), is counted by one np.bincount of its flat positions.
+    included, so pc A^T sums each point's neighbors' columns and cc A adds
+    each point's column into its neighbors. Each ``T._blocks`` block of
+    source points i is counted once, by one np.bincount of its flat
+    positions, and serves both products.
     """
-    b, _, n = h.shape
-    per = max(1, T._MAX_BLOCK_VALUES // n)  # source points per block
-    items, span = max(1, per // n), min(per, n)
-    out = np.zeros_like(h) if scatter else np.empty_like(h)
-    for lo in range(0, b, items):
-        hi = min(lo + items, b)
-        for r0 in range(0, n, span):
-            r1 = min(r0 + span, n)
-            rows = r1 - r0
-            item = np.arange(hi - lo)[:, None, None]
-            src = np.arange(rows)[None, :, None]
-            dst = nbrs[lo:hi, r0:r1]
-            # A's block (items, rows, N) with scatter, A^T's (items, N, rows) without
-            pos = ((item * rows + src) * n + dst if scatter
-                   else (item * n + dst) * rows + src)
-            adj = np.bincount(pos.ravel(), minlength=(hi - lo) * rows * n).astype(h.dtype)
-            if scatter:
-                out[lo:hi] += h[lo:hi, :, r0:r1] @ adj.reshape(hi - lo, rows, n)
-            else:
-                out[lo:hi, :, r0:r1] = h[lo:hi] @ adj.reshape(hi - lo, n, rows)
-    return out
+    b, _, n = pc.shape
+    gathered, scattered = np.empty_like(pc), np.zeros_like(cc)
+    for i, j, r0, r1 in T._blocks(b, n, n):
+        rows = r1 - r0
+        pos = ((np.arange(j - i)[:, None, None] * rows + np.arange(rows)[None, :, None]) * n
+               + nbrs[i:j, r0:r1])
+        adj = np.bincount(pos.ravel(), minlength=(j - i) * rows * n).astype(pc.dtype)
+        adj = adj.reshape(j - i, rows, n)  # A's block
+        gathered[i:j, :, r0:r1] = pc[i:j] @ adj.transpose(0, 2, 1)
+        scattered[i:j] += cc[i:j, :, r0:r1] @ adj
+    return gathered, scattered
 
 
-def _edge_moments(p: np.ndarray, c: np.ndarray, nbrs: np.ndarray, grad_terms: bool):
+def _edge_moments(p: np.ndarray, c: np.ndarray, idx: NeighborIndex):
     """Batch mean and biased variance, summed in float64, of every edge's
-    z = P[m] + C[i] from the per-point P and C, (B, C_out, N).
+    z = P[m] + C[i] from the per-point P and C, (B, C_out, N), and the
+    gradient terms of those moments.
 
     With the means of P over edges and of C over points taken out,
     z - mu = P'[m] + C'[i], so the squared deviations sum to
     sum_m cnt[m] P'[m]^2 + sum_i C'[i] (2 (A P')[i] + k C'[i]), where cnt
-    counts each point's appearances as a neighbor and A P' sums P' over
-    each point's neighbors (:func:`_adjacency_product`). Returns
-    ((mean, variance), terms). With ``grad_terms``, terms = (cnt, U, V) in
-    P's dtype, cnt as (B, 1, N): the edges' gradient a (z - mu) + b per
-    channel reaches P as a U + b cnt, with U = cnt P' + C' A, and C as
-    a V + k b, with V = A P' + k C'. Otherwise terms is None.
+    counts each point's appearances as a neighbor (``idx.counts``) and A P'
+    sums P' over each point's neighbors (:func:`_adjacency_products`).
+    Returns ((mean, variance), (cnt, U, V)), the terms in P's dtype, cnt as
+    (B, 1, N): the edges' gradient a (z - mu) + b per channel reaches P as
+    a U + b cnt, with U = cnt P' + C' A, and C as a V + k b, with
+    V = A P' + k C'.
     """
     b, _, n = p.shape
-    k = nbrs.shape[2]
-    m = nbrs.size
-    cnt = _scatter_add(np.ones((b, 1) + nbrs.shape[1:]), nbrs, n)
+    k = idx.k
+    m = idx.indices.size
+    cnt = idx.counts.reshape(b, 1, n).astype(np.float64)
     mean_p = np.einsum("bon,bzn->o", p, cnt) / m
     mean_c = np.einsum("bon->o", c, dtype=np.float64) / (b * n)
     pc = p - mean_p[:, None]
     ssq = np.einsum("bon,bon,bzn->o", pc, pc, cnt)
     pc = pc.astype(p.dtype)
     cc = (c - mean_c[:, None]).astype(p.dtype)
-    apc = _adjacency_product(pc, nbrs)
+    apc, cca = _adjacency_products(pc, cc, idx.indices)
     ssq += np.einsum("bon,bon->o", cc, 2 * apc + k * cc, dtype=np.float64)
-    moments = (mean_p + mean_c, ssq / m)
-    if not grad_terms:
-        return moments, None
     cnt = cnt.astype(p.dtype)
-    return moments, (cnt, cnt * pc + _adjacency_product(cc, nbrs, scatter=True),
-                     apc + k * cc)
+    return (mean_p + mean_c, ssq / m), (cnt, cnt * pc + cca, apc + k * cc)
 
 
 def _neighbor_max(p: np.ndarray, c: np.ndarray, nbrs: np.ndarray, scale: np.ndarray,
@@ -383,22 +377,20 @@ def edge_conv(x: Tensor, idx: NeighborIndex, weight: Tensor, gamma: Tensor, beta
     """
     _check_points(x, idx, "edge_conv")
     c_out = _check_weight(x, weight, "edge_conv")
-    T._check_norm(c_out, gamma, beta, mode, epsilon)
+    b, _, n = x.shape
+    T._check_norm(c_out, gamma, beta, mode, epsilon, b * n)
     dt = x.data.dtype
     s = T._leaky_slope(slope, dt)
-    b, _, n = x.shape
     k = idx.k
     if k == 0:
         raise InvalidInputError("edge_conv needs k >= 1 neighbors")
-    if mode == "train" and b * n == 0:
-        raise InvalidInputError("batch_norm in train mode needs a non-empty batch")
     parents = (x, weight, gamma, beta)
     recording = T._recording(*parents)
     stacked, per_point = _per_point(x, weight)
     p, c = per_point[:, :c_out], per_point[:, c_out:]
     moments = terms = None
     if mode == "train":
-        moments, terms = _edge_moments(p, c, idx.indices, recording)
+        moments, terms = _edge_moments(p, c, idx)
     mu, ivar, scale = T._norm_scale(moments, gamma, running_mean, running_var, mode,
                                     momentum, epsilon, dt)
     winners, keys = _neighbor_max(p, c, idx.indices, scale, recording)

@@ -162,11 +162,10 @@ def _contract(coeffs: Tensor, x: Tensor, basis: Tensor,
     R = (A_b - A_a) x, (mid+1, C_out) per point. The neighbor term is one
     batched matmul over ``idx.rows``, (rows, k, mid+1) @ (rows, mid+1, C_out):
     a point's first row reads its Q in place, overflow rows gather it. Per
-    block of about ``T._MAX_BLOCK_VALUES`` output values (whole items when
-    one fits), the block's edges are gathered from the rows, each source
-    point's k edges get its R term, and the sum is written into
-    (B, C_out, N, k). Without ``idx`` every edge is its own point in a
-    one-slot row, with Q = A x_e and no R term. Backward copies the
+    ``T._blocks`` block of output values, the block's edges are gathered
+    from the rows, each source point's k edges get its R term, and the sum
+    is written into (B, C_out, N, k). Without ``idx`` every edge is its own
+    point in a one-slot row, with Q = A x_e and no R term. Backward copies the
     gradient G edge-major on the same blocks and takes dR = y1ᵀ G per block,
     adding it into dx and the basis gradient a chunk of source points at a
     time; then each block of rows gathers its slots' G for dQ = y1ᵀ G and
@@ -200,16 +199,13 @@ def _contract(coeffs: Tensor, x: Tensor, basis: Tensor,
     y_rows = rows.spread(y1_pt.reshape(b * e, m1))
     q = np.matmul(x_pt, w[:, :q_cols]).reshape(pts, m1, c_out)
     prod = by_row(y_rows, q).reshape(-1, c_out)
-    # blocks of about T._MAX_BLOCK_VALUES output values: whole items when
-    # one fits, else runs of one item's source points. Each block is (its
-    # items, their edges, the same edges flat, their source points)
-    per = max(1, T._MAX_BLOCK_VALUES // (c_out * k))
-    items, per = max(1, per // n), min(per, n)
-    spans = [(i, min(i + items, b), lo, min(n, lo + per))
-             for i in range(0, b, items) for lo in range(0, n, per)]
+    # each block of output values is (its items, their edges, the same
+    # edges flat, their source points)
+    spans = T._blocks(b, n, c_out * k)
     blocks = [(slice(i, j), slice(lo * k, hi * k), slice((i * n + lo) * k, ((j - 1) * n + hi) * k),
                slice(i * n + lo, (j - 1) * n + hi)) for i, j, lo, hi in spans]
-    size = items * per * k
+    per_block = max([(j - i) * (hi - lo) for i, j, lo, hi in spans], default=0)
+    size = per_block * k
     buf, term = np.empty((size, c_out), dtype=dt), np.empty((size, c_out), dtype=dt)
     out = np.empty((b, c_out, e), dtype=dt)
     for its, edges, flat, sources in blocks:
@@ -220,9 +216,10 @@ def _contract(coeffs: Tensor, x: Tensor, basis: Tensor,
             np.matmul(y1_pt[sources], center_rows(sources), out=t.reshape(-1, k, c_out))
             blk += t
         out[its, :, edges] = blk.reshape(its.stop - its.start, -1, c_out).transpose(0, 2, 1)
-    # consecutive blocks whose source points' dR, about 16 blocks' worth of
-    # values or one block at least, is held at once in backward
-    cap = max(items * per, 16 * T._MAX_BLOCK_VALUES // q_cols)
+    # consecutive blocks whose source points' dR is held at once in backward:
+    # the points of one block at q_cols // 16 values a point (about 16
+    # blocks' worth of dR), or of one output block at least
+    cap = max([per_block] + [j - i for i, j, _, _ in T._blocks(b * n, 1, q_cols // 16)[:1]])
     chunks = []
     for blk in blocks:
         if chunks and blk[3].stop - chunks[-1][0][3].start <= cap:
@@ -230,9 +227,8 @@ def _contract(coeffs: Tensor, x: Tensor, basis: Tensor,
         else:
             chunks.append([blk])
     n_rows, width = y_rows.shape[:2]
-    row_step = max(1, T._MAX_BLOCK_VALUES // (width * c_out))
-    row_blocks = [(lo, min(lo + row_step, end)) for start, end in ((0, pts), (pts, n_rows))
-                  for lo in range(start, end, row_step)]
+    row_blocks = [(start + i, start + j) for start, end in ((0, pts), (pts, n_rows))
+                  for i, j, _, _ in T._blocks(end - start, 1, width * c_out)]
 
     def back(g):
         g = g.reshape(b, c_out, e)
@@ -311,13 +307,12 @@ def _projection_scale(x: Tensor, idx: Optional[graph.NeighborIndex], weight: Ten
     (x, weight, gamma), mu an array. In train mode alpha's gradient reaches
     the edges through the variance alone, as -g alpha ivar^2 (z_e - mu) / m.
     """
-    gamma, _, running_mean, running_var, mode = bn._state()
+    gamma, beta, running_mean, running_var, mode = bn._state()
     dt = x.data.dtype
     c_out = weight.shape[0]
     parents = (x, weight, gamma)
     moments = None
     if mode == "train":
-        recording = T._recording(*parents)
         if idx is None:  # the reference form: project every edge
             if x.ndim != 4 or weight.shape[1] != x.shape[1]:
                 raise ShapeError(f"features (B, {weight.shape[1]}, N, k) expected, "
@@ -325,6 +320,7 @@ def _projection_scale(x: Tensor, idx: Optional[graph.NeighborIndex], weight: Ten
             xm = T._columns(x.data)
             z = weight.data @ xm  # (C_out, edges)
             m = z.shape[1]
+            T._check_norm(c_out, gamma, beta, mode, bn.epsilon, m)
             mean = T._channel_sums(z[None]) / m
             z -= mean.astype(dt)[:, None]
             moments = (mean, T._channel_sums(np.square(z)[None]) / m)
@@ -336,9 +332,9 @@ def _projection_scale(x: Tensor, idx: Optional[graph.NeighborIndex], weight: Ten
             graph._check_points(x, idx, "projected residual")
             graph._check_weight(x, weight, "projected residual")
             m = idx.indices.size
+            T._check_norm(c_out, gamma, beta, mode, bn.epsilon, m)
             stacked, per_point = graph._per_point(x, weight)
-            moments, terms = graph._edge_moments(per_point[:, :c_out], per_point[:, c_out:],
-                                                 idx.indices, recording)
+            moments, terms = graph._edge_moments(per_point[:, :c_out], per_point[:, c_out:], idx)
 
             def edge_grads(a):
                 _, u, v = terms

@@ -106,20 +106,6 @@ class Tensor:
         if self.grad is not None:
             self.grad[...] = 0
 
-    # -- operator sugar ------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def reshape(self, shape) -> "Tensor":
-        return reshape(self, shape)
-
     def backward(self) -> None:
         backward(self)
 
@@ -313,14 +299,18 @@ def _channel_sums(a: np.ndarray) -> np.ndarray:
     return a.sum(axis=2).sum(axis=0, dtype=np.float64)
 
 
-def _check_norm(c: int, gamma: Tensor, beta: Tensor, mode: str, epsilon: float) -> None:
-    """Argument checks shared by every batch-norm op over C channels."""
+def _check_norm(c: int, gamma: Tensor, beta: Tensor, mode: str, epsilon: float,
+                m: int) -> None:
+    """Argument checks shared by every batch-norm op over C channels whose
+    batch statistics take m values per channel."""
     if mode not in ("train", "eval"):
         raise InvalidInputError(f"mode must be 'train' or 'eval', got {mode!r}")
     if epsilon <= 0:
         raise InvalidInputError(f"epsilon must be > 0, got {epsilon}")
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"gamma/beta must be ({c},), got {gamma.shape} and {beta.shape}")
+    if mode == "train" and m == 0:
+        raise InvalidInputError("batch_norm in train mode needs a non-empty batch")
 
 
 def _norm_scale(moments, gamma: Tensor, running_mean: Optional[np.ndarray],
@@ -378,7 +368,8 @@ def _norm_stats(x: Tensor, gamma: Tensor, beta: Tensor,
     if x.ndim < 2:
         raise ShapeError(f"batch_norm input needs rank >= 2, got {x.shape}")
     c = x.shape[1]
-    _check_norm(c, gamma, beta, mode, epsilon)
+    m = x.size // c if c else 0
+    _check_norm(c, gamma, beta, mode, epsilon, m)
     if shift is not None and shift.shape != (c,):
         raise ShapeError(f"shift must be ({c},), got {shift.shape}")
     xd = x.data
@@ -386,9 +377,6 @@ def _norm_stats(x: Tensor, gamma: Tensor, beta: Tensor,
     x3 = xd.reshape(x.shape[0], c, int(np.prod(x.shape[2:], dtype=np.int64)))
     centred = spare = moments = None
     if mode == "train":
-        m = xd.size // c if c else 0
-        if m == 0:
-            raise InvalidInputError("batch_norm in train mode needs a non-empty batch")
         mu = (_channel_sums(x3) / m).astype(dt)
         centred = x3 - mu.reshape(1, c, 1)
         spare = np.square(centred, out=None if keep_centred else centred)
@@ -495,27 +483,41 @@ def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     return _make(out, (x,), lambda g: (_leaky_grad(neg_mask, s, g),))
 
 
-# Values per block of the max over k, of graph's adjacency products and of the
-# kernel write-back: about 256 KB in f32, small enough to stay in cache.
+# Values per block of every blocked loop (:func:`_blocks`): about 256 KB in
+# f32, small enough to stay in cache.
 _MAX_BLOCK_VALUES = 1 << 16
+
+
+def _blocks(items: int, points: int, unit: int) -> list:
+    """(i, j, lo, hi) blocks that tile items x points, ``unit`` values per
+    point, in order: about ``_MAX_BLOCK_VALUES`` values each, as items
+    [i, j) whole when one item fits, else runs [lo, hi) of item i's points
+    (j = i + 1), one point at least. With unit 0 one block holds them all."""
+    if items == 0 or points == 0:
+        return []
+    per = max(1, _MAX_BLOCK_VALUES // unit) if unit else items * points
+    if per >= points:
+        step = per // points
+        return [(i, min(i + step, items), 0, points) for i in range(0, items, step)]
+    return [(i, i + 1, lo, min(lo + per, points))
+            for i in range(items) for lo in range(0, points, per)]
 
 
 def _blocked_winners(fill, groups: int, width: int, k: int, dtype, recording: bool):
     """Max over axis 0 of a (k, groups, width) array that ``fill(block, lo,
-    hi)`` writes for groups [lo, hi), a block of about ``_MAX_BLOCK_VALUES``
-    values (at least one group) at a time, so the k - 1 elementwise passes
-    run over contiguous rows in cache. Returns (best, edge), both (groups,
-    width). With ``recording``, edge is each column's winning row, the first
-    that holds the max, k - max_j (k - j) [row_j == max]; a NaN max equals
-    no row and goes to row 0. Otherwise edge is None.
+    hi)`` writes for groups [lo, hi), a :func:`_blocks` block at a time, so
+    the k - 1 elementwise passes run over contiguous rows in cache. Returns
+    (best, edge), both (groups, width). With ``recording``, edge is each
+    column's winning row, the first that holds the max,
+    k - max_j (k - j) [row_j == max]; a NaN max equals no row and goes to
+    row 0. Otherwise edge is None.
     """
     best = np.empty((groups, width), dtype=dtype)
-    step = max(1, _MAX_BLOCK_VALUES // (k * width))
-    scratch = np.empty(k * min(step, groups) * width, dtype=dtype)
+    blocks = _blocks(groups, 1, k * width)
+    scratch = np.empty(k * (blocks[0][1] if blocks else 0) * width, dtype=dtype)
     first = (k - np.arange(k, dtype=np.min_scalar_type(k))).reshape(k, 1, 1)
     win = np.empty(best.shape, dtype=first.dtype) if recording else None
-    for lo in range(0, groups, step):
-        hi = min(lo + step, groups)
+    for lo, hi, _, _ in blocks:
         block = scratch[:k * (hi - lo) * width].reshape(k, hi - lo, width)
         fill(block, lo, hi)
         top = np.maximum.reduce(block, axis=0, out=best[lo:hi])
@@ -643,13 +645,6 @@ def _pooled_grads(g: np.ndarray, neg_mask: np.ndarray, s: np.ndarray,
     return routed, scale * (-dgamma * ivar / m), scale * (-dbeta / m), dgamma, dbeta
 
 
-def _row_blocks(rows: int, width: int) -> list:
-    """Slices over ``rows`` rows of ``width`` values, about
-    ``_MAX_BLOCK_VALUES`` values (at least one row) each."""
-    step = max(1, _MAX_BLOCK_VALUES // max(width, 1))
-    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
-
-
 def linear_norm_pool(x: Tensor, weight: Tensor, gamma: Tensor, beta: Tensor,
                      running_mean: Optional[np.ndarray], running_var: Optional[np.ndarray],
                      mode: str, slope: float = 0.2, momentum: float = 0.1,
@@ -678,9 +673,9 @@ def linear_norm_pool(x: Tensor, weight: Tensor, gamma: Tensor, beta: Tensor,
     if weight.dtype != x.dtype:
         raise UsageError(f"linear_norm_pool: dtype mismatch: {x.dtype} vs {weight.dtype}")
     e = weight.shape[0]
-    _check_norm(e, gamma, beta, mode, epsilon)
     if n == 0:
         raise InvalidInputError(f"cannot pool over the empty point axis of shape {x.shape}")
+    _check_norm(e, gamma, beta, mode, epsilon, b_dim * n)
     dt = x.data.dtype
     s = _leaky_slope(slope, dt)
     parents = (x, weight, gamma, beta)
@@ -688,14 +683,13 @@ def linear_norm_pool(x: Tensor, weight: Tensor, gamma: Tensor, beta: Tensor,
     xm = _columns(x.data)
     rows = xm.T @ weight.data.T  # (B * N, E); BLAS reads both operands transposed
     m = rows.shape[0]
+    blocks = [slice(i, j) for i, j, _, _ in _blocks(m, 1, e)]
     moments = None
     if mode == "train":
-        if m == 0:
-            raise InvalidInputError("batch_norm in train mode needs a non-empty batch")
         mean = rows.sum(axis=0, dtype=np.float64) / m
         rows -= mean.astype(dt)
         squares = np.zeros(e)
-        for blk in _row_blocks(m, e):
+        for blk in blocks:
             squares += np.square(rows[blk]).sum(axis=0, dtype=np.float64)
         moments = (mean, squares / m)
     mu, ivar, scale = _norm_scale(moments, gamma, running_mean, running_var, mode,
@@ -727,7 +721,6 @@ def linear_norm_pool(x: Tensor, weight: Tensor, gamma: Tensor, beta: Tensor,
         d.reshape(b_dim, n, e)[...] = (g[:, e:] / np.asarray(n, dtype=dt))[:, None, :]
         d.reshape(-1)[winners] += g[:, :e].ravel()
         dbeta, dgamma = np.zeros(e), np.zeros(e)
-        blocks = _row_blocks(m, e)
         for blk in blocks:
             gz = d[blk] = _leaky_grad(neg[blk], s, d[blk])
             dbeta += gz.sum(axis=0, dtype=np.float64)

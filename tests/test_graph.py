@@ -204,6 +204,28 @@ def test_neighbor_rows_group_each_points_edges_into_rows_of_k(data):
     np.testing.assert_array_equal(spread[pad], 0.0)
 
 
+@pytest.mark.parametrize("b,n,k,block", [(3, 20, 20, None), (5, 6, 3, 40), (2, 960, 20, None),
+                                         (3, 20, 7, 50)],
+                         ids=["whole-items", "item-blocks", "slabs", "small-slabs"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adjacency_products_and_counts_match_a_dense_adjacency(b, n, k, block, dtype,
+                                                               monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(T, "_MAX_BLOCK_VALUES", block)
+    rng = np.random.default_rng(31)
+    indices = rng.integers(0, max(1, n // 2), size=(b, n, k))  # repeats; half the points unread
+    idx = NeighborIndex(indices=indices, k=k, n_points=n)
+    adj = np.zeros((b, n, n))  # A[b, i, m]: how often point i reads m
+    np.add.at(adj, (np.arange(b)[:, None, None], np.arange(n)[None, :, None], indices), 1.0)
+    np.testing.assert_array_equal(idx.counts, adj.sum(axis=1).ravel())
+    pc, cc = (rng.normal(size=(b, 5, n)).astype(dtype) for _ in range(2))
+    gathered, scattered = graph._adjacency_products(pc, cc, indices)
+    assert gathered.dtype == scattered.dtype == dtype
+    tol = 1e-5 if dtype == np.float32 else 1e-12
+    for got, want in ((gathered, pc @ adj.transpose(0, 2, 1)), (scattered, cc @ adj)):
+        np.testing.assert_allclose(got, want, rtol=tol, atol=tol * np.abs(want).max())
+
+
 def test_graph_feature_line_fixture():
     x = np.array([[[0.0, 1.0, 3.0]]])
     idx = knn(Tensor(x), 2)

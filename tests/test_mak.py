@@ -3,13 +3,14 @@ against the dense per-edge kernel bank, plus head decomposition, residual
 behaviour, and parameter-count structure."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from adaptgraph import graph, kernels
 from adaptgraph import tensor as T
-from adaptgraph.errors import ConfigError, ShapeError, UsageError
+from adaptgraph.errors import ConfigError, InvalidInputError, ShapeError, UsageError
 from adaptgraph.kernels import MakConfig, MultiHeadAdaptiveKernel, apply_heads
 from adaptgraph.tensor import Tensor
 from test_tensor import check_grads, edge_linear
@@ -189,6 +190,38 @@ def test_apply_heads_is_linear_in_features():
         return apply_heads(coeffs, Tensor(x), weight, bias, 2, 4).data
 
     np.testing.assert_allclose(run(xa + 2.0 * xb), run(xa) + 2.0 * run(xb), atol=1e-12)
+
+
+def test_apply_heads_takes_edge_features_without_edges():
+    # k = 0: a (B, C_out, N, 0) result, and a zero gradient for the
+    # generator's last layer
+    inputs = rand_head_inputs(2, 3, 4, 0, ci=2, co=5, heads=2, seed=15)
+    for t in inputs:
+        t.requires_grad = True
+    out = apply_heads(*inputs, 2, 5)
+    assert out.shape == (2, 5, 4, 0)
+    T.reduce_sum(out).backward()
+    coeffs, x, weight, bias = inputs
+    assert coeffs.grad.shape == coeffs.shape and x.grad.shape == x.shape
+    assert not weight.grad.any() and not bias.grad.any()
+
+
+@pytest.mark.parametrize("kind", ["edges", "points"])
+def test_train_mode_without_edges_raises_before_dividing(kind):
+    # with k = 0 the projected residual's batch norm has no values; the
+    # shared empty-batch guard raises before any mean divides by zero
+    rng = np.random.default_rng(16)
+    if kind == "edges":
+        op = MultiHeadAdaptiveKernel(MakConfig(3, 5, 6), rng)
+        feat, idx = np.zeros((2, 3, 4, 0)), None
+    else:
+        op = MultiHeadAdaptiveKernel(MakConfig(4, 5, 6), rng)
+        feat = np.zeros((2, 2, 4))
+        idx = graph.NeighborIndex(indices=np.zeros((2, 4, 0), dtype=np.int64), k=0, n_points=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="non-empty batch"):
+            op(Tensor(np.zeros((2, 6, 4, 0)), dtype="f32"), Tensor(feat, dtype="f32"), idx)
 
 
 def test_apply_heads_validation():

@@ -1,11 +1,15 @@
 """Tensor-core tests: frozen hand-computed values, identities, and a central
 finite-difference oracle for every differentiable op (f64, rel err < 1e-6)."""
 
+import ast
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptgraph import graph
 from adaptgraph import tensor as T
@@ -512,6 +516,58 @@ def test_linear_norm_pool_guards():
         T.linear_norm_pool(x, weight, ones, zeros, None, None, "eval")
     with pytest.raises(InvalidInputError):
         T.linear_norm_pool(x, weight, ones, zeros, None, None, "train", slope=1.0)
+
+
+def test_linear_norm_pool_takes_an_empty_embedding():
+    # an (0, C) weight embeds into no channels: (B, 0) out, empty gradients
+    # for the norm and zero ones for x and the weight
+    x = leaf(rand(2, 4, 5))
+    weight, gamma, beta = leaf(np.zeros((0, 4))), leaf(np.ones(0)), leaf(np.zeros(0))
+    for mode in ("train", "eval"):
+        out = T.linear_norm_pool(x, weight, gamma, beta, np.zeros(0), np.ones(0), mode)
+        assert out.shape == (2, 0)
+        T.reduce_sum(out).backward()
+        assert gamma.grad.shape == beta.grad.shape == (0,) and weight.grad.shape == (0, 4)
+        assert x.grad.shape == x.shape and not x.grad.any()
+
+
+@settings(max_examples=300, deadline=None)
+@given(items=st.integers(0, 6), points=st.integers(0, 9), unit=st.integers(0, 12),
+       block=st.integers(1, 60))
+def test_blocks_tile_items_by_points_once_in_order(items, points, unit, block):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(T, "_MAX_BLOCK_VALUES", block)
+        blocks = T._blocks(items, points, unit)
+    cells = [(item, p) for i, j, lo, hi in blocks for item in range(i, j) for p in range(lo, hi)]
+    assert cells == [(i, p) for i in range(items) for p in range(points)]
+    whole = unit == 0 or points == 1 or points * unit <= block  # one item fits
+    for n, (i, j, lo, hi) in enumerate(blocks):
+        assert i < j and lo < hi
+        values = (j - i) * (hi - lo) * unit
+        assert values <= max(block, unit)
+        last = n == len(blocks) - 1
+        if whole:  # whole items, as many as fit
+            assert (lo, hi) == (0, points)
+            assert last or unit == 0 or values + points * unit > block
+        else:  # a run of one item's points, as long as fits
+            assert j == i + 1
+            assert hi == points or values + unit > block
+    if unit == 0:
+        assert len(blocks) == (1 if items and points else 0)
+
+
+def test_only_tensor_names_the_block_size():
+    # every blocked loop takes its blocks from T._blocks, so the block size
+    # is named in code by tensor.py alone (docstrings and comments may cite it)
+    def names(path):
+        return [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                if getattr(node, "id", getattr(node, "attr", None)) == "_MAX_BLOCK_VALUES"]
+
+    src = pathlib.Path(T.__file__).parent
+    assert names(src / "tensor.py")
+    for path in sorted(src.glob("*.py")):
+        if path.name != "tensor.py":
+            assert not names(path), f"{path.name} names _MAX_BLOCK_VALUES at {names(path)}"
 
 
 def test_leaky_relu_fixtures():
