@@ -84,45 +84,25 @@ class NeighborRows:
         return out.reshape((-1, self.width) + values.shape[1:])
 
 
-def _gather(xd: np.ndarray, index: np.ndarray,
-            out: Optional[np.ndarray] = None) -> np.ndarray:
-    """out[b, :, m, j] = xd[b, :, index[b, m, j]]: (B, C, N) -> (B, C, M, k).
-
-    Callers have checked that every index lies in [0, N); mode "clip" then
-    changes nothing but lets np.take write ``out`` without buffering."""
-    if out is None:
-        out = np.empty(xd.shape[:2] + index.shape[1:], dtype=xd.dtype)
-    for b in range(xd.shape[0]):
-        np.take(xd[b], index[b], axis=1, out=out[b], mode="clip")
-    return out
-
-
-def _scatter_add(g: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
-    """Adjoint of :func:`_gather`: (B, C, M, k) -> (B, C, n), adding
-    g[b, :, m, j] into point index[b, m, j].
-
-    One np.bincount per channel over the edges' flat destinations, from a
-    (C, edges) copy of g; bincount sums in float64 and the result is cast
-    back to g's dtype. Nothing but ``index`` is kept from the forward pass.
-    """
-    b_dim, c = g.shape[:2]
-    flat = (index + (np.arange(b_dim, dtype=index.dtype) * n)[:, None, None]).ravel()
-    rows = np.moveaxis(g, 1, 0).reshape(c, flat.size)
-    out = np.empty((c, b_dim * n), dtype=g.dtype)
-    for ch in range(c):
-        out[ch] = np.bincount(flat, weights=rows[ch], minlength=b_dim * n)
-    return out.reshape(c, b_dim, n).transpose(1, 0, 2)
+def _untracked(x: Tensor, op: str) -> None:
+    """Raises UsageError when x records a graph: ``op`` has no backward, and
+    a gradient dropped without a word would be wrong."""
+    if T._recording(x):
+        raise UsageError(f"{op} has no backward; call it on an input that records "
+                         "no graph, or under no_grad")
 
 
 def pairwise_similarity(x: Tensor) -> Tensor:
     """Negated pairwise squared Euclidean distances.
 
     Args:
-        x: point features, (B, C, N)
+        x: point features, (B, C, N), recording no graph (:func:`knn` calls
+            it under ``no_grad``)
     Returns:
         (B, N, N) tensor; entry (i, j) is -||x_i - x_j||^2, so larger means
         closer and the diagonal is 0 (clamped against rounding noise).
     """
+    _untracked(x, "pairwise_similarity")
     if x.ndim != 3:
         raise ShapeError(f"pairwise_similarity expects (B, C, N), got {x.shape}")
     if x.shape[1] < 1 or x.shape[2] < 1:
@@ -136,15 +116,7 @@ def pairwise_similarity(x: Tensor) -> Tensor:
     sim -= sq[:, None, :]
     # the factorized form can leak +1e-7 noise above the exact 0 bound
     np.minimum(sim, 0.0, out=sim)
-    parents = (x,)
-
-    def back(g):
-        gs = g + g.transpose(0, 2, 1)
-        # d sim / d x has a 2(x_j - x_i) structure; fold the row/col sums
-        dx = 2.0 * (np.matmul(xd, gs) - xd * gs.sum(axis=2)[:, None, :])
-        return (dx,)
-
-    return T._make(sim, parents, back)
+    return T._make(sim, (x,), None)
 
 
 def knn(x: Tensor, k: int) -> NeighborIndex:
@@ -202,29 +174,28 @@ def graph_feature(x: Tensor, idx: NeighborIndex) -> Tensor:
     """Concatenated edge features: offsets to neighbors plus the center point.
 
     Args:
-        x: point features, (B, C, N)
+        x: point features, (B, C, N), recording no graph: the network applies
+            this once, to its raw input
         idx: neighborhood structure over the same N points
     Returns:
         (B, 2C, N, k); channels [0, C) hold x_j - x_i for each neighbor j,
-        channels [C, 2C) repeat x_i along the neighbor axis. Backward
-        scatter-adds the offset gradient into the neighbors and adds, per
-        center, its sum over k of (center gradient - offset gradient).
+        channels [C, 2C) repeat x_i along the neighbor axis. The stages that
+        filter edge features of learned points (``edge_conv``, the adaptive
+        kernels' point form) never form them, so nothing differentiates
+        this op.
     """
+    _untracked(x, "graph_feature")
     _check_points(x, idx, "graph_feature")
     b, c, n = x.shape
     out = np.empty((b, 2 * c, n, idx.k), dtype=x.data.dtype)
-    _gather(x.data, idx.indices, out=out[:, :c])
+    for i in range(b):
+        # every index lies in [0, N), so mode "clip" changes nothing but lets
+        # np.take write into out without buffering
+        np.take(x.data[i], idx.indices[i], axis=1, out=out[i, :c], mode="clip")
     center = x.data[:, :, :, None]
     out[:, :c] -= center
     out[:, c:] = center
-
-    def back(g):
-        d_offset = g[:, :c]
-        dx = _scatter_add(d_offset, idx.indices, n)
-        dx += (g[:, c:] - d_offset).sum(axis=3)
-        return (dx,)
-
-    return T._make(out, (x,), back)
+    return T._make(out, (x,), None)
 
 
 def _check_weight(x: Tensor, weight: Tensor, op: str) -> int:

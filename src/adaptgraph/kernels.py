@@ -67,6 +67,8 @@ class MakConfig:
             v = getattr(self, field)
             if not _positive_int(v):
                 raise ConfigError(f"{field} must be a positive integer, got {v!r}")
+        if not isinstance(self.residual, bool):
+            raise ConfigError(f"residual must be a bool, got {self.residual!r}")
 
 
 class _KernelGenerator(Module):
@@ -411,9 +413,9 @@ class MultiHeadAdaptiveKernel(Module):
         result is per edge, (B, C_out, N, k). With it, the stage maps points
         to points, as the network uses it: feat holds point features
         (B, C_in / 2, N) whose edge features ``graph_feature(feat, idx)`` are
-        filtered without being formed, and the result is
-        ``reduce(edge result, 3, "max")``, (B, C_out, N), with BN, activation
-        and max in one op that normalizes only the edges the max keeps.
+        filtered without being formed, and the result is the edge result's
+        max over the neighbor axis, (B, C_out, N), with BN, activation and
+        max in one op that normalizes only the edges the max keeps.
 
         Both residuals ride in conv1's bias as constant kernels: the identity
         I, or a projection's alpha W with proj_bn's scale alpha, so no edge

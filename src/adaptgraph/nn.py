@@ -138,9 +138,9 @@ class BatchNorm(Module):
         return T.batch_norm(*self._args(x), momentum=self.momentum, epsilon=self.epsilon)
 
     def leaky_max(self, x: Tensor, slope: float, shift: Optional[Tensor] = None) -> Tensor:
-        """``reduce(leaky_relu(self(x), slope), 3, "max")``, (B, C, N, k)
-        -> (B, C, N), without normalizing or activating the edges the max
-        drops. A (C,) ``shift`` normalizes x + shift without forming it."""
+        """The max over the neighbor axis of ``leaky_relu(self(x), slope)``,
+        (B, C, N, k) -> (B, C, N), without normalizing or activating the
+        edges the max drops. A (C,) ``shift`` normalizes x + shift without forming it."""
         return T.batch_norm_leaky_max(*self._args(x), slope=slope, momentum=self.momentum,
                                       epsilon=self.epsilon, shift=shift)
 
@@ -152,7 +152,8 @@ class BatchNorm(Module):
 
     def edge_conv(self, points: Tensor, idx: graph.NeighborIndex, weight: Tensor,
                   slope: float) -> Tensor:
-        """``self.leaky_max(T.pointwise_linear(graph.graph_feature(points, idx), weight),
-        slope)``, (B, C, N) -> (B, channels, N), forming no edge array."""
+        """``self.leaky_max`` of the 1x1 map ``weight`` of every edge's features
+        [x_j - x_i, x_i] over ``idx``, (B, C, N) -> (B, channels, N), forming
+        no edge array; the points may record a graph."""
         return graph.edge_conv(points, idx, weight, *self._state(), slope=slope,
                                momentum=self.momentum, epsilon=self.epsilon)

@@ -562,22 +562,23 @@ def batch_norm_leaky_max(x: Tensor, gamma: Tensor, beta: Tensor,
                          running_var: Optional[np.ndarray], mode: str,
                          slope: float = 0.2, momentum: float = 0.1,
                          epsilon: float = 1e-5, shift: Optional[Tensor] = None) -> Tensor:
-    """``reduce(leaky_relu(batch_norm(x, ...), slope), 3, "max")`` in one op,
-    bit for bit: (B, C, N, k) -> (B, C, N). A (C,) ``shift`` normalizes
-    x + shift without forming it (:func:`_norm_scale`).
+    """The max over the neighbor axis of ``leaky_relu(batch_norm(x, ...),
+    slope)`` in one op, bit for bit: (B, C, N, k) -> (B, C, N). A (C,)
+    ``shift`` normalizes x + shift without forming it (:func:`_norm_scale`).
 
     Batch norm then leaky relu is, per channel, a map of x that never
     decreases when the scale gamma / sigma is >= 0 and never increases when it
     is < 0, and rounding keeps that true. So the max over k of the map is the
-    map of the reference's winner (:func:`_winning_values`). Statistics and
+    map of x's winning edge (:func:`_winning_values`), the first edge that
+    holds the max, as ``np.argmax`` picks it. Statistics and
     the running-buffer update come from every edge, as in :func:`batch_norm`;
     only the (B, C, N) winners are normalized and activated. Backward writes
     one dense dx = x * a + b per channel, the batch-statistics terms, and
     adds the routed gradient at the winning edges; besides x it keeps only
     (B, C, N) arrays: the winners' index, their centred values and their
     activation mask. Bit for bit holds for finite x: a row holding a NaN
-    wins NaN, so its gradient goes to edge 0, not to the first NaN as in
-    the reference.
+    wins NaN, so its gradient goes to edge 0, not to the first NaN that
+    ``np.argmax`` picks.
     """
     if x.ndim != 4:
         raise ShapeError(f"batch_norm_leaky_max expects (B, C, N, k), got {x.shape}")
@@ -650,9 +651,8 @@ def linear_norm_pool(x: Tensor, weight: Tensor, gamma: Tensor, beta: Tensor,
                      mode: str, slope: float = 0.2, momentum: float = 0.1,
                      epsilon: float = 1e-5) -> Tensor:
     """The embedding head in one op: with a = ``leaky_relu(batch_norm(
-    pointwise_linear(x, weight), ...), slope)``, ``concat([reduce(a, 2,
-    "max"), reduce(a, 2, "mean")], 1)``, (B, C, N) -> (B, 2E) for an (E, C)
-    weight.
+    pointwise_linear(x, weight), ...), slope)``, a's max over points, then
+    its mean over points, (B, C, N) -> (B, 2E) for an (E, C) weight.
 
     The map is one GEMM into point-major (B * N, E) rows, reading x's
     channel-major columns (:func:`_columns`) transposed, so it copies
@@ -660,7 +660,8 @@ def linear_norm_pool(x: Tensor, weight: Tensor, gamma: Tensor, beta: Tensor,
     from float64 column sums and updates the running buffers as
     :func:`batch_norm` does. Each block of whole items is normalized,
     activated and pooled by :func:`_blocked_winners`, so the max routes to
-    the first point holding it, as ``reduce`` does (a NaN max to point 0).
+    the first point holding it, as ``np.argmax`` picks it (a NaN max to
+    point 0).
     Backward keeps the centred rows, their activation mask and the winners,
     forms the rows' gradient as one more (B * N, E) array, and runs one
     GEMM each for dx and the weight.
@@ -761,35 +762,6 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
 # ---------------------------------------------------------------------
 # reductions
 # ---------------------------------------------------------------------
-
-def reduce(x: Tensor, axis: int, kind: str) -> Tensor:
-    """Reduce one axis away. kind 'max' routes the gradient to the winning
-    element (lowest index on ties); kind 'mean' spreads it uniformly."""
-    axis = _check_axis(axis, x.ndim)
-    n = x.shape[axis]
-    if n == 0:
-        raise InvalidInputError(f"cannot reduce empty axis {axis} of shape {x.shape}")
-    if kind == "max":
-        if not _recording(x):
-            return _make(x.data.max(axis=axis), (x,), None)
-        am = np.argmax(x.data, axis=axis)  # np.argmax takes the first maximum
-        out = np.take_along_axis(x.data, np.expand_dims(am, axis), axis).squeeze(axis)
-
-        def back(g):
-            dx = np.zeros_like(x.data)
-            np.put_along_axis(dx, np.expand_dims(am, axis), np.expand_dims(g, axis), axis)
-            return (dx,)
-    elif kind == "mean":
-        out = x.data.mean(axis=axis)
-
-        def back(g):
-            scaled = np.expand_dims(g, axis) / np.asarray(n, dtype=g.dtype)
-            return (np.broadcast_to(scaled, x.shape),)
-    else:
-        raise InvalidInputError(f"kind must be 'max' or 'mean', got {kind!r}")
-
-    return _make(np.ascontiguousarray(out), (x,), back)
-
 
 def reduce_sum(x: Tensor, axis: Optional[int] = None, keepdims: bool = False) -> Tensor:
     if axis is None:

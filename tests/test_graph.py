@@ -15,7 +15,8 @@ from adaptgraph.errors import InvalidInputError, ShapeError, UsageError
 from adaptgraph.graph import NeighborIndex, graph_feature, knn, pairwise_similarity
 from adaptgraph.network import _ConvBlock
 from adaptgraph.tensor import Tensor
-from test_tensor import check_grads, edge_linear
+import reference as ref
+from reference import check_grads, edge_linear
 
 
 def points(b, c, n, seed=0, dtype=np.float64):
@@ -65,28 +66,6 @@ def test_similarity_translation_invariance():
     a = pairwise_similarity(Tensor(x)).data
     b = pairwise_similarity(Tensor(x + shift)).data
     np.testing.assert_allclose(a, b, atol=1e-12)
-
-
-def test_similarity_gradient_against_finite_differences():
-    x = points(2, 3, 6, seed=5)
-    t = Tensor(x.copy(), requires_grad=True)
-    w = np.random.default_rng(1).normal(size=(2, 6, 6))
-    T.reduce_sum(T.mul(pairwise_similarity(t), Tensor(w, dtype="f64"))).backward()
-
-    num = np.zeros_like(x)
-    eps = 1e-6
-    flat_x, flat_g = t.data.ravel(), num.ravel()
-    for i in range(x.size):
-        old = flat_x[i]
-        with T.no_grad():
-            flat_x[i] = old + eps
-            hi = float((pairwise_similarity(t).data * w).sum())
-            flat_x[i] = old - eps
-            lo = float((pairwise_similarity(t).data * w).sum())
-        flat_x[i] = old
-        flat_g[i] = (hi - lo) / (2 * eps)
-    denom = np.maximum(np.maximum(np.abs(t.grad), np.abs(num)), 1e-8)
-    assert (np.abs(t.grad - num) / denom).max() < 1e-6
 
 
 def test_knn_line_fixture():
@@ -266,38 +245,6 @@ def test_graph_feature_translation_moves_only_center_channels():
                                atol=1e-12)
 
 
-def test_graph_feature_gradient_flows_to_points():
-    x = points(1, 2, 5, seed=30)
-    t = Tensor(x, requires_grad=True)
-    idx = knn(t, 2)
-    T.reduce_sum(graph_feature(t, idx)).backward()
-    assert t.grad is not None and np.abs(t.grad).sum() > 0
-
-
-def test_graph_feature_backward_equals_add_at_with_repeated_indices():
-    rng = np.random.default_rng(11)
-    b, c, n, k = 3, 5, 7, 6
-    indices = rng.integers(0, 3, size=(b, n, k))  # 42 edges per batch onto 3 points
-    indices[1] = 2  # every edge of batch 1 lands on one point
-    idx = NeighborIndex(indices=indices, k=k, n_points=n)
-    x = Tensor(rng.normal(size=(b, c, n)), requires_grad=True)
-    out = graph_feature(x, idx)
-    g = rng.normal(size=(b, 2 * c, n, k))
-    (got,) = out.node.backward_fn(g)
-    # offsets x_j - x_i send g to the neighbor j and -g to the center i;
-    # the center channels send theirs to i
-    want = np.zeros((b * n, c))
-    flat = (indices + (np.arange(b) * n)[:, None, None]).ravel()
-    np.add.at(want, flat, g[:, :c].transpose(0, 2, 3, 1).reshape(-1, c))
-    want = want.reshape(b, n, c).transpose(0, 2, 1)
-    want += (g[:, c:] - g[:, :c]).sum(axis=3)
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-    # with the center term cancelled, points nobody gathers get zero
-    g[:, c:] = g[:, :c]
-    (got,) = out.node.backward_fn(g)
-    assert (got[:, :, 3:] == 0).all()
-
-
 def test_graph_feature_validation():
     x = Tensor(points(1, 2, 5))
     idx = knn(x, 2)
@@ -309,9 +256,33 @@ def test_graph_feature_validation():
 
 def test_knn_result_detached_from_autodiff():
     t = Tensor(points(1, 3, 6), requires_grad=True)
-    idx = knn(t, 2)
-    assert isinstance(idx.indices, np.ndarray)
-    assert not np.issubdtype(idx.indices.dtype, np.floating)
+    plain = knn(Tensor(points(1, 3, 6)), 2).indices
+    for x in (t, T.mul(t, Tensor(np.ones((1, 3, 6))))):  # a leaf, then a graph node
+        idx = knn(x, 2)
+        assert isinstance(idx.indices, np.ndarray)
+        assert not np.issubdtype(idx.indices.dtype, np.floating)
+        np.testing.assert_array_equal(idx.indices, plain)
+
+
+@pytest.mark.parametrize("op", ["graph_feature", "pairwise_similarity"])
+def test_ops_without_backward_refuse_a_recording_input(op):
+    # the network applies both to its raw input only; a gradient asked of
+    # them is an error, not a gradient dropped in silence
+    x = points(2, 3, 7, seed=40)
+    idx = knn(Tensor(x), 3)
+    call = (lambda t: graph_feature(t, idx)) if op == "graph_feature" else pairwise_similarity
+    want = call(Tensor(x))
+    assert want.node is None
+    leaf = Tensor(x, requires_grad=True)
+    for t in (leaf, T.mul(leaf, Tensor(np.ones_like(x)))):  # a leaf, then a graph node
+        with pytest.raises(UsageError, match=op):
+            call(t)
+        with T.no_grad():
+            got = call(t)
+        assert got.node is None
+        np.testing.assert_array_equal(got.data, want.data)
+    if op == "graph_feature":  # the tests' differentiable copy gives the same bits
+        np.testing.assert_array_equal(ref.graph_feature(leaf, idx).data, want.data)
 
 
 # ---------------------------------------------------------------------

@@ -13,7 +13,8 @@ from adaptgraph import tensor as T
 from adaptgraph.errors import ConfigError, InvalidInputError, ShapeError, UsageError
 from adaptgraph.kernels import MakConfig, MultiHeadAdaptiveKernel, apply_heads
 from adaptgraph.tensor import Tensor
-from test_tensor import check_grads, edge_linear
+import reference as ref
+from reference import check_grads, edge_linear
 
 EPS = 1e-5
 SLOPE = 0.2
@@ -130,7 +131,7 @@ def dense_apply_heads(coeffs, x, weight, bias, heads, c_out, idx=None):
     kernels by its features, then sum over inputs and heads. With ``idx``, x
     holds point features and the edge features are formed explicitly."""
     if idx is not None:
-        x = graph.graph_feature(x, idx)
+        x = ref.graph_feature(x, idx)
     b, c_in, n, k = x.shape
     bank = dense_bank(coeffs, weight, bias, heads, c_in, c_out)
     products = T.mul(bank, T.reshape(x, (b, 1, c_in, 1, n, k)))
@@ -407,6 +408,11 @@ def test_config_validation_names_the_field():
         MultiHeadAdaptiveKernel(
             MakConfig(in_channels=3, out_channels=4, gen_in_channels=6, mid_channels=0),
             np.random.default_rng(0))
+    # a truthy string would build an identity residual, 0 or None none at all
+    for residual in ("no", 0, 1, None):
+        with pytest.raises(ConfigError, match="residual"):
+            MakConfig(4, 4, 8, residual=residual)
+    assert not MakConfig(4, 4, 8, residual=False).residual
 
 
 def test_forward_shape_validation():
@@ -471,7 +477,7 @@ def test_apply_heads_on_points_equals_edge_form(heads, block, monkeypatch):
                 return apply_heads(c, x, w, bi, heads, co, idx=idx)
 
             def edge_form(c, x, w, bi):
-                return apply_heads(c, graph.graph_feature(x, idx), w, bi, heads, co)
+                return apply_heads(c, ref.graph_feature(x, idx), w, bi, heads, co)
 
             def dense(c, x, w, bi):
                 # the dense bank shares no code with the contraction both forms run
@@ -589,7 +595,7 @@ def test_operator_on_points_equals_edge_form(residual, monkeypatch):
                 out = op(g, x, idx)
                 assert out.shape == (b, co, n)
             else:
-                out = T.reduce(op(g, graph.graph_feature(x, idx)), 3, "max")
+                out = ref.reduce(op(g, ref.graph_feature(x, idx)), 3, "max")
             T.reduce_sum(T.mul(out, weights)).backward()
             return out.data, g.grad, x.grad, {key: p.value.grad
                                               for key, p in op.named_parameters()}
@@ -630,12 +636,12 @@ def test_identity_fold_equals_separate_ops_in_train_mode(heads):
                 {name: buf.copy() for name, buf in op.bn_out.named_buffers()})
 
     def separate_ops(edges):
-        return T.reduce(T.leaky_relu(op.bn_out(edges), SLOPE), 3, "max")
+        return ref.reduce(T.leaky_relu(op.bn_out(edges), SLOPE), 3, "max")
 
     g, x = Tensor(geo, requires_grad=True), Tensor(points, requires_grad=True)
     out, grads, buffers = run(lambda g, x: op(g, x, idx), g, x)
     xr = Tensor(points, requires_grad=True)
-    want, want_grads, want_buffers = run(lambda x: separate_ops(graph.graph_feature(x, idx)), xr)
+    want, want_grads, want_buffers = run(lambda x: separate_ops(ref.graph_feature(x, idx)), xr)
     np.testing.assert_allclose(out, want, rtol=1e-9, atol=1e-10)
     np.testing.assert_allclose(x.grad, xr.grad, rtol=1e-9, atol=1e-10)
     np.testing.assert_array_equal(g.grad, 0.0)

