@@ -47,14 +47,25 @@ print(np.array_str(w_edge0, precision=3, suppress_small=True))
 print("same point, neighbor 1 sees a different kernel, max |delta| =",
       f"{np.abs(w_edge0 - w_edge1).max():.3f}")
 
-filtered = apply_heads(coeffs, feat, op.gen.conv1.weight.value,
-                       op.gen.conv1.bias.value, heads, c_out)
-direct = w_edge0 @ feat.data[0, :, 0, 0]
-print("apply_heads on that edge equals W_edge @ x:",
-      np.allclose(filtered.data[0, :, 0, 0], direct, rtol=1e-4, atol=1e-5))
+# apply_heads folds the heads into one basis and describes every edge's
+# response W_edge @ x without forming it; the stage's batch norm, leaky ReLU
+# and pooling read the responses block by block
+responses = apply_heads(coeffs, feat, op.gen.conv1.weight.value,
+                        op.gen.conv1.bias.value, heads, c_out)
+print("\nedge responses described, not formed, shape (B, C_out, N, k):", responses.shape)
 
 out = op(geo, feat)
-print("\noperator output (B, C_out, N, k):", out.shape)
+print("operator output (B, C_out, N, k):", out.shape)
+# edge features are their own neighbourhoods: in eval mode edge (0, 0)'s
+# output is leaky(bn_out(W_edge @ x + x)), the identity residual added
+x0 = feat.data[0, :, 0, 0]
+bn = op.bn_out
+rm, rv = bn._buffers["running_mean"], bn._buffers["running_var"]
+z = ((w_edge0 @ x0 + x0 - rm) / np.sqrt(rv + bn.epsilon)
+     * bn.gamma.value.data + bn.beta.value.data)
+print("the operator on that edge equals leaky(bn(W_edge @ x + x)):",
+      np.allclose(out.data[0, :, 0, 0], np.where(z >= 0, z, op.slope * z),
+                  rtol=1e-4, atol=1e-5))
 
 # identical geometry must produce identical kernels: copy edge 0 onto edge 2
 geo2 = geo.data.copy()

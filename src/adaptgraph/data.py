@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import collections
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from typing import Deque, List, Optional, Sequence, Tuple
@@ -62,15 +63,19 @@ class PipelineConfig:
         self.validate()
 
     def validate(self) -> None:
-        if self.window_frames < 1:
-            raise ConfigError(f"window_frames must be >= 1, got {self.window_frames}")
-        if self.window_stride < 1:
-            raise ConfigError(f"window_stride must be >= 1, got {self.window_stride}")
-        if self.points_per_frame < 1:
-            raise ConfigError(f"points_per_frame must be >= 1, got {self.points_per_frame}")
+        for name in ("window_frames", "window_stride", "points_per_frame"):
+            _check_int(self, name, 1)
         _check_split_ratios(self.split_ratios)
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        _check_int(self, "seed", 0)
+
+
+def _check_int(cfg, name: str, least: int) -> None:
+    """ConfigError unless ``cfg.<name>`` is an int >= ``least``, not a bool."""
+    v = getattr(cfg, name)
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {v!r}")
+    if v < least:
+        raise ConfigError(f"{name} must be >= {least}, got {v}")
 
 
 def _check_split_ratios(ratios) -> None:
@@ -166,10 +171,9 @@ class SynthSpec:
         self.validate()
 
     def validate(self) -> None:
-        if self.classes < 2:
-            raise ConfigError(f"need at least 2 classes, got {self.classes}")
-        if self.sequences_per_class < 1 or self.frames < 1 or self.points < 1:
-            raise ConfigError("sequences_per_class, frames, points must be >= 1")
+        _check_int(self, "classes", 2)
+        for name in ("sequences_per_class", "frames", "points"):
+            _check_int(self, name, 1)
         if not 0 <= self.noise < math.inf:
             raise ConfigError(f"noise must be finite and >= 0, got {self.noise}")
         if not 0 < self.frame_rate < math.inf:

@@ -76,12 +76,13 @@ class NeighborRows:
     points: int
     width: int
 
-    def spread(self, values: np.ndarray) -> np.ndarray:
-        """Per-edge values (E, ...) -> (rows, width, ...), zero in the padding."""
-        out = np.zeros(((self.points + self.over.size) * self.width,) + values.shape[1:],
-                       dtype=values.dtype)
-        out[self.slots] = values
-        return out.reshape((-1, self.width) + values.shape[1:])
+    @cached_property
+    def edges(self) -> np.ndarray:
+        """(rows * width,) each slot's edge, the inverse of ``slots``; a
+        padding slot holds E, one past the last edge."""
+        out = np.full((self.points + self.over.size) * self.width, self.slots.size)
+        out[self.slots] = np.arange(self.slots.size)
+        return out
 
 
 def _untracked(x: Tensor, op: str) -> None:
@@ -284,8 +285,8 @@ def _edge_moments(p: np.ndarray, c: np.ndarray, idx: NeighborIndex):
 
 def _neighbor_max(p: np.ndarray, c: np.ndarray, nbrs: np.ndarray, scale: np.ndarray,
                   recording: bool):
-    """Each point's winning z = P[m] + C[i] per channel, as
-    ``T.batch_norm_leaky_max`` routes it, from the per-point P and C,
+    """Each point's winning z = P[m] + C[i] per channel, the first edge
+    that holds the max of z * sign(scale), from the per-point P and C,
     (B, C_out, N), and the neighbors nbrs, (B, N, k).
 
     ``T._blocked_winners`` of the neighbors' rows of a point-major
@@ -328,8 +329,8 @@ def edge_conv(x: Tensor, idx: NeighborIndex, weight: Tensor, gamma: Tensor, beta
               running_mean: Optional[np.ndarray], running_var: Optional[np.ndarray],
               mode: str, slope: float = 0.2, momentum: float = 0.1,
               epsilon: float = 1e-5) -> Tensor:
-    """An EdgeConv stage, ``T.batch_norm_leaky_max`` of ``T.pointwise_linear(
-    graph_feature(x, idx), weight)``, without any (B, C_out, N, k) array.
+    """An EdgeConv stage: the max over neighbors of leaky relu of batch norm
+    of ``T.pointwise_linear(graph_feature(x, idx), weight)``, no edge array.
 
     Args:
         x: point features, (B, C, N)
@@ -340,10 +341,10 @@ def edge_conv(x: Tensor, idx: NeighborIndex, weight: Tensor, gamma: Tensor, beta
     Returns:
         (B, C_out, N), bit for bit for finite values. Edge (i, j) responds
         z = P[m] + C[i] to its neighbor m, with per-point products P = W_a x
-        and C = (W_b - W_a) x. Each point's winner comes from the blocked
-        max of ``T.batch_norm_leaky_max`` over the gathered P
+        and C = (W_b - W_a) x. Batch norm then leaky relu is monotone per
+        channel, so each point's winner is a blocked max of the gathered P
         (:func:`_neighbor_max`), and train-mode statistics and their
-        gradient from sums over points (:func:`_edge_moments`); the gradient
+        gradient come from sums over points (:func:`_edge_moments`); the gradient
         at each winner goes to its neighbor by one bincount.
     """
     _check_points(x, idx, "edge_conv")

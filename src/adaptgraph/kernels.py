@@ -27,6 +27,11 @@ b. In train mode alpha comes from the batch moments of W x_e (per-point
 products for point features), and c cancels under the output batch norm's
 batch mean; in eval mode c shifts that norm's mean. No residual forms a
 feature of its own.
+
+The output batch norm, leaky relu and max over the neighbors run in the
+contraction's blocked pass, and backward forms the responses again, so a
+stage keeps only per-point state (:meth:`EdgeResponses.norm_leaky_max`): the
+tiled reduction with recomputation of FlashAttention (Dao et al., 2022).
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import numpy as np
 
 from . import graph
 from . import tensor as T
-from .errors import ConfigError, ShapeError, UsageError
+from .errors import ConfigError, InvalidInputError, ShapeError, UsageError
 from .nn import BatchNorm, Module, PointwiseLinear
 from .tensor import Tensor
 
@@ -115,14 +120,15 @@ def apply_heads(coeffs: Tensor, x: Tensor, weight: Tensor, bias: Tensor,
       features ``graph_feature(x, idx)`` with C_in = 2 C_p. They are never
       formed, and the network uses this kind.
 
-    Returns (B, C_out, N, k) with
+    Returns the :class:`EdgeResponses` (B, C_out, N, k), described, not formed:
 
         out[b,:,n,j] = sum_h W_h[b,n,j] @ x[b,:,n,j],
         W_h[b,n,j][o,i] = weight[(o*C_in+i)*H+h] @ y[b,:,n,j] + bias[(o*C_in+i)*H+h].
 
     Heads fold exactly into summed weights A = sum_h A_h, b = sum_h b_h, the
-    basis [A | b] (C_out, C_in, mid + 1) that one operator, :func:`_contract`,
-    applies for both kinds, in memory that does not grow with H.
+    basis [A | b] (C_out, C_in, mid + 1) that one contraction,
+    :class:`_Contraction`, applies for both kinds, in memory that does not
+    grow with H.
     """
     if heads < 1:
         raise ConfigError("head count must be at least 1")
@@ -152,123 +158,125 @@ def apply_heads(coeffs: Tensor, x: Tensor, weight: Tensor, bias: Tensor,
         raise ShapeError(f"bias must be ({rows},), got {bias.shape}")
     a_sum = T.reduce_sum(T.reshape(weight, (c_out, c_in, heads, mid)), axis=2)
     b_sum = T.reduce_sum(T.reshape(bias, (c_out, c_in, heads, 1)), axis=2)
-    return _contract(coeffs, x, T.concat([a_sum, b_sum], axis=2), idx)
+    return EdgeResponses(coeffs, x, T.concat([a_sum, b_sum], axis=2), idx)
 
 
-def _contract(coeffs: Tensor, x: Tensor, basis: Tensor,
-              idx: Optional[graph.NeighborIndex]) -> Tensor:
-    """The contraction behind :func:`apply_heads`: with y1 = [y, 1] and the
-    basis [A | b] (C_out, C_in, mid+1) as maps A_m, out_e = sum_m y1_e[m]
-    A_m x_e. With ``idx``, x_e = [x_p - x_i, x_i] for the edge from center i
-    to neighbor p, so out_e = y1_e Q[p] + y1_e R[i] with Q = A_a x and
-    R = (A_b - A_a) x, (mid+1, C_out) per point. The neighbor term is one
-    batched matmul over ``idx.rows``, (rows, k, mid+1) @ (rows, mid+1, C_out):
-    a point's first row reads its Q in place, overflow rows gather it. Per
-    ``T._blocks`` block of output values, the block's edges are gathered
-    from the rows, each source point's k edges get its R term, and the sum
-    is written into (B, C_out, N, k). Without ``idx`` every edge is its own
-    point in a one-slot row, with Q = A x_e and no R term. Backward copies the
-    gradient G edge-major on the same blocks and takes dR = y1ᵀ G per block,
-    adding it into dx and the basis gradient a chunk of source points at a
-    time; then each block of rows gathers its slots' G for dQ = y1ᵀ G and
-    d_y1 = G Qᵀ, and dQ takes one GEMM each for dx and the basis gradient.
+class _Contraction:
+    """The contraction behind :func:`apply_heads`, a block of source points at
+    a time: with y1 = [y, 1] and the basis [A | b] (C_out, C_in, mid+1) as
+    maps A_m, edge e responds r_e = sum_m y1_e[m] A_m x_e. With ``idx``,
+    x_e = [x_p - x_i, x_i] for the edge from center i to neighbor p, so
+    r_e = y1_e Q[p] + y1_e R[i] with Q = A_a x and R = (A_b - A_a) x,
+    (mid+1, C_out) per point. The neighbor term is one batched matmul over
+    ``idx.rows``, (rows, k, mid+1) @ (rows, mid+1, C_out), a ``T._blocks``
+    block of rows at a time: a point's first row reads its Q in place,
+    overflow rows gather it, and each row's slots are scattered to their
+    edges. The center term is added per block of source points, each
+    source point's k edges getting its R. Without ``idx`` every edge is its
+    own point in a one-slot row, with Q = A x_e and no R term. Forward and
+    :meth:`backward` each form the responses, so nothing edge-sized is kept
+    between them.
     """
-    b, mid, n, k = coeffs.shape
-    c_out, _, m1 = basis.shape
-    e = n * k
-    dt = x.data.dtype
-    q_cols = m1 * c_out  # one point's Q, columns (m, o)
-    center, c = idx is not None, x.shape[1]
-    rows = idx.rows if center else graph.NeighborRows(np.arange(b * e), np.arange(0), b * e, 1)
-    x_pt = x.data.reshape(b, c, -1).transpose(0, 2, 1).reshape(-1, c)  # point-major
-    halves = [basis.data[:, :c], basis.data[:, c:] - basis.data[:, :c]] if center else [basis.data]
-    w = np.concatenate([h.transpose(1, 2, 0).reshape(c, q_cols) for h in halves], axis=1)
-    pts, over = rows.points, rows.over  # x_pt @ w = [Q | R]
 
-    def by_row(lhs, per_point):
-        """lhs[r] @ per_point[point of row r] for every row r."""
-        res = np.empty(lhs.shape[:2] + per_point.shape[2:], dtype=dt)
-        np.matmul(lhs[:pts], per_point, out=res[:pts])
-        np.matmul(lhs[pts:], per_point[over], out=res[pts:])
-        return res
+    def __init__(self, coeffs: Tensor, x: Tensor, basis: Tensor,
+                 idx: Optional[graph.NeighborIndex]):
+        b, mid, n, k = coeffs.shape
+        c_out, _, m1 = basis.shape
+        c = x.shape[1]
+        self.coeffs, self.x, self.basis, self.shape = coeffs, x, basis, (b, c_out, n, k)
+        self.m1, self.q_cols = m1, m1 * c_out  # one point's Q, columns (m, o)
+        self.center = idx is not None
+        self.rows = (idx.rows if self.center else
+                     graph.NeighborRows(np.arange(b * n * k), np.arange(0), b * n * k, 1))
+        self.x_pt = x.data.reshape(b, c, -1).transpose(0, 2, 1).reshape(-1, c)  # point-major
+        halves = ([basis.data[:, :c], basis.data[:, c:] - basis.data[:, :c]] if self.center
+                  else [basis.data])
+        # x_pt @ w = [Q | R]
+        self.w = np.concatenate([h.transpose(1, 2, 0).reshape(c, m1 * c_out) for h in halves],
+                                axis=1)
 
-    def center_rows(sources):
-        """R of the source points ``sources``, (points, mid+1, C_out)."""
-        return np.matmul(x_pt[sources], w[:, q_cols:]).reshape(-1, m1, c_out)
+    def _row_blocks(self, q: np.ndarray, y1: np.ndarray):
+        """(lo, hi, slots, y, q) per ``T._blocks`` block of rows [lo, hi):
+        their slots' edges, flat, the slots' [y, 1], (rows, width, mid+1),
+        and the rows' points' Q."""
+        rows, pts = self.rows, self.rows.points
+        for start, end in ((0, pts), (pts, pts + rows.over.size)):
+            for i, j, _, _ in T._blocks(end - start, 1, rows.width * self.shape[1]):
+                lo, hi = start + i, start + j
+                slots = rows.edges[lo * rows.width:hi * rows.width]
+                q_rows = q[lo:hi] if hi <= pts else q[rows.over[lo - pts:hi - pts]]
+                yield lo, hi, slots, np.take(y1, slots, 0).reshape(hi - lo, rows.width, -1), q_rows
 
-    y1 = np.concatenate([coeffs.data.reshape(b, mid, e), np.ones((b, 1, e), dtype=dt)], axis=1)
-    y1_pt = y1.transpose(0, 2, 1).reshape(b * n, k, m1)  # each source point's k edges
-    y_rows = rows.spread(y1_pt.reshape(b * e, m1))
-    q = np.matmul(x_pt, w[:, :q_cols]).reshape(pts, m1, c_out)
-    prod = by_row(y_rows, q).reshape(-1, c_out)
-    # each block of output values is (its items, their edges, the same
-    # edges flat, their source points)
-    spans = T._blocks(b, n, c_out * k)
-    blocks = [(slice(i, j), slice(lo * k, hi * k), slice((i * n + lo) * k, ((j - 1) * n + hi) * k),
-               slice(i * n + lo, (j - 1) * n + hi)) for i, j, lo, hi in spans]
-    per_block = max([(j - i) * (hi - lo) for i, j, lo, hi in spans], default=0)
-    size = per_block * k
-    buf, term = np.empty((size, c_out), dtype=dt), np.empty((size, c_out), dtype=dt)
-    out = np.empty((b, c_out, e), dtype=dt)
-    for its, edges, flat, sources in blocks:
-        # mode "clip" lets np.take write into buf; every slot is in range
-        blk = np.take(prod, rows.slots[flat], 0, buf[:flat.stop - flat.start], "clip")
-        if center:
-            t = term[:len(blk)]
-            np.matmul(y1_pt[sources], center_rows(sources), out=t.reshape(-1, k, c_out))
-            blk += t
-        out[its, :, edges] = blk.reshape(its.stop - its.start, -1, c_out).transpose(0, 2, 1)
-    # consecutive blocks whose source points' dR is held at once in backward:
-    # the points of one block at q_cols // 16 values a point (about 16
-    # blocks' worth of dR), or of one output block at least
-    cap = max([per_block] + [j - i for i, j, _, _ in T._blocks(b * n, 1, q_cols // 16)[:1]])
-    chunks = []
-    for blk in blocks:
-        if chunks and blk[3].stop - chunks[-1][0][3].start <= cap:
-            chunks[-1].append(blk)
-        else:
-            chunks.append([blk])
-    n_rows, width = y_rows.shape[:2]
-    row_blocks = [(start + i, start + j) for start, end in ((0, pts), (pts, n_rows))
-                  for i, j, _, _ in T._blocks(end - start, 1, width * c_out)]
+    def responses(self):
+        """(out, y1, q): every edge's neighbor term, to which :meth:`block`
+        adds the center term, and [y, 1], both edge-major with a zero last
+        row that padding slots read, and every point's Q."""
+        b, mid, n, k = self.coeffs.shape
+        y1 = np.zeros((b * n * k + 1, mid + 1), dtype=self.x.data.dtype)
+        y1[:-1].reshape(b, n, k, mid + 1)[..., :mid] = self.coeffs.data.transpose(0, 2, 3, 1)
+        y1[:-1, mid] = 1
+        q = np.matmul(self.x_pt, self.w[:, :self.q_cols]).reshape(-1, self.m1, self.shape[1])
+        out = np.empty((y1.shape[0], self.shape[1]), dtype=q.dtype)
+        for _, _, slots, y_rows, q_rows in self._row_blocks(q, y1):
+            out[slots] = np.matmul(y_rows, q_rows).reshape(-1, self.shape[1])
+        out[-1] = 0  # padding slots wrote their zero products there
+        return out, y1, q
 
-    def back(g):
-        g = g.reshape(b, c_out, e)
-        # the gradient edge-major, plus a zero row that the padding slots read
-        g_em = np.empty((b * e + 1, c_out), dtype=dt)
-        g_em[-1] = 0
-        d_y1_center = np.empty((b * e, m1), dtype=dt) if center else None
+    def block(self, out: np.ndarray, y1: np.ndarray, lo: int, hi: int):
+        """The responses of source points [lo, hi)'s edges, completed in
+        place in :meth:`responses`' ``out``: a (points, k, C_out) view, and
+        the points' R (None without ``idx``)."""
+        k, c_out = self.shape[3], self.shape[1]
+        blk = out[lo * k:hi * k].reshape(hi - lo, k, c_out)
+        if not self.center:
+            return blk, None
+        r = np.matmul(self.x_pt[lo:hi], self.w[:, self.q_cols:]).reshape(hi - lo, -1, c_out)
+        blk += np.matmul(y1[lo * k:hi * k].reshape(hi - lo, k, -1), r)
+        return blk, r
+
+    def backward(self, to_grad):
+        """Gradients (coeffs, x, basis), given ``to_grad(blk, lo, hi)``,
+        which turns :meth:`block`'s responses into their gradient G in place.
+
+        Each block, formed again, takes the center term's d_y1 = G Rᵀ and
+        dR = y1ᵀ G, added into dx and the basis gradient a chunk of source
+        points at a time. Then each block of rows gathers its slots' G for
+        dQ = y1ᵀ G and d_y1 = G Qᵀ, and dQ takes one GEMM each for dx and
+        the basis gradient.
+        """
+        b, c_out, n, k = self.shape
+        g_em, y1, q = self.responses()
+        x_pt, w, center, rows = self.x_pt, self.w, self.center, self.rows
+        dt, c, m1 = g_em.dtype, x_pt.shape[1], self.m1
+        q_cols, pts, over = self.q_cols, rows.points, rows.over
+        d_y1_center = np.empty((b * n * k, m1), dtype=dt) if center else None
         dx_pt = np.empty((pts, c), dtype=dt)
         dw_r = np.zeros((c, q_cols), dtype=dt) if center else None
-        d_r = np.empty((cap, q_cols), dtype=dt) if center else None
-        for chunk in chunks:
-            first = chunk[0][3].start
-            for its, edges, flat, sources in chunk:
-                gb = g_em[flat]
-                np.copyto(gb.reshape(its.stop - its.start, -1, c_out),
-                          g[its, :, edges].transpose(0, 2, 1))
+        # chunks of source points whose dR is held at once, at q_cols // 16
+        # values a point: about 16 blocks' worth of dR
+        chunks = T._blocks(b * n, 1, q_cols // 16)
+        d_r = np.empty((chunks[0][1] if chunks else 0, q_cols), dtype=dt) if center else None
+        for first, last, _, _ in chunks:
+            for i, j, _, _ in T._blocks(last - first, 1, k * c_out):
+                lo, hi = first + i, first + j
+                g_pt, r = self.block(g_em, y1, lo, hi)
+                to_grad(g_pt, lo, hi)
                 if center:
-                    g_pt = gb.reshape(-1, k, c_out)
-                    np.matmul(g_pt, center_rows(sources).transpose(0, 2, 1),
-                              out=d_y1_center[flat].reshape(-1, k, m1))
-                    np.matmul(y1_pt[sources].transpose(0, 2, 1), g_pt,
-                              out=d_r[sources.start - first:sources.stop - first]
-                              .reshape(-1, m1, c_out))
+                    np.matmul(g_pt, r.transpose(0, 2, 1),
+                              out=d_y1_center[lo * k:hi * k].reshape(-1, k, m1))
+                    np.matmul(y1[lo * k:hi * k].reshape(-1, k, m1).transpose(0, 2, 1), g_pt,
+                              out=d_r[i:j].reshape(-1, m1, c_out))
             if center:  # the chunk's dR goes straight into dx and dW
-                last = chunk[-1][3].stop
                 held = d_r[:last - first]
                 np.matmul(held, w[:, q_cols:].T, out=dx_pt[first:last])
                 dw_r += x_pt[first:last].T @ held
         # the neighbor term by rows: each row's slots gather the edges' gradient
-        slot_edge = np.full(n_rows * width, b * e)
-        slot_edge[rows.slots] = np.arange(b * e)
         d_q = np.empty((pts, m1, c_out), dtype=dt)
-        d_y1_rows = np.empty((n_rows, width, m1), dtype=dt)
-        for lo, hi in row_blocks:
-            d_rows = np.take(g_em, slot_edge[lo * width:hi * width], 0).reshape(-1, width, c_out)
-            q_rows = q[lo:hi] if hi <= pts else q[over[lo - pts:hi - pts]]
+        d_y1_rows = np.empty((pts + over.size, rows.width, m1), dtype=dt)
+        for lo, hi, slots, y_rows, q_rows in self._row_blocks(q, y1):
+            d_rows = np.take(g_em, slots, 0).reshape(hi - lo, -1, c_out)
             np.matmul(d_rows, q_rows.transpose(0, 2, 1), out=d_y1_rows[lo:hi])
-            y_t = y_rows[lo:hi].transpose(0, 2, 1)
+            y_t = y_rows.transpose(0, 2, 1)
             if hi <= pts:
                 np.matmul(y_t, d_rows, out=d_q[lo:hi])
             else:  # a point's overflow rows are adjacent
@@ -279,7 +287,7 @@ def _contract(coeffs: Tensor, x: Tensor, basis: Tensor,
         if center:
             d_y1 += d_y1_center
         d_coeffs = np.ascontiguousarray(
-            d_y1.reshape(b, e, m1)[:, :, :mid].transpose(0, 2, 1)).reshape(coeffs.shape)
+            d_y1.reshape(b, n * k, m1)[:, :, :-1].transpose(0, 2, 1)).reshape(self.coeffs.shape)
         d_q = d_q.reshape(pts, q_cols)
         if center:
             dx_pt += d_q @ w[:, :q_cols].T
@@ -290,9 +298,118 @@ def _contract(coeffs: Tensor, x: Tensor, basis: Tensor,
         if center:  # A_a gets dQ - dR, A_b gets dR
             dw_r = dw_r.reshape(c, m1, c_out).transpose(2, 0, 1)
             dw = np.concatenate([dw - dw_r, dw_r], axis=1)
-        return d_coeffs, np.ascontiguousarray(dx).reshape(x.shape), dw
+        return d_coeffs, np.ascontiguousarray(dx).reshape(self.x.shape), dw
 
-    return T._make(out.reshape(b, c_out, n, k), (coeffs, x, basis), back)
+
+class EdgeResponses:
+    """The (B, C_out, N, k) edge responses of :func:`apply_heads`, held as
+    the operands that define them and never formed whole: the coefficients,
+    the features, the head-summed basis [A | b] and the neighbor index
+    (None for edge features). :meth:`norm_leaky_max` pools them."""
+
+    def __init__(self, coeffs: Tensor, x: Tensor, basis: Tensor,
+                 idx: Optional[graph.NeighborIndex]):
+        self.coeffs, self.x, self.basis, self.idx = coeffs, x, basis, idx
+        self.shape = coeffs.shape[:1] + basis.shape[:1] + coeffs.shape[2:]
+
+    def norm_leaky_max(self, gamma: Tensor, beta: Tensor, running_mean: Optional[np.ndarray],
+                       running_var: Optional[np.ndarray], mode: str, slope: float = 0.2,
+                       momentum: float = 0.1, epsilon: float = 1e-5,
+                       shift: Optional[Tensor] = None) -> Tensor:
+        """``leaky_relu(batch_norm(r), slope)`` of the responses r, maxed
+        over each point's k edges, (B, C_out, N); edge features are one-edge
+        neighbourhoods, (B, C_out, N, k). Batch norm takes ``T.batch_norm``'s
+        arguments; a (C_out,) ``shift`` normalizes r + shift unformed.
+
+        One pass over blocks of source points forms each block's responses,
+        adds them to float64 channel sums about the first block's mean, and
+        takes each point's winner of r * sign(gamma) (``T._blocked_winners``):
+        batch norm then leaky relu is monotone per channel, rising when
+        gamma >= 0, even after rounding. A zero gamma or a NaN max takes
+        edge 0. Only the (B, C_out, N) winners are normalized and activated.
+        Backward keeps per-point state: the winners' edge, centred values
+        and activation mask. It forms the responses again as the gradient
+        a (r - mu) + b per channel in train mode, where every edge feeds the
+        statistics, plus the routed gradient at the winners.
+        """
+        coeffs, x = self.coeffs, self.x
+        if self.idx is None:  # one-edge neighbourhoods
+            b, mid, n, k = coeffs.shape
+            coeffs = T.reshape(coeffs, (b, mid, n * k, 1))
+            x = T.reshape(x, x.shape[:2] + (n * k, 1))
+        elif coeffs.shape[3] == 0:
+            raise InvalidInputError(f"cannot pool the empty neighbor axis of {self.shape}")
+        plan = _Contraction(coeffs, x, self.basis, self.idx)  # the backward builds its own
+        b, c_out, n, k = plan.shape
+        m = b * n * k
+        T._check_norm(c_out, gamma, beta, mode, epsilon, m)
+        dt = x.data.dtype
+        s = T._leaky_slope(slope, dt)
+        parents = (coeffs, x, self.basis, gamma, beta) + (() if shift is None else (shift,))
+        recording = T._recording(*parents)
+        sign = np.sign(gamma.data)
+        flip, zero = np.where(sign == 0, 1, sign).astype(dt), np.flatnonzero(sign == 0)
+        train = mode == "train"
+        resp, y1 = plan.responses()[:2]  # Q is not needed past the neighbor term
+        # float64 sums of r - origin and (r - origin)^2, origin the first block's mean
+        sums, origin, ones = np.zeros((2, c_out)), None, None
+
+        def fill(block, lo, hi):
+            nonlocal origin, ones
+            r, _ = plan.block(resp, y1, lo, hi)
+            if train:
+                flat = r.reshape(-1, c_out)
+                if origin is None:  # the first block is the largest
+                    ones = np.ones(len(flat), dtype=dt)
+                    origin = (ones @ flat) / ones.sum()
+                d = flat - origin
+                sums[0] += ones[:len(flat)] @ d
+                sums[1] += ones[:len(flat)] @ np.square(d, out=d)
+            np.multiply(r.transpose(1, 0, 2), flip, out=block)
+            block[1:, :, zero] = block[:1, :, zero]  # a zero gamma takes edge 0
+
+        best, edge = T._blocked_winners(fill, b * n, c_out, k, dt, recording)
+        del plan, resp, y1
+        moments = None
+        if train:
+            mean = sums[0] / m
+            moments = (origin + mean, np.maximum(sums[1] / m - mean * mean, 0.0))
+        mu, ivar, scale = T._norm_scale(moments, gamma, running_mean, running_var, mode,
+                                        momentum, epsilon, dt,
+                                        None if shift is None else shift.data)
+        best *= flip
+        picked = np.ascontiguousarray(best.reshape(b, n, c_out).transpose(0, 2, 1))
+        centred, z, out = T._activate_winners(picked, mu, scale, beta, s)
+        back = None
+        if recording:
+            neg_mask, edge = z < 0, edge.astype(np.min_scalar_type(k))
+            operands, edges = (coeffs, x, self.basis, self.idx), m if train else None
+
+            def back(g):
+                routed, a, bias, dgamma, dbeta = T._pooled_grads(g, neg_mask, s, centred, ivar,
+                                                                 scale, edges)
+                routed = routed.transpose(0, 2, 1).reshape(b * n, c_out)
+                if a is not None:  # every edge feeds the statistics: a * (r - mu) + b
+                    a, bias = a.astype(dt), (bias - a * mu).astype(dt)
+                channels = np.arange(c_out)
+
+                def to_grad(blk, lo, hi):
+                    if a is None:
+                        blk[...] = 0
+                    else:
+                        blk *= a
+                        blk += bias
+                    at = (np.arange(hi - lo)[:, None] * k + edge[lo:hi]) * c_out + channels
+                    blk.reshape(-1)[at] += routed[lo:hi]
+
+                grads = _Contraction(*operands).backward(to_grad)
+                grads += (dgamma.astype(dt), dbeta.astype(dt))
+                if shift is not None:  # train mode's batch mean removes the shift
+                    grads += (np.zeros_like(shift.data) if train else (dbeta * scale).astype(dt),)
+                return grads
+
+        out = T._make(out, parents, back)
+        return out if self.idx is not None else T.reshape(out, self.shape)
 
 
 def _projection_scale(x: Tensor, idx: Optional[graph.NeighborIndex], weight: Tensor,
@@ -432,10 +549,4 @@ class MultiHeadAdaptiveKernel(Module):
             bias = T.add(bias, rows)
         out = apply_heads(self.generate_kernels(geo), feat, conv1.weight.value, bias,
                           cfg.num_heads, cfg.out_channels, idx)
-        if idx is None:
-            # per edge: the max over one-edge neighbourhoods, so both kinds
-            # end in the op the network runs
-            b, c, n, k = out.shape
-            edges = self.bn_out.leaky_max(T.reshape(out, (b, c, n * k, 1)), self.slope, shift)
-            return T.reshape(edges, (b, c, n, k))
         return self.bn_out.leaky_max(out, self.slope, shift)

@@ -129,20 +129,18 @@ class BatchNorm(Module):
                 self._buffers["running_mean"], self._buffers["running_var"],
                 "train" if self.training else "eval")
 
-    def _args(self, x: Tensor) -> tuple:
+    def forward(self, x: Tensor) -> Tensor:
         if x.ndim >= 2 and x.shape[1] != self.channels:
             raise ShapeError(f"expected {self.channels} channels, got {x.shape}")
-        return (x,) + self._state()
+        return T.batch_norm(x, *self._state(), momentum=self.momentum, epsilon=self.epsilon)
 
-    def forward(self, x: Tensor) -> Tensor:
-        return T.batch_norm(*self._args(x), momentum=self.momentum, epsilon=self.epsilon)
-
-    def leaky_max(self, x: Tensor, slope: float, shift: Optional[Tensor] = None) -> Tensor:
-        """The max over the neighbor axis of ``leaky_relu(self(x), slope)``,
-        (B, C, N, k) -> (B, C, N), without normalizing or activating the
-        edges the max drops. A (C,) ``shift`` normalizes x + shift without forming it."""
-        return T.batch_norm_leaky_max(*self._args(x), slope=slope, momentum=self.momentum,
-                                      epsilon=self.epsilon, shift=shift)
+    def leaky_max(self, responses, slope: float, shift: Optional[Tensor] = None) -> Tensor:
+        """The max over the neighbor axis of ``leaky_relu(self(r), slope)``
+        for the edge responses r that ``responses`` (``kernels.EdgeResponses``)
+        describes, (B, C, N, k) -> (B, C, N), in one op that forms no edge
+        array. A (C,) ``shift`` normalizes r + shift without forming it."""
+        return responses.norm_leaky_max(*self._state(), slope=slope, momentum=self.momentum,
+                                        epsilon=self.epsilon, shift=shift)
 
     def linear_pool(self, x: Tensor, weight: Tensor, slope: float) -> Tensor:
         """[max | mean] over points of ``leaky_relu(self(T.pointwise_linear(x,
@@ -152,8 +150,8 @@ class BatchNorm(Module):
 
     def edge_conv(self, points: Tensor, idx: graph.NeighborIndex, weight: Tensor,
                   slope: float) -> Tensor:
-        """``self.leaky_max`` of the 1x1 map ``weight`` of every edge's features
-        [x_j - x_i, x_i] over ``idx``, (B, C, N) -> (B, channels, N), forming
-        no edge array; the points may record a graph."""
+        """The max over ``idx``'s neighbors of ``leaky_relu(self(r), slope)``,
+        r the 1x1 map ``weight`` of each edge's features [x_j - x_i, x_i],
+        (B, C, N) -> (B, channels, N), forming no edge array."""
         return graph.edge_conv(points, idx, weight, *self._state(), slope=slope,
                                momentum=self.momentum, epsilon=self.epsilon)

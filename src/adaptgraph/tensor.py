@@ -1,7 +1,7 @@
 """Minimal numpy-backed tensors with reverse-mode automatic differentiation.
 
 Just enough machinery for point-cloud networks: per-position affine maps,
-batch norm, leaky relu, the two fused with a max over neighbors, the
+batch norm, leaky relu, the pooling ops' blocked max over neighbors, the
 embedding head's map, norm, activation and max+mean over points as one op,
 axis reductions, dropout and a stable softmax cross entropy. Neighbor
 gathers live in :mod:`graph`. Every differentiable op builds a closure-based
@@ -267,8 +267,7 @@ def pointwise_linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -
             f"channel mismatch: input has {c_in} channels, weight expects {c_in_w}")
     if bias is not None and bias.shape != (c_out,):
         raise ShapeError(f"bias must be ({c_out},), got {bias.shape}")
-    xm = _columns(x.data)
-    out = weight.data @ xm  # (C_out, B * G)
+    out = weight.data @ _columns(x.data)  # (C_out, B * G)
     if bias is not None:
         out += bias.data[:, None]
     out = _uncolumns(out, (b_dim, c_out) + x.shape[2:])
@@ -278,7 +277,7 @@ def pointwise_linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -
     def back(g):
         gm = _columns(g)
         dx = _uncolumns(weight.data.T @ gm, x.shape)
-        dw = gm @ xm.T
+        dw = gm @ _columns(x.data).T  # formed again: a copy at B > 1 is not kept
         if bias is None:
             return dx, dw
         return dx, dw, gm.sum(axis=1)
@@ -349,57 +348,6 @@ def _norm_scale(moments, gamma: Tensor, running_mean: Optional[np.ndarray],
     return mu, ivar, gamma.data * ivar
 
 
-def _norm_stats(x: Tensor, gamma: Tensor, beta: Tensor,
-                running_mean: Optional[np.ndarray], running_var: Optional[np.ndarray],
-                mode: str, momentum: float, epsilon: float, keep_centred: bool,
-                shift: Optional[Tensor]):
-    """Checks and per-channel statistics shared by :func:`batch_norm` and
-    :func:`batch_norm_leaky_max`.
-
-    Returns (x3, mu, ivar, scale, centred, spare). x3 is x as a (B, C, G)
-    view, so every per-channel statistic is a sum over its outer and inner
-    axes; mu, ivar and scale are as :func:`_norm_scale` returns them, from
-    the batch (biased variance) in train mode. With ``keep_centred`` train
-    mode also returns centred = x3 - mu and the squared deviations, a spare
-    array the caller may reuse; otherwise the deviations are squared in
-    place and both are None, as they are in eval mode. ``shift`` is passed
-    to :func:`_norm_scale`.
-    """
-    if x.ndim < 2:
-        raise ShapeError(f"batch_norm input needs rank >= 2, got {x.shape}")
-    c = x.shape[1]
-    m = x.size // c if c else 0
-    _check_norm(c, gamma, beta, mode, epsilon, m)
-    if shift is not None and shift.shape != (c,):
-        raise ShapeError(f"shift must be ({c},), got {shift.shape}")
-    xd = x.data
-    dt = xd.dtype
-    x3 = xd.reshape(x.shape[0], c, int(np.prod(x.shape[2:], dtype=np.int64)))
-    centred = spare = moments = None
-    if mode == "train":
-        mu = (_channel_sums(x3) / m).astype(dt)
-        centred = x3 - mu.reshape(1, c, 1)
-        spare = np.square(centred, out=None if keep_centred else centred)
-        moments = (mu, _channel_sums(spare) / m)
-        if not keep_centred:
-            centred = spare = None
-    mu, ivar, scale = _norm_scale(moments, gamma, running_mean, running_var, mode,
-                                  momentum, epsilon, dt, None if shift is None else shift.data)
-    return x3, mu, ivar, scale, centred, spare
-
-
-def _shift_grad(grads: tuple, shift: Optional[Tensor], mode: str, dbeta: np.ndarray,
-                scale: np.ndarray) -> tuple:
-    """``grads`` plus, with a shift, its gradient: zero in train mode, where
-    the batch mean removes it, and the input's channel sums, dbeta * scale,
-    in eval mode."""
-    if shift is None:
-        return grads
-    if mode == "train":
-        return grads + (np.zeros_like(shift.data),)
-    return grads + ((dbeta * scale).astype(shift.data.dtype),)
-
-
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                running_mean: Optional[np.ndarray], running_var: Optional[np.ndarray],
                mode: str, momentum: float = 0.1, epsilon: float = 1e-5) -> Tensor:
@@ -409,12 +357,24 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     buffers in place by exponential moving average. Eval mode normalizes with
     the running buffers. gamma/beta then scale and shift per channel.
     """
-    x3, mu, ivar, scale, centred, out = _norm_stats(
-        x, gamma, beta, running_mean, running_var, mode, momentum, epsilon, True, None)
-    dt = x3.dtype
-    m = x3.size // x3.shape[1] if x3.shape[1] else 0
-    cshape = (1, x3.shape[1], 1)
-    if centred is None:
+    if x.ndim < 2:
+        raise ShapeError(f"batch_norm input needs rank >= 2, got {x.shape}")
+    c = x.shape[1]
+    m = x.size // c if c else 0
+    _check_norm(c, gamma, beta, mode, epsilon, m)
+    dt = x.data.dtype
+    # a (B, C, G) view, so every per-channel statistic sums outer and inner axes
+    x3 = x.data.reshape(x.shape[0], c, int(np.prod(x.shape[2:], dtype=np.int64)))
+    cshape = (1, c, 1)
+    moments = None
+    if mode == "train":
+        mu = (_channel_sums(x3) / m).astype(dt)
+        centred = x3 - mu.reshape(cshape)
+        out = np.square(centred)  # the squared deviations, reused for the output
+        moments = (mu, _channel_sums(out) / m)
+    mu, ivar, scale = _norm_scale(moments, gamma, running_mean, running_var, mode,
+                                  momentum, epsilon, dt)
+    if mode == "eval":
         centred = x3 - mu.reshape(cshape)
         out = np.empty_like(centred) if _recording(x, gamma, beta) else centred
 
@@ -530,89 +490,6 @@ def _blocked_winners(fill, groups: int, width: int, k: int, dtype, recording: bo
     return best, edge
 
 
-def _winning_values(xd: np.ndarray, scale: np.ndarray, recording: bool):
-    """Each point's winning edge, as :func:`batch_norm_leaky_max` routes it:
-    (B, C, N, k) -> (B, C, N) values and, when ``recording``, flat indices
-    into x. :func:`_blocked_winners` of the rows of x * sign(scale) (a plain
-    copy when every scale is positive); a zero scale takes edge 0."""
-    b_dim, c, n, k = xd.shape
-    rows = xd.reshape(-1, k)
-    sign = np.sign(scale).astype(xd.dtype)
-    row_sign = None if (sign > 0).all() else np.repeat(np.tile(sign, b_dim), n)
-
-    def fill(block, lo, hi):
-        block = block.reshape(k, hi - lo)
-        if row_sign is None:
-            np.copyto(block, rows[lo:hi].T)
-        else:
-            np.multiply(rows[lo:hi].T, row_sign[lo:hi], out=block)
-
-    picked, edge = _blocked_winners(fill, rows.shape[0], 1, k, xd.dtype, recording)
-    picked = picked.reshape(b_dim, c, n)
-    if row_sign is not None:
-        picked *= sign.reshape(1, c, 1)
-        picked[:, sign == 0] = xd[..., 0][:, sign == 0]
-    if edge is not None:
-        edge = edge.reshape(-1) + np.arange(0, xd.size, k)
-    return picked, edge
-
-
-def batch_norm_leaky_max(x: Tensor, gamma: Tensor, beta: Tensor,
-                         running_mean: Optional[np.ndarray],
-                         running_var: Optional[np.ndarray], mode: str,
-                         slope: float = 0.2, momentum: float = 0.1,
-                         epsilon: float = 1e-5, shift: Optional[Tensor] = None) -> Tensor:
-    """The max over the neighbor axis of ``leaky_relu(batch_norm(x, ...),
-    slope)`` in one op, bit for bit: (B, C, N, k) -> (B, C, N). A (C,)
-    ``shift`` normalizes x + shift without forming it (:func:`_norm_scale`).
-
-    Batch norm then leaky relu is, per channel, a map of x that never
-    decreases when the scale gamma / sigma is >= 0 and never increases when it
-    is < 0, and rounding keeps that true. So the max over k of the map is the
-    map of x's winning edge (:func:`_winning_values`), the first edge that
-    holds the max, as ``np.argmax`` picks it. Statistics and
-    the running-buffer update come from every edge, as in :func:`batch_norm`;
-    only the (B, C, N) winners are normalized and activated. Backward writes
-    one dense dx = x * a + b per channel, the batch-statistics terms, and
-    adds the routed gradient at the winning edges; besides x it keeps only
-    (B, C, N) arrays: the winners' index, their centred values and their
-    activation mask. Bit for bit holds for finite x: a row holding a NaN
-    wins NaN, so its gradient goes to edge 0, not to the first NaN that
-    ``np.argmax`` picks.
-    """
-    if x.ndim != 4:
-        raise ShapeError(f"batch_norm_leaky_max expects (B, C, N, k), got {x.shape}")
-    xd = x.data
-    dt = xd.dtype
-    s = _leaky_slope(slope, dt)
-    _, c, _, k = x.shape
-    if k == 0:
-        raise InvalidInputError(f"cannot reduce empty axis 3 of shape {x.shape}")
-    _, mu, ivar, scale, _, _ = _norm_stats(
-        x, gamma, beta, running_mean, running_var, mode, momentum, epsilon, False, shift)
-    parents = (x, gamma, beta) if shift is None else (x, gamma, beta, shift)
-    recording = _recording(*parents)
-    picked, winners = _winning_values(xd, scale, recording)
-    centred, z, out = _activate_winners(picked, mu, scale, beta, s)
-    if not recording:
-        return _make(out, parents, None)
-    neg_mask = z < 0
-
-    def back(g):
-        routed, a, b, dgamma, dbeta = _pooled_grads(
-            g, neg_mask, s, centred, ivar, scale, xd.size // c if mode == "train" else None)
-        if a is None:
-            dx = np.zeros_like(xd)
-        else:
-            # every edge feeds the statistics: a * (x - mu) + b is affine in x
-            dx = xd * a.astype(dt).reshape(1, c, 1, 1)
-            dx += (b - a * mu).astype(dt).reshape(1, c, 1, 1)
-        dx.reshape(-1)[winners] += routed.ravel()
-        return _shift_grad((dx, dgamma.astype(dt), dbeta.astype(dt)), shift, mode, dbeta, scale)
-
-    return _make(out, parents, back)
-
-
 def _activate_winners(picked: np.ndarray, mu: np.ndarray, scale: np.ndarray,
                       beta: Tensor, s: np.ndarray):
     """Batch norm then leaky relu of each point's winning edge, (B, C, N).
@@ -681,8 +558,7 @@ def linear_norm_pool(x: Tensor, weight: Tensor, gamma: Tensor, beta: Tensor,
     s = _leaky_slope(slope, dt)
     parents = (x, weight, gamma, beta)
     recording = _recording(*parents)
-    xm = _columns(x.data)
-    rows = xm.T @ weight.data.T  # (B * N, E); BLAS reads both operands transposed
+    rows = _columns(x.data).T @ weight.data.T  # (B * N, E); BLAS reads both transposed
     m = rows.shape[0]
     blocks = [slice(i, j) for i, j, _, _ in _blocks(m, 1, e)]
     moments = None
@@ -738,7 +614,7 @@ def linear_norm_pool(x: Tensor, weight: Tensor, gamma: Tensor, beta: Tensor,
         else:
             d *= scale
         dx = _uncolumns(weight.data.T @ d.T, x.shape)
-        return dx, d.T @ xm.T, dgamma.astype(dt), dbeta.astype(dt)
+        return dx, d.T @ _columns(x.data).T, dgamma.astype(dt), dbeta.astype(dt)
 
     return _make(out, parents, back)
 

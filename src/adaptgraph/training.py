@@ -304,6 +304,9 @@ def fit(model, train_samples: Sequence, val_samples: Sequence,
             for p in params:
                 p.value.zero_grad()
             loss.backward()
+            # release the step's graph before the update, so that no node of
+            # it is alive during the next forward or the validation pass
+            del logits, loss
             sgd_step(params, None, lr, cfg.momentum, cfg.weight_decay)
             running += lv * len(chosen)
         train_loss = running / n

@@ -3,7 +3,9 @@ against. Not collected by pytest; test modules import it by name.
 
 The library differentiates only what the network trains, so the references
 keep the backward passes it no longer has: a reduction over one axis, and
-edge features and their 1x1 map, differentiable in the points. Every adjoint
+edge features and their 1x1 map, differentiable in the points. They also
+keep the ops the library fused away: the formed edge responses of an
+adaptive stage and the batch norm, leaky relu and max over them. Every adjoint
 into points here is an ``np.add.at``, sharing no code with the library's
 ``np.bincount`` scatters. Each reference is itself checked against finite
 differences by ``check_grads``.
@@ -11,9 +13,9 @@ differences by ``check_grads``.
 
 import numpy as np
 
-from adaptgraph import graph
+from adaptgraph import graph, kernels
 from adaptgraph import tensor as T
-from adaptgraph.errors import InvalidInputError
+from adaptgraph.errors import InvalidInputError, ShapeError
 from adaptgraph.tensor import Tensor
 
 
@@ -140,3 +142,134 @@ def edge_linear(x, idx, weight):
         return graph._per_point_back(d_point, stacked, x)
 
     return T._make(out, (x, weight), back)
+
+
+def _winning_values(xd, scale, recording):
+    """Each point's winning edge, as :func:`batch_norm_leaky_max` routes it:
+    (B, C, N, k) -> (B, C, N) values and, when ``recording``, flat indices
+    into x. ``T._blocked_winners`` of the rows of x * sign(scale) (a plain
+    copy when every scale is positive); a zero scale takes edge 0."""
+    b_dim, c, n, k = xd.shape
+    rows = xd.reshape(-1, k)
+    sign = np.sign(scale).astype(xd.dtype)
+    row_sign = None if (sign > 0).all() else np.repeat(np.tile(sign, b_dim), n)
+
+    def fill(block, lo, hi):
+        block = block.reshape(k, hi - lo)
+        if row_sign is None:
+            np.copyto(block, rows[lo:hi].T)
+        else:
+            np.multiply(rows[lo:hi].T, row_sign[lo:hi], out=block)
+
+    picked, edge = T._blocked_winners(fill, rows.shape[0], 1, k, xd.dtype, recording)
+    picked = picked.reshape(b_dim, c, n)
+    if row_sign is not None:
+        picked *= sign.reshape(1, c, 1)
+        picked[:, sign == 0] = xd[..., 0][:, sign == 0]
+    if edge is not None:
+        edge = edge.reshape(-1) + np.arange(0, xd.size, k)
+    return picked, edge
+
+
+def batch_norm_leaky_max(x, gamma, beta, running_mean, running_var, mode, slope=0.2,
+                         momentum=0.1, epsilon=1e-5, shift=None):
+    """The max over the neighbor axis of ``leaky_relu(batch_norm(x, ...),
+    slope)`` of a formed (B, C, N, k) tensor, bit for bit for finite x, as
+    one op: the statistics come from every edge, two-pass (mean, then the
+    centred squares), and only the winning edges (:func:`_winning_values`)
+    are normalized and activated. A (C,) ``shift`` normalizes x + shift
+    without forming it. The reference the adaptive stages' one-pass op is
+    checked against, composed with :func:`contract`."""
+    if x.ndim != 4:
+        raise ShapeError(f"batch_norm_leaky_max expects (B, C, N, k), got {x.shape}")
+    xd = x.data
+    dt = xd.dtype
+    s = T._leaky_slope(slope, dt)
+    _, c, _, k = x.shape
+    if k == 0:
+        raise InvalidInputError(f"cannot reduce empty axis 3 of shape {x.shape}")
+    m = xd.size // c if c else 0
+    T._check_norm(c, gamma, beta, mode, epsilon, m)
+    if shift is not None and shift.shape != (c,):
+        raise ShapeError(f"shift must be ({c},), got {shift.shape}")
+    moments = None
+    if mode == "train":
+        x3 = xd.reshape(x.shape[0], c, -1)
+        mu = (T._channel_sums(x3) / m).astype(dt)
+        moments = (mu, T._channel_sums(np.square(x3 - mu.reshape(1, c, 1))) / m)
+    mu, ivar, scale = T._norm_scale(moments, gamma, running_mean, running_var, mode,
+                                    momentum, epsilon, dt,
+                                    None if shift is None else shift.data)
+    parents = (x, gamma, beta) if shift is None else (x, gamma, beta, shift)
+    recording = T._recording(*parents)
+    picked, winners = _winning_values(xd, scale, recording)
+    centred, z, out = T._activate_winners(picked, mu, scale, beta, s)
+    if not recording:
+        return T._make(out, parents, None)
+    neg_mask = z < 0
+
+    def back(g):
+        routed, a, b, dgamma, dbeta = T._pooled_grads(
+            g, neg_mask, s, centred, ivar, scale, m if mode == "train" else None)
+        if a is None:
+            dx = np.zeros_like(xd)
+        else:
+            # every edge feeds the statistics: a * (x - mu) + b is affine in x
+            dx = xd * a.astype(dt).reshape(1, c, 1, 1)
+            dx += (b - a * mu).astype(dt).reshape(1, c, 1, 1)
+        dx.reshape(-1)[winners] += routed.ravel()
+        grads = (dx, dgamma.astype(dt), dbeta.astype(dt))
+        if shift is not None:  # train mode's batch mean removes the shift
+            grads += (np.zeros_like(shift.data) if mode == "train"
+                      else (dbeta * scale).astype(dt),)
+        return grads
+
+    return T._make(out, parents, back)
+
+
+def contract(responses):
+    """The (B, C_out, N, k) edge responses that ``responses``
+    (``kernels.EdgeResponses``) describes, formed, differentiable in its
+    coefficients, features and basis: every block of the library's
+    contraction written out, and its backward fed the output gradient."""
+    plan = kernels._Contraction(responses.coeffs, responses.x, responses.basis, responses.idx)
+    b, c_out, n, k = plan.shape
+    em, y1, _ = plan.responses()
+    for lo, hi, _, _ in T._blocks(b * n, 1, k * c_out):
+        plan.block(em, y1, lo, hi)
+    out = np.ascontiguousarray(em[:-1].reshape(b, n * k, c_out).transpose(0, 2, 1))
+
+    def back(g):
+        g_em = g.reshape(b, c_out, n * k).transpose(0, 2, 1).reshape(-1, c_out)
+
+        def to_grad(blk, lo, hi):
+            blk[...] = g_em[lo * k:hi * k].reshape(blk.shape)
+
+        return plan.backward(to_grad)
+
+    return T._make(out.reshape(plan.shape), (plan.coeffs, plan.x, plan.basis), back)
+
+
+class Formed:
+    """Edge responses held as a formed (B, C_out, N, k) tensor, pooled as
+    ``kernels.EdgeResponses`` pools its own by :func:`batch_norm_leaky_max`:
+    over each point's k edges, or, for edge features (``per_edge``), over
+    one-edge neighbourhoods. Stands in for ``apply_heads``' result."""
+
+    def __init__(self, edges, per_edge):
+        self.edges, self.per_edge, self.shape = edges, per_edge, edges.shape
+
+    def norm_leaky_max(self, *state, slope, momentum, epsilon, shift):
+        x = self.edges
+        if self.per_edge:
+            b, c, n, k = x.shape
+            x = T.reshape(x, (b, c, n * k, 1))
+        out = batch_norm_leaky_max(x, *state, slope=slope, momentum=momentum,
+                                   epsilon=epsilon, shift=shift)
+        return T.reshape(out, self.shape) if self.per_edge else out
+
+
+def composed(responses):
+    """The composition the adaptive stages' one op replaced: the responses
+    formed by :func:`contract`, then pooled by :func:`batch_norm_leaky_max`."""
+    return Formed(contract(responses), responses.idx is None)

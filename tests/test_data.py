@@ -286,6 +286,19 @@ def test_synth_spec_validation():
         SynthSpec(noise=-0.1).validate()
 
 
+@pytest.mark.parametrize("cls, field", [
+    (SynthSpec, "classes"), (SynthSpec, "sequences_per_class"), (SynthSpec, "frames"),
+    (SynthSpec, "points"), (PipelineConfig, "window_frames"),
+    (PipelineConfig, "window_stride"), (PipelineConfig, "points_per_frame"),
+    (PipelineConfig, "seed")])
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
+def test_integer_fields_reject_other_types_by_name(cls, field, value):
+    # SynthSpec(2, 1, 2.5, 4) used to pass validation and fail later with a
+    # bare TypeError; a bool would read as 1
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        cls(**{field: value})
+
+
 # ---------------------------------------------------------------------
 # streaming
 # ---------------------------------------------------------------------

@@ -174,13 +174,12 @@ def test_neighbor_rows_group_each_points_edges_into_rows_of_k(data):
     assert np.bincount(rows.slots // k, minlength=n_rows).max() <= k
     in_degree = np.bincount(read, minlength=b * n)
     assert n_rows == np.maximum(1, -(-in_degree // k)).sum()
-    # padding slots carry zero coefficients
-    values = np.arange(1.0, read.size + 1).reshape(-1, 1) * [1.0, -2.0]
-    spread = rows.spread(values).reshape(-1, 2)
-    np.testing.assert_array_equal(spread[rows.slots], values)
-    pad = np.ones(len(spread), dtype=bool)
+    # each slot's edge inverts the slots; padding slots hold one past the
+    # last edge, a zero row in the arrays that the rows read
+    np.testing.assert_array_equal(rows.edges[rows.slots], np.arange(read.size))
+    pad = np.ones(n_rows * k, dtype=bool)
     pad[rows.slots] = False
-    np.testing.assert_array_equal(spread[pad], 0.0)
+    np.testing.assert_array_equal(rows.edges[pad], read.size)
 
 
 @pytest.mark.parametrize("b,n,k,block", [(3, 20, 20, None), (5, 6, 3, 40), (2, 960, 20, None),
@@ -326,7 +325,7 @@ def conv_buffers(dtype):
 
 
 def conv_reference(x, idx, w, gamma, beta, rm, rv, mode):
-    return T.batch_norm_leaky_max(edge_linear(x, idx, w), gamma, beta, rm, rv, mode)
+    return ref.batch_norm_leaky_max(edge_linear(x, idx, w), gamma, beta, rm, rv, mode)
 
 
 def run_conv(op, x, idx, params, mode, recorded):

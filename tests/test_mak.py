@@ -2,6 +2,7 @@
 against the dense per-edge kernel bank, plus head decomposition, residual
 behaviour, and parameter-count structure."""
 
+import math
 import tracemalloc
 import warnings
 
@@ -126,16 +127,30 @@ def dense_bank(coeffs, weight, bias, heads, c_in, c_out):
     return T.reshape(flat, (b, c_out, c_in, heads, n, k))
 
 
-def dense_apply_heads(coeffs, x, weight, bias, heads, c_out, idx=None):
-    """Oracle for ``apply_heads``: expand the bank, multiply every edge's
-    kernels by its features, then sum over inputs and heads. With ``idx``, x
-    holds point features and the edge features are formed explicitly."""
+def dense_edges(coeffs, x, weight, bias, heads, c_out, idx=None):
+    """Oracle for the edge responses of ``apply_heads``: expand the bank,
+    multiply every edge's kernels by its features, then sum over inputs and
+    heads. With ``idx``, x holds point features and the edge features are
+    formed explicitly."""
     if idx is not None:
         x = ref.graph_feature(x, idx)
     b, c_in, n, k = x.shape
     bank = dense_bank(coeffs, weight, bias, heads, c_in, c_out)
     products = T.mul(bank, T.reshape(x, (b, 1, c_in, 1, n, k)))
     return T.reduce_sum(T.reduce_sum(products, axis=3), axis=2)  # (B, C_out, N, k)
+
+
+def dense_apply_heads(coeffs, x, weight, bias, heads, c_out, idx=None):
+    """A stand-in for ``apply_heads`` that shares no code with it: the
+    dense bank's responses, pooled by the reference batch norm, leaky relu
+    and max."""
+    return ref.Formed(dense_edges(coeffs, x, weight, bias, heads, c_out, idx), idx is None)
+
+
+def formed_apply_heads(*args, **kwargs):
+    """``apply_heads`` with its responses formed, then pooled as the stage
+    op's reference composition (``reference.composed``)."""
+    return ref.composed(apply_heads(*args, **kwargs))
 
 
 def rand_head_inputs(b, mid, n, k, ci, co, heads, seed):
@@ -170,16 +185,17 @@ def test_apply_heads_fixture():
             weight[(o * 2 + i) * 2 + 0, 0] = [[1.0, 2.0], [3.0, 4.0]][o][i] / 2.0
             bias[(o * 2 + i) * 2 + 1] = 1.0
     x = np.array([5.0, 6.0]).reshape(1, 2, 1, 1)
-    out = apply_heads(Tensor(coeffs), Tensor(x), Tensor(weight), Tensor(bias), 2, 2)
+    out = ref.contract(apply_heads(Tensor(coeffs), Tensor(x), Tensor(weight), Tensor(bias), 2, 2))
     np.testing.assert_array_equal(out.data.ravel(), [28.0, 50.0])
 
 
 def test_apply_heads_sums_over_heads():
     coeffs, x, weight, bias = rand_head_inputs(2, 4, 4, 3, ci=3, co=5, heads=3, seed=12)
-    full = apply_heads(coeffs, x, weight, bias, 3, 5).data
+    full = ref.contract(apply_heads(coeffs, x, weight, bias, 3, 5)).data
     # rows h::H are head h's generator layer in the one-head layout
-    parts = sum(apply_heads(coeffs, x, Tensor(weight.data[h::3]), Tensor(bias.data[h::3]),
-                            1, 5).data for h in range(3))
+    parts = sum(ref.contract(apply_heads(coeffs, x, Tensor(weight.data[h::3]),
+                                         Tensor(bias.data[h::3]), 1, 5)).data
+                for h in range(3))
     np.testing.assert_allclose(full, parts, atol=1e-12)
 
 
@@ -188,7 +204,7 @@ def test_apply_heads_is_linear_in_features():
     xa, xb = np.random.default_rng(14).normal(size=(2, 1, 3, 3, 2))
 
     def run(x):
-        return apply_heads(coeffs, Tensor(x), weight, bias, 2, 4).data
+        return ref.contract(apply_heads(coeffs, Tensor(x), weight, bias, 2, 4)).data
 
     np.testing.assert_allclose(run(xa + 2.0 * xb), run(xa) + 2.0 * run(xb), atol=1e-12)
 
@@ -199,7 +215,7 @@ def test_apply_heads_takes_edge_features_without_edges():
     inputs = rand_head_inputs(2, 3, 4, 0, ci=2, co=5, heads=2, seed=15)
     for t in inputs:
         t.requires_grad = True
-    out = apply_heads(*inputs, 2, 5)
+    out = ref.contract(apply_heads(*inputs, 2, 5))
     assert out.shape == (2, 5, 4, 0)
     T.reduce_sum(out).backward()
     coeffs, x, weight, bias = inputs
@@ -354,6 +370,69 @@ def test_operator_matches_dense_bank_values_and_gradients(heads, residual, monke
             assert_runs_match(got, want, **tol)
 
 
+@pytest.mark.parametrize("ties", [False, True], ids=["generated", "tied"])
+@pytest.mark.parametrize("gammas", ["positive", "mixed"])
+@pytest.mark.parametrize("residual", ["projected", "identity", "none"])
+def test_stage_op_matches_the_reference_composition(residual, gammas, ties, monkeypatch):
+    # the stage op against the composition it replaced: the responses formed
+    # (reference.contract), then batch norm, leaky relu and max over them
+    # (reference.batch_norm_leaky_max). Edge and point features over each
+    # neighbor layout, f64 and f32, train and eval mode: outputs, running
+    # buffers and every gradient. Eval mode gives the same bits, as the
+    # responses, winners and routed gradients are the same; train mode's
+    # one-pass statistics differ by rounding. bn_out's gamma is positive, or
+    # of mixed signs with a zero; "tied" zeroes conv1's weight, so that the
+    # edges reading copies of one point tie exactly
+    cp, b = 2, 2
+    ci = 2 * cp
+    co = 5 if residual == "projected" else ci
+    ops = {dt: build_op(ci=ci, co=co, heads=2, residual=residual != "none", seed=130,
+                        dtype=dt) for dt in ("f64", "f32")}
+    for op in ops.values():
+        if gammas == "mixed":
+            op.bn_out.gamma.value.data[:] = [0.5, -1.0, 0.0, 2.0, -0.25][:co]
+        if ties:
+            op.gen.conv1.weight.value.data[:] = 0.0
+    for dtype, mode, name in layout_cases():
+        op = ops[dtype]
+        op.train(mode == "train")
+        buffers = {key: buf.copy() for key, buf in op.named_buffers()}
+        idx = layout_index(name, b, seed=131)
+        n, k = idx.n_points, idx.k
+        rng = np.random.default_rng(132)
+        geo = rng.normal(size=(b, op.cfg.gen_in_channels, n, k))
+        points = rng.normal(size=(b, cp, n))
+        for kind in ("edges", "points"):
+            feat, f_idx = ((graph.graph_feature(Tensor(points), idx).data, None)
+                           if kind == "edges" else (points, idx))
+            weights = Tensor(rng.normal(size=(b, co, n, k) if kind == "edges" else (b, co, n)),
+                             dtype=dtype)
+
+            def run():
+                for key, buf in op.named_buffers():
+                    buf[:] = buffers[key]
+                for _, p in op.named_parameters():
+                    p.value.grad = None
+                g = Tensor(geo, dtype=dtype, requires_grad=True)
+                f = Tensor(feat, dtype=dtype, requires_grad=True)
+                out = op(g, f, f_idx)
+                T.reduce_sum(T.mul(out, weights)).backward()
+                grads = {key: p.value.grad for key, p in op.named_parameters()}
+                grads.update((key, buf.copy()) for key, buf in op.named_buffers())
+                return out.data, g.grad, f.grad, grads
+
+            with monkeypatch.context() as m:
+                got = run()
+                m.setattr(kernels, "apply_heads", formed_apply_heads)
+                want = run()
+            if mode == "eval":
+                for a, w in zip(got[:3] + tuple(got[3].values()),
+                                want[:3] + tuple(want[3].values())):
+                    assert a is None and w is None or a.tobytes() == w.tobytes()
+            else:
+                assert_runs_match(got, want, **TOLERANCE[dtype])
+
+
 def test_zeroed_generator_leaves_only_the_residual():
     op = build_op(ci=4, co=4, seed=2)
     op.gen.conv1.weight.value.data[:] = 0.0
@@ -474,14 +553,14 @@ def test_apply_heads_on_points_equals_edge_form(heads, block, monkeypatch):
             args = (coeffs.data, points, weight.data, bias.data)
 
             def points_form(c, x, w, bi):
-                return apply_heads(c, x, w, bi, heads, co, idx=idx)
+                return ref.contract(apply_heads(c, x, w, bi, heads, co, idx=idx))
 
             def edge_form(c, x, w, bi):
-                return apply_heads(c, ref.graph_feature(x, idx), w, bi, heads, co)
+                return ref.contract(apply_heads(c, ref.graph_feature(x, idx), w, bi, heads, co))
 
             def dense(c, x, w, bi):
                 # the dense bank shares no code with the contraction both forms run
-                return dense_apply_heads(c, x, w, bi, heads, co, idx)
+                return dense_edges(c, x, w, bi, heads, co, idx)
 
             got = with_grads(points_form, weights, dtype, *args)
             assert got[0].shape == (b, co, n, k)
@@ -496,13 +575,13 @@ def test_apply_heads_on_points_equals_edge_form(heads, block, monkeypatch):
     coeffs, _, weight, bias = rand_head_inputs(b, mid, 5, 3, ci=2 * cp, co=co, heads=heads,
                                                seed=heads + 20)
     points = np.random.default_rng(heads + 21).normal(size=(b, cp, 5))
-    check_grads(lambda c, x, w, bi: apply_heads(c, x, w, bi, heads, co, idx=idx),
+    check_grads(lambda c, x, w, bi: ref.contract(apply_heads(c, x, w, bi, heads, co, idx=idx)),
                 [coeffs.data, points, weight.data, bias.data])
 
 
 def test_apply_heads_across_write_back_blocks():
-    # at C_out = 64 the output is written back in blocks of 1020 edges, so
-    # each of these 1200-edge items takes two, the second a short one
+    # at C_out = 64 a block holds 51 source points' 1020 edges, so blocks
+    # straddle these 60-point items and the last block is a short one
     b, n, k, cp, mid, co = 2, 60, 20, 2, 3, 64
     idx = repeated_index(b, n, k, seed=n)
     coeffs, _, weight, bias = rand_head_inputs(b, mid, n, k, ci=2 * cp, co=co, heads=1,
@@ -510,18 +589,18 @@ def test_apply_heads_across_write_back_blocks():
     rng = np.random.default_rng(n + 2)
     args = (coeffs.data, rng.normal(size=(b, cp, n)), weight.data, bias.data)
     weights = rng.normal(size=(b, co, n, k))
-    got = with_grads(lambda c, x, w, bi: apply_heads(c, x, w, bi, 1, co, idx=idx),
+    got = with_grads(lambda c, x, w, bi: ref.contract(apply_heads(c, x, w, bi, 1, co, idx=idx)),
                      weights, "f64", *args)
-    want = with_grads(lambda c, x, w, bi: dense_apply_heads(c, x, w, bi, 1, co, idx),
+    want = with_grads(lambda c, x, w, bi: dense_edges(c, x, w, bi, 1, co, idx),
                       weights, "f64", *args)
     for a, w in zip(got, want):
         np.testing.assert_allclose(a, w, rtol=1e-12, atol=1e-12)
 
 
 def test_apply_heads_across_multi_item_write_back_blocks():
-    # at C_out = 64 one 400-edge item is 25,600 output values, so a
-    # write-back block holds two whole items and the last of these five
-    # items is written back alone
+    # at C_out = 64 a block holds 51 source points, so the first block
+    # spans two whole 20-point items and part of a third, and the last of
+    # these five items ends a short block
     b, n, k, cp, mid, co = 5, 20, 20, 2, 3, 64
     idx = repeated_index(b, n, k, seed=n)
     coeffs, _, weight, bias = rand_head_inputs(b, mid, n, k, ci=2 * cp, co=co, heads=1,
@@ -529,42 +608,93 @@ def test_apply_heads_across_multi_item_write_back_blocks():
     rng = np.random.default_rng(n + 2)
     args = (coeffs.data, rng.normal(size=(b, cp, n)), weight.data, bias.data)
     weights = rng.normal(size=(b, co, n, k))
-    got = with_grads(lambda c, x, w, bi: apply_heads(c, x, w, bi, 1, co, idx=idx),
+    got = with_grads(lambda c, x, w, bi: ref.contract(apply_heads(c, x, w, bi, 1, co, idx=idx)),
                      weights, "f64", *args)
-    want = with_grads(lambda c, x, w, bi: dense_apply_heads(c, x, w, bi, 1, co, idx),
+    want = with_grads(lambda c, x, w, bi: dense_edges(c, x, w, bi, 1, co, idx),
                       weights, "f64", *args)
     for a, w in zip(got, want):
         np.testing.assert_allclose(a, w, rtol=1e-12, atol=1e-12)
 
 
+def mmwave_stage(dtype, spread, mode):
+    """mak2 of the default model on one mmactivity window (B=1, C_p=64,
+    N=960, k=20, mid=8, C_out=64, a projected residual), its neighbors drawn
+    among ``spread`` points, and its inputs: (op, geo, points, idx). With
+    spread 3 every edge reads one of three points, whose rows hold all the
+    edges, and the other points' rows are padding only."""
+    cp, co, b, n, k = 64, 64, 1, 960, 20
+    cfg = MakConfig(in_channels=2 * cp, out_channels=co, gen_in_channels=6, mid_channels=8)
+    op = MultiHeadAdaptiveKernel(cfg, np.random.default_rng(0), dtype=dtype)
+    op.train(mode == "train")
+    rng = np.random.default_rng(1)
+    idx = graph.NeighborIndex(indices=rng.integers(0, spread, size=(b, n, k)), k=k, n_points=n)
+    idx.rows.edges  # built once per input and shared by every stage
+    geo = Tensor(rng.normal(size=(b, 6, n, k)), dtype=dtype)
+    return op, geo, Tensor(rng.normal(size=(b, cp, n)), dtype=dtype), idx
+
+
 def test_no_grad_apply_heads_memory_at_the_mmwave_window():
-    # mak2 of the default model on one mmactivity window (B=1, C_p=64, N=960,
-    # k=20, mid=8, C_out=64, f32): the output and the gathered neighbors are
-    # 4.9 MB each, and the traced peak stays under three times their sum
-    # because the neighbor term's rows hold at most about two slots per edge
-    # and the center term is added a block of source points at a time. In
-    # the hub case every edge reads one of three points: those points' rows
-    # hold all the edges, and the other points' rows are padding only
-    b, cp, n, k, mid, co = 1, 64, 960, 20, 8, 64
-    budget = 3 * 4 * (b * co * n * k + b * cp * n * k)
-    for spread in (n, 3):
-        rng = np.random.default_rng(0)
-        idx = graph.NeighborIndex(indices=rng.integers(0, spread, size=(b, n, k)), k=k,
-                                  n_points=n)
-        coeffs = Tensor(rng.normal(size=(b, mid, n, k)), dtype="f32")
-        points = Tensor(rng.normal(size=(b, cp, n)), dtype="f32")
-        weight = Tensor(rng.normal(size=(co * 2 * cp, mid)), dtype="f32")
-        bias = Tensor(rng.normal(size=(co * 2 * cp,)), dtype="f32")
+    # in eval mode under no_grad the stage op forms each edge's response
+    # once, edge-major, with the points' projections Q and the rows'
+    # coefficients beside it, and keeps only its (B, C_out, N) output: the
+    # traced peak stays under twice the 4.9 MB of one (B, C_out, N, k) array
+    for spread in (960, 3):
+        op, geo, points, idx = mmwave_stage("f32", spread, "eval")
+        coeffs = op.generate_kernels(geo)
+        conv1 = op.gen.conv1
+        edge_bytes = 4 * math.prod(coeffs.shape[:1] + (op.cfg.out_channels,) + coeffs.shape[2:])
         tracemalloc.start()
         try:
+            start = tracemalloc.get_traced_memory()[0]
             with T.no_grad():
-                out = apply_heads(coeffs, points, weight, bias, 1, co, idx=idx)
-            peak = tracemalloc.get_traced_memory()[1]
+                out = op.bn_out.leaky_max(apply_heads(coeffs, points, conv1.weight.value,
+                                                      conv1.bias.value, 1, 64, idx=idx), SLOPE)
+            kept, peak = (v - start for v in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
-        assert out.shape == (b, co, n, k) and out.node is None
-        assert peak < budget, (f"neighbors among {spread} points: traced peak "
-                               f"{peak / 1e6:.1f} MB, budget {budget / 1e6:.1f} MB")
+        assert out.shape == (1, 64, 960) and out.node is None
+        assert peak < 2 * edge_bytes, (f"neighbors among {spread} points: traced peak "
+                                       f"{peak / 1e6:.1f} MB")
+        assert kept < out.data.nbytes + 1e5, f"kept {kept / 1e6:.2f} MB"
+
+
+@pytest.mark.parametrize("spread", [960, 3], ids=["spread", "hub"])
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_stage_op_keeps_no_edge_array_from_forward_to_backward(dtype, mode, spread):
+    # one MAK stage's apply_heads and pooling on one mmactivity window,
+    # recording a graph: no array half as large as the points' projections
+    # Q (N (mid + 1) C_out values), let alone a (B, C_out, N, k) one,
+    # survives the forward. What does is per-point state and basis-sized
+    # arrays, under four of each. Forward plus backward peaks under four
+    # edge arrays: the backward's recomputed responses, turned into their
+    # gradient in place, with Q, the coefficients and their gradients
+    op, geo, points, idx = mmwave_stage(dtype, spread, mode)
+    with T.no_grad():
+        y = op.generate_kernels(geo).data
+    conv1 = op.gen.conv1
+    itemsize = np.dtype(T._DTYPES[dtype]).itemsize
+    b, mid, n, k = y.shape
+    co = op.cfg.out_channels
+    edge_bytes, q_bytes = itemsize * b * co * n * k, itemsize * b * n * (mid + 1) * co
+    per_point, basis_bytes = itemsize * b * co * n, itemsize * co * op.cfg.in_channels * (mid + 1)
+    coeffs = Tensor(y, dtype=dtype, requires_grad=True)
+    points.requires_grad = True
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = op.bn_out.leaky_max(apply_heads(coeffs, points, conv1.weight.value,
+                                              conv1.bias.value, 1, co, idx=idx), SLOPE)
+        kept = tracemalloc.get_traced_memory()[0] - start
+        largest = max(t.size for t in tracemalloc.take_snapshot().traces)
+        T.reduce_sum(out).backward()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert out.node is not None and coeffs.grad.shape == coeffs.shape
+    assert largest < q_bytes / 2, f"a {largest / 1e6:.2f} MB array survived the forward"
+    assert kept < 4 * (per_point + basis_bytes), f"kept {kept / 1e6:.2f} MB"
+    assert peak < 4 * edge_bytes, f"peak {peak / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize("residual", ["projected", "identity", "none"])
@@ -698,13 +828,13 @@ def unfolded_forward(op, geo, feat, idx=None):
     """The composition the fold replaces: the contraction with conv1's own
     bias, plus proj_bn of every projected edge, then bn_out."""
     cfg, conv1 = op.cfg, op.gen.conv1
-    out = apply_heads(op.generate_kernels(geo), feat, conv1.weight.value, conv1.bias.value,
-                      cfg.num_heads, cfg.out_channels, idx)
+    out = ref.contract(apply_heads(op.generate_kernels(geo), feat, conv1.weight.value,
+                                   conv1.bias.value, cfg.num_heads, cfg.out_channels, idx))
     if idx is None:
         projected = op.proj_bn(op.proj(feat))
         return T.leaky_relu(op.bn_out(T.add(out, projected)), SLOPE)
     projected = op.proj_bn(edge_linear(feat, idx, op.proj.weight.value))
-    return op.bn_out.leaky_max(T.add(out, projected), SLOPE)
+    return ref.batch_norm_leaky_max(T.add(out, projected), *op.bn_out._state(), SLOPE)
 
 
 @pytest.mark.parametrize("dtype", ["f32", "f64"])
@@ -758,27 +888,22 @@ def test_projection_fold_equals_the_unfolded_composition(kind, mode, dtype):
 
 def test_projection_fold_forms_no_edge_tensor_of_its_own(monkeypatch):
     # mak2 of the default model on one mmactivity window (B=1, C_p=64,
-    # N=960, k=20, C_out=64, f32), in eval mode: nothing but the contraction
-    # may allocate a (B, C_out, N, k) array, 4.9 MB. The fold runs before it
-    # and bn_out's pooling after it; each stays under half that size
-    cp, co, b, n, k = 64, 64, 1, 960, 20
-    cfg = MakConfig(in_channels=2 * cp, out_channels=co, gen_in_channels=6, mid_channels=8)
-    op = MultiHeadAdaptiveKernel(cfg, np.random.default_rng(0), dtype="f32")
+    # N=960, k=20, C_out=64, f32), in eval mode: the fold runs before
+    # apply_heads, which describes the responses without forming them, and
+    # each stays under half the 4.9 MB of a (B, C_out, N, k) array
+    op, geo, points, idx = mmwave_stage("f32", 960, "eval")
     assert hasattr(op, "proj")
-    op.eval()
-    rng = np.random.default_rng(1)
-    idx = graph.NeighborIndex(indices=rng.integers(0, n, size=(b, n, k)), k=k, n_points=n)
-    geo = Tensor(rng.normal(size=(b, 6, n, k)), dtype="f32")
-    points = Tensor(rng.normal(size=(b, cp, n)), dtype="f32")
+    b, co, n, k = 1, 64, 960, 20
     edge_bytes = 4 * b * co * n * k
     real_apply = kernels.apply_heads
-    marks = []  # traced peak before the contraction, traced size after it
+    marks = []  # traced peak before apply_heads, traced peak over it
 
     def apply_heads(*args):
         marks.append(tracemalloc.get_traced_memory()[1])
-        out = real_apply(*args)
         tracemalloc.reset_peak()
-        marks.append(tracemalloc.get_traced_memory()[0])
+        start = tracemalloc.get_traced_memory()[0]
+        out = real_apply(*args)
+        marks.append(tracemalloc.get_traced_memory()[1] - start)
         return out
 
     monkeypatch.setattr(kernels, "apply_heads", apply_heads)
@@ -787,10 +912,9 @@ def test_projection_fold_forms_no_edge_tensor_of_its_own(monkeypatch):
         start = tracemalloc.get_traced_memory()[0]
         with T.no_grad():
             out = op(geo, points, idx)
-        end_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert out.shape == (b, co, n)
-    before, after = marks[0] - start, end_peak - marks[1]
-    assert before < edge_bytes / 2, f"before the contraction: {before / 1e6:.1f} MB"
-    assert after < edge_bytes / 2, f"after the contraction: {after / 1e6:.1f} MB"
+    before, during = marks[0] - start, marks[1]
+    assert before < edge_bytes / 2, f"before apply_heads: {before / 1e6:.1f} MB"
+    assert during < edge_bytes / 2, f"in apply_heads: {during / 1e6:.1f} MB"

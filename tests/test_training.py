@@ -1,6 +1,7 @@
 """Optimization loop: exact optimizer arithmetic, schedule shape, stopping
 logic, metric definitions, and end-to-end fit behaviour on a separable toy."""
 
+import gc
 import math
 
 import numpy as np
@@ -306,3 +307,27 @@ def test_non_finite_learning_rate_flag_exits_2(tmp_path, capsys):
             "--lr-max", "inf", "--out", str(tmp_path / "run")]
     assert cli.main(argv) == 2
     assert "lr_max must be finite" in capsys.readouterr().err
+
+
+def test_fit_holds_no_graph_node_at_a_training_forward(monkeypatch):
+    # each step's graph is released once its backward is done: no node of
+    # the previous step is alive when the next training-mode forward starts
+    # (a loop that kept logits and loss bound held two graphs at once)
+    from adaptgraph import network
+    from adaptgraph.tensor import _Node
+
+    live = []
+    real_forward = network.ActivityNet.forward
+
+    def forward(net, x, rng=None):
+        if net.training:
+            gc.collect()
+            live.append(sum(isinstance(o, _Node) for o in gc.get_objects()))
+        return real_forward(net, x, rng)
+
+    monkeypatch.setattr(network.ActivityNet, "forward", forward)
+    samples = toy_samples(n_per_class=6)
+    model = build(TOY_MODEL, seed=0)
+    cfg = TrainConfig(lr_max=0.05, max_epochs=2, patience=5, batch_size=4)
+    fit(model, samples[:8], samples[8:], cfg)
+    assert len(live) == 4 and live == [0] * 4, live
