@@ -319,7 +319,7 @@ class EdgeResponses:
         """``leaky_relu(batch_norm(r), slope)`` of the responses r, maxed
         over each point's k edges, (B, C_out, N); edge features are one-edge
         neighbourhoods, (B, C_out, N, k). Batch norm takes ``T.batch_norm``'s
-        arguments; a (C_out,) ``shift`` normalizes r + shift unformed.
+        arguments; a (C_out,) ``shift`` normalizes r + shift without forming it.
 
         One pass over blocks of source points forms each block's responses,
         adds them to float64 channel sums about the first block's mean, and

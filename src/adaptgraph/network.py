@@ -319,8 +319,12 @@ def count_macs(cfg: ModelConfig, n_points: int) -> int:
     stage applies its weight per point (:func:`graph.edge_conv`),
     C_in * C_out MACs per point instead of per edge, k times fewer; in
     training its batch statistics add two (N, N) neighbor-adjacency
-    products, 2 N^2 C_out MACs per sample. A throughput computed from this
-    count (GMAC/s) therefore reads higher than the arithmetic actually done.
+    products, 2 N^2 C_out MACs per sample. The count is of one forward: in
+    training an adaptive stage's backward forms its edge responses again
+    (one GEMM for the projections Q, then the neighbor and center terms of
+    every edge), work a backward count would add. A throughput computed
+    from this count (GMAC/s) therefore reads higher than the arithmetic
+    actually done.
     """
     if n_points < cfg.k:
         raise InvalidInputError(f"N={n_points} is smaller than k={cfg.k}")

@@ -251,10 +251,11 @@ def contract(responses):
 
 
 class Formed:
-    """Edge responses held as a formed (B, C_out, N, k) tensor, pooled as
-    ``kernels.EdgeResponses`` pools its own by :func:`batch_norm_leaky_max`:
-    over each point's k edges, or, for edge features (``per_edge``), over
-    one-edge neighbourhoods. Stands in for ``apply_heads``' result."""
+    """Edge responses held as a formed (B, C_out, N, k) tensor and pooled,
+    as ``kernels.EdgeResponses`` pools its own, by
+    :func:`batch_norm_leaky_max`: over each point's k edges, or, for edge
+    features (``per_edge``), over one-edge neighbourhoods. Stands in for
+    ``apply_heads``' result."""
 
     def __init__(self, edges, per_edge):
         self.edges, self.per_edge, self.shape = edges, per_edge, edges.shape

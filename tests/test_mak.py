@@ -370,10 +370,12 @@ def test_operator_matches_dense_bank_values_and_gradients(heads, residual, monke
             assert_runs_match(got, want, **tol)
 
 
+@pytest.mark.parametrize("block", [None, 1], ids=["default-blocks", "one-point-blocks"])
 @pytest.mark.parametrize("ties", [False, True], ids=["generated", "tied"])
 @pytest.mark.parametrize("gammas", ["positive", "mixed"])
 @pytest.mark.parametrize("residual", ["projected", "identity", "none"])
-def test_stage_op_matches_the_reference_composition(residual, gammas, ties, monkeypatch):
+def test_stage_op_matches_the_reference_composition(residual, gammas, ties, block,
+                                                    monkeypatch):
     # the stage op against the composition it replaced: the responses formed
     # (reference.contract), then batch norm, leaky relu and max over them
     # (reference.batch_norm_leaky_max). Edge and point features over each
@@ -382,7 +384,10 @@ def test_stage_op_matches_the_reference_composition(residual, gammas, ties, monk
     # responses, winners and routed gradients are the same; train mode's
     # one-pass statistics differ by rounding. bn_out's gamma is positive, or
     # of mixed signs with a zero; "tied" zeroes conv1's weight, so that the
-    # edges reading copies of one point tie exactly
+    # edges reading copies of one point tie exactly; one-point blocks spread
+    # the statistics, the winners and the backward over many blocks
+    if block is not None:
+        monkeypatch.setattr(T, "_MAX_BLOCK_VALUES", block)
     cp, b = 2, 2
     ci = 2 * cp
     co = 5 if residual == "projected" else ci
