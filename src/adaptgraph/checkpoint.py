@@ -35,7 +35,9 @@ def state_dict(model: Module) -> Dict[str, np.ndarray]:
 def load_state(model: Module, state: Dict[str, np.ndarray]) -> None:
     """Copy a state mapping into the model, auditing names/shapes/dtypes first.
 
-    Nothing is mutated unless the audit passes in full.
+    Nothing is mutated unless the audit passes in full. The model's held
+    eval-mode constants are dropped first (``Module.release``), which makes
+    its parameters and buffers writable again.
     """
     targets = {}
     for name, p in model.named_parameters():
@@ -59,6 +61,7 @@ def load_state(model: Module, state: Dict[str, np.ndarray]) -> None:
     if problems:
         raise ConfigError("checkpoint does not fit this model; " + "; ".join(problems))
 
+    model.release()
     for name, dst in targets.items():
         dst[...] = state[name]
 

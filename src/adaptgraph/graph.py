@@ -208,14 +208,21 @@ def _check_weight(x: Tensor, weight: Tensor, op: str) -> int:
     return weight.shape[0]
 
 
-def _per_point(x: Tensor, weight: Tensor):
-    """Returns (stacked, per_point): stacked = [W_a; W_b - W_a], (2 C_out, C),
-    and per_point = stacked x, (B, 2 C_out, N), whose first C_out channels are
-    W_a x and the rest (W_b - W_a) x. One GEMM on x's channel-major columns,
-    as in ``T.pointwise_linear``."""
-    b, c, n = x.shape
-    w_a = weight.data[:, :c]
-    stacked = np.concatenate([w_a, weight.data[:, c:] - w_a])
+def _stacked(weight: np.ndarray) -> np.ndarray:
+    """[W_a; W_b - W_a], (2 C_out, C), of a (C_out, 2C) weight [W_a | W_b]."""
+    c = weight.shape[1] // 2
+    w_a = weight[:, :c]
+    return np.concatenate([w_a, weight[:, c:] - w_a])
+
+
+def _per_point(x: Tensor, weight: Tensor, stacked: Optional[np.ndarray] = None):
+    """Returns (stacked, per_point): stacked = :func:`_stacked` of the
+    weight unless given, and per_point = stacked x, (B, 2 C_out, N), whose
+    first C_out channels are W_a x and the rest (W_b - W_a) x. One GEMM on
+    x's channel-major columns, as in ``T.pointwise_linear``."""
+    b, _, n = x.shape
+    if stacked is None:
+        stacked = _stacked(weight.data)
     return stacked, T._uncolumns(stacked @ T._columns(x.data), (b, stacked.shape[0], n))
 
 
@@ -328,7 +335,8 @@ def _neighbor_max(p: np.ndarray, c: np.ndarray, nbrs: np.ndarray, scale: np.ndar
 def edge_conv(x: Tensor, idx: NeighborIndex, weight: Tensor, gamma: Tensor, beta: Tensor,
               running_mean: Optional[np.ndarray], running_var: Optional[np.ndarray],
               mode: str, slope: float = 0.2, momentum: float = 0.1,
-              epsilon: float = 1e-5) -> Tensor:
+              epsilon: float = 1e-5, norm: Optional[tuple] = None,
+              stacked: Optional[np.ndarray] = None) -> Tensor:
     """An EdgeConv stage: the max over neighbors of leaky relu of batch norm
     of ``T.pointwise_linear(graph_feature(x, idx), weight)``, no edge array.
 
@@ -336,8 +344,9 @@ def edge_conv(x: Tensor, idx: NeighborIndex, weight: Tensor, gamma: Tensor, beta
         x: point features, (B, C, N)
         idx: neighborhood structure over the same N points
         weight: (C_out, 2C) = [W_a | W_b], acting on [x_j - x_i, x_i]
-        gamma, beta, running_mean, running_var, mode, momentum, epsilon: the
-            stage's batch norm over C_out channels, as in ``T.batch_norm``
+        gamma, beta, running_mean, running_var, mode, momentum, epsilon, norm:
+            the stage's batch norm over C_out channels, as in ``T.batch_norm``
+        stacked: :func:`_stacked` of the weight when the caller holds it
     Returns:
         (B, C_out, N), bit for bit for finite values. Edge (i, j) responds
         z = P[m] + C[i] to its neighbor m, with per-point products P = W_a x
@@ -358,13 +367,13 @@ def edge_conv(x: Tensor, idx: NeighborIndex, weight: Tensor, gamma: Tensor, beta
         raise InvalidInputError("edge_conv needs k >= 1 neighbors")
     parents = (x, weight, gamma, beta)
     recording = T._recording(*parents)
-    stacked, per_point = _per_point(x, weight)
+    stacked, per_point = _per_point(x, weight, stacked)
     p, c = per_point[:, :c_out], per_point[:, c_out:]
     moments = terms = None
     if mode == "train":
         moments, terms = _edge_moments(p, c, idx)
-    mu, ivar, scale = T._norm_scale(moments, gamma, running_mean, running_var, mode,
-                                    momentum, epsilon, dt)
+    mu, ivar, scale = norm or T._norm_scale(moments, gamma, running_mean, running_var, mode,
+                                            momentum, epsilon, dt)
     winners, keys = _neighbor_max(p, c, idx.indices, scale, recording)
     centred, z, out = T._activate_winners(winners, mu, scale, beta, s)
     if not recording:

@@ -106,7 +106,8 @@ class _KernelGenerator(Module):
 
 def apply_heads(coeffs: Tensor, x: Tensor, weight: Tensor, bias: Tensor,
                 heads: int, out_channels: int,
-                idx: Optional[graph.NeighborIndex] = None) -> Tensor:
+                idx: Optional[graph.NeighborIndex] = None,
+                held: Optional[tuple] = None) -> Tensor:
     """Apply every edge's generated kernels to its features and sum over heads,
     without forming the kernels.
 
@@ -126,9 +127,10 @@ def apply_heads(coeffs: Tensor, x: Tensor, weight: Tensor, bias: Tensor,
         W_h[b,n,j][o,i] = weight[(o*C_in+i)*H+h] @ y[b,:,n,j] + bias[(o*C_in+i)*H+h].
 
     Heads fold exactly into summed weights A = sum_h A_h, b = sum_h b_h, the
-    basis [A | b] (C_out, C_in, mid + 1) that one contraction,
-    :class:`_Contraction`, applies for both kinds, in memory that does not
-    grow with H.
+    basis [A | b] (C_out, C_in, mid + 1) (:func:`_head_sum`) that one
+    contraction, :class:`_Contraction`, applies for both kinds, in memory
+    that does not grow with H. ``held`` is the basis and its
+    :func:`_layout` for this weight and bias, when the caller holds them.
     """
     if heads < 1:
         raise ConfigError("head count must be at least 1")
@@ -156,9 +158,36 @@ def apply_heads(coeffs: Tensor, x: Tensor, weight: Tensor, bias: Tensor,
             f"got {weight.shape}")
     if bias.shape != (rows,):
         raise ShapeError(f"bias must be ({rows},), got {bias.shape}")
+    if held is None:
+        return EdgeResponses(coeffs, x, _head_sum(weight, bias, c_out, c_in, heads), idx)
+    return EdgeResponses(coeffs, x, held[0], idx, held[1])
+
+
+def _head_sum(weight: Tensor, bias: Tensor, c_out: int, c_in: int, heads: int) -> Tensor:
+    """The basis [A | b], (C_out, C_in, mid + 1), of the generator's last
+    layer ``weight`` and ``bias`` (in :func:`apply_heads`' channel layout)
+    summed over its heads."""
+    mid = weight.shape[1]
     a_sum = T.reduce_sum(T.reshape(weight, (c_out, c_in, heads, mid)), axis=2)
     b_sum = T.reduce_sum(T.reshape(bias, (c_out, c_in, heads, 1)), axis=2)
-    return EdgeResponses(coeffs, x, T.concat([a_sum, b_sum], axis=2), idx)
+    return T.concat([a_sum, b_sum], axis=2)
+
+
+def _layout(basis: np.ndarray, center: bool) -> np.ndarray:
+    """The basis [A | b], (C_out, C_in, mid + 1), as the weight w of
+    :class:`_Contraction`'s per-point projections x_pt @ w: columns (m, o)
+    of Q = A x and, with ``center`` (point features, C_in / 2 channels),
+    then of R = (A_b - A_a) x, A_a and A_b the halves of A's C_in."""
+    c_out, c_in, m1 = basis.shape
+    if not center:
+        halves = [basis]
+    elif c_in % 2:
+        raise ShapeError(f"point features stand for an even C_in, got {c_in}")
+    else:
+        c = c_in // 2
+        halves = [basis[:, :c], basis[:, c:] - basis[:, :c]]
+    return np.concatenate([h.transpose(1, 2, 0).reshape(-1, m1 * c_out) for h in halves],
+                          axis=1)
 
 
 class _Contraction:
@@ -179,7 +208,7 @@ class _Contraction:
     """
 
     def __init__(self, coeffs: Tensor, x: Tensor, basis: Tensor,
-                 idx: Optional[graph.NeighborIndex]):
+                 idx: Optional[graph.NeighborIndex], layout: Optional[np.ndarray] = None):
         b, mid, n, k = coeffs.shape
         c_out, _, m1 = basis.shape
         c = x.shape[1]
@@ -189,11 +218,8 @@ class _Contraction:
         self.rows = (idx.rows if self.center else
                      graph.NeighborRows(np.arange(b * n * k), np.arange(0), b * n * k, 1))
         self.x_pt = x.data.reshape(b, c, -1).transpose(0, 2, 1).reshape(-1, c)  # point-major
-        halves = ([basis.data[:, :c], basis.data[:, c:] - basis.data[:, :c]] if self.center
-                  else [basis.data])
         # x_pt @ w = [Q | R]
-        self.w = np.concatenate([h.transpose(1, 2, 0).reshape(c, m1 * c_out) for h in halves],
-                                axis=1)
+        self.w = _layout(basis.data, self.center) if layout is None else layout
 
     def _row_blocks(self, q: np.ndarray, y1: np.ndarray):
         """(lo, hi, slots, y, q) per ``T._blocks`` block of rows [lo, hi):
@@ -305,21 +331,23 @@ class EdgeResponses:
     """The (B, C_out, N, k) edge responses of :func:`apply_heads`, held as
     the operands that define them and never formed whole: the coefficients,
     the features, the head-summed basis [A | b] and the neighbor index
-    (None for edge features). :meth:`norm_leaky_max` pools them."""
+    (None for edge features), and the basis' :func:`_layout` when it is
+    held. :meth:`norm_leaky_max` pools them."""
 
     def __init__(self, coeffs: Tensor, x: Tensor, basis: Tensor,
-                 idx: Optional[graph.NeighborIndex]):
-        self.coeffs, self.x, self.basis, self.idx = coeffs, x, basis, idx
+                 idx: Optional[graph.NeighborIndex], layout: Optional[np.ndarray] = None):
+        self.coeffs, self.x, self.basis, self.idx, self.layout = coeffs, x, basis, idx, layout
         self.shape = coeffs.shape[:1] + basis.shape[:1] + coeffs.shape[2:]
 
     def norm_leaky_max(self, gamma: Tensor, beta: Tensor, running_mean: Optional[np.ndarray],
                        running_var: Optional[np.ndarray], mode: str, slope: float = 0.2,
                        momentum: float = 0.1, epsilon: float = 1e-5,
-                       shift: Optional[Tensor] = None) -> Tensor:
+                       shift: Optional[Tensor] = None, norm: Optional[tuple] = None) -> Tensor:
         """``leaky_relu(batch_norm(r), slope)`` of the responses r, maxed
         over each point's k edges, (B, C_out, N); edge features are one-edge
         neighbourhoods, (B, C_out, N, k). Batch norm takes ``T.batch_norm``'s
-        arguments; a (C_out,) ``shift`` normalizes r + shift without forming it.
+        arguments; a (C_out,) ``shift`` normalizes r + shift without forming
+        it, and a held ``norm`` already has it.
 
         One pass over blocks of source points forms each block's responses,
         adds them to float64 channel sums about the first block's mean, and
@@ -339,7 +367,7 @@ class EdgeResponses:
             x = T.reshape(x, x.shape[:2] + (n * k, 1))
         elif coeffs.shape[3] == 0:
             raise InvalidInputError(f"cannot pool the empty neighbor axis of {self.shape}")
-        plan = _Contraction(coeffs, x, self.basis, self.idx)  # the backward builds its own
+        plan = _Contraction(coeffs, x, self.basis, self.idx, self.layout)  # backward builds its own
         b, c_out, n, k = plan.shape
         m = b * n * k
         T._check_norm(c_out, gamma, beta, mode, epsilon, m)
@@ -374,9 +402,9 @@ class EdgeResponses:
         if train:
             mean = sums[0] / m
             moments = (origin + mean, np.maximum(sums[1] / m - mean * mean, 0.0))
-        mu, ivar, scale = T._norm_scale(moments, gamma, running_mean, running_var, mode,
-                                        momentum, epsilon, dt,
-                                        None if shift is None else shift.data)
+        mu, ivar, scale = norm or T._norm_scale(moments, gamma, running_mean, running_var, mode,
+                                                momentum, epsilon, dt,
+                                                None if shift is None else shift.data)
         best *= flip
         picked = np.ascontiguousarray(best.reshape(b, n, c_out).transpose(0, 2, 1))
         centred, z, out = T._activate_winners(picked, mu, scale, beta, s)
@@ -537,16 +565,48 @@ class MultiHeadAdaptiveKernel(Module):
         Both residuals ride in conv1's bias as constant kernels: the identity
         I, or a projection's alpha W with proj_bn's scale alpha, so no edge
         tensor of the residual is formed. The projection's per-channel
-        offset c enters ``bn_out`` as a shift of its mean."""
+        offset c enters ``bn_out`` as a shift of its mean. In eval mode
+        under no_grad the bias, shift, basis and layout are held
+        (``Module._constant``)."""
         cfg = self.cfg
         conv1 = self.gen.conv1
-        bias = conv1.bias.value
-        shift = None
-        if self.eye_rows is not None:
-            bias = T.add(bias, self.eye_rows)
-        elif cfg.residual:
-            rows, shift = self._folded_projection(feat, idx)
-            bias = T.add(bias, rows)
-        out = apply_heads(self.generate_kernels(geo), feat, conv1.weight.value, bias,
-                          cfg.num_heads, cfg.out_channels, idx)
+        coeffs = self.generate_kernels(geo)
+        held = self._constant(idx is None, lambda: self._constants_of(feat, idx),
+                              self._sources())
+        # apply_heads takes the held basis only in a held forward, so a
+        # stand-in for it is called as a recording forward calls it
+        bias, shift, *summed = held or self._residual_bias(feat, idx)
+        out = apply_heads(coeffs, feat, conv1.weight.value, bias, cfg.num_heads,
+                          cfg.out_channels, idx, *summed)
         return self.bn_out.leaky_max(out, self.slope, shift)
+
+    def _residual_bias(self, feat: Tensor, idx: Optional[graph.NeighborIndex]):
+        """(bias, shift): conv1's bias with the residual's constant kernel
+        added, and the projection's offset c (None without a projection)."""
+        bias = self.gen.conv1.bias.value
+        if self.eye_rows is not None:
+            return T.add(bias, self.eye_rows), None
+        if not self.cfg.residual:
+            return bias, None
+        rows, shift = self._folded_projection(feat, idx)
+        return T.add(bias, rows), shift
+
+    def _sources(self) -> tuple:
+        """The arrays the eval-mode bias, shift and basis are computed from."""
+        conv1 = self.gen.conv1
+        arrays = (conv1.weight.value.data, conv1.bias.value.data)
+        if self.eye_rows is not None:
+            return arrays + (self.eye_rows.data,)
+        if not self.cfg.residual:
+            return arrays
+        bn = self.proj_bn
+        return arrays + (self.proj.weight.value.data, bn.gamma.value.data, bn.beta.value.data,
+                         bn._buffers["running_mean"], bn._buffers["running_var"])
+
+    def _constants_of(self, feat: Tensor, idx: Optional[graph.NeighborIndex]):
+        """(bias, shift, (basis, layout)) of :meth:`forward` in eval mode."""
+        bias, shift = self._residual_bias(feat, idx)
+        cfg = self.cfg
+        basis = _head_sum(self.gen.conv1.weight.value, bias, cfg.out_channels, cfg.in_channels,
+                          cfg.num_heads)
+        return bias, shift, (basis, _layout(basis.data, idx is not None))

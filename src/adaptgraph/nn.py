@@ -2,7 +2,13 @@
 network is built from.
 
 A module holds its parameters and submodules as ordinary attributes; no
-registry or attribute hook tracks them, and a walk of ``vars`` finds them."""
+registry or attribute hook tracks them, and a walk of ``vars`` finds them.
+
+In eval mode under ``no_grad`` a module holds the arrays that depend only on
+its parameters and running statistics (:meth:`Module._constant`), as RepVGG
+folds inference-time structure once at deploy time, and marks the arrays
+they came from read-only until ``train()``, ``eval()`` or
+``checkpoint.load_state`` drops them (:meth:`Module.release`)."""
 
 from __future__ import annotations
 
@@ -53,6 +59,7 @@ class Module:
 
     def __init__(self):
         self._buffers = {}
+        self._constants = {}
         self.training = True
 
     def _attrs(self, kind: type) -> list:
@@ -76,14 +83,54 @@ class Module:
         for n, m in self._attrs(Module):
             yield from m.named_buffers(prefix + n + ".")
 
-    def train(self, mode: bool = True) -> "Module":
-        self.training = mode
+    def modules(self) -> Iterator["Module"]:
+        """This module, then every submodule, depth first in assignment order."""
+        yield self
         for _, m in self._attrs(Module):
-            m.train(mode)
-        return self
+            yield from m.modules()
+
+    def train(self, mode: bool = True) -> "Module":
+        for m in self.modules():
+            m.training = mode
+        return self.release()
 
     def eval(self) -> "Module":
         return self.train(False)
+
+    def release(self) -> "Module":
+        """Drop the constants this module and its submodules hold, making
+        the arrays they came from writable again."""
+        for m in self.modules():
+            for _, _, frozen in m._constants.values():
+                for a in frozen:
+                    a.flags.writeable = True
+            m._constants.clear()
+        return self
+
+    def _holding(self) -> bool:
+        """True in a forward that holds constants: eval mode under no_grad."""
+        return not self.training and not T._grad_enabled
+
+    def _constant(self, name, build, sources: tuple):
+        """``build()``, held under ``name`` from the first forward in eval
+        mode under ``no_grad`` on, for as long as every array in ``sources``
+        (the parameters and buffers it is computed from) is the same array
+        and read-only; they are marked read-only when it is built, so an
+        in-place write raises instead of leaving it stale. Returns None in a
+        forward that trains or records a graph: the ops then compute it per
+        call."""
+        if not self._holding():
+            return None
+        held = self._constants.get(name)
+        if (held is not None and len(held[1]) == len(sources)
+                and all(a is b and not a.flags.writeable for a, b in zip(held[1], sources))):
+            return held[0]
+        value = build()
+        frozen = [a for a in sources if a.flags.writeable]  # release() thaws only these
+        for a in frozen:
+            a.flags.writeable = False
+        self._constants[name] = (value, sources, frozen)
+        return value
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
@@ -129,29 +176,49 @@ class BatchNorm(Module):
                 self._buffers["running_mean"], self._buffers["running_var"],
                 "train" if self.training else "eval")
 
+    def _norm(self, dt, shift: Optional[Tensor] = None):
+        """The eval-mode (mu, ivar, scale) of ``T._norm_scale`` in dtype dt,
+        held (:meth:`Module._constant`), or None when the forward trains or
+        records. A (C,) ``shift`` is the one :meth:`leaky_max` takes."""
+        gamma = self.gamma.value
+        mean, var = self._buffers["running_mean"], self._buffers["running_var"]
+        sources = (gamma.data, mean, var) + (() if shift is None else (shift.data,))
+        return self._constant(("norm", dt), lambda: T._norm_scale(
+            None, gamma, mean, var, "eval", self.momentum, self.epsilon, dt,
+            None if shift is None else shift.data), sources)
+
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim >= 2 and x.shape[1] != self.channels:
             raise ShapeError(f"expected {self.channels} channels, got {x.shape}")
-        return T.batch_norm(x, *self._state(), momentum=self.momentum, epsilon=self.epsilon)
+        return T.batch_norm(x, *self._state(), momentum=self.momentum, epsilon=self.epsilon,
+                            norm=self._norm(x.data.dtype))
 
     def leaky_max(self, responses, slope: float, shift: Optional[Tensor] = None) -> Tensor:
         """The max over the neighbor axis of ``leaky_relu(self(r), slope)``
         for the edge responses r that ``responses`` (``kernels.EdgeResponses``)
         describes, (B, C, N, k) -> (B, C, N), in one op that forms no edge
         array. A (C,) ``shift`` normalizes r + shift without forming it."""
+        # the norm goes only to a held forward's op, so a stand-in for the
+        # responses (the formed reference of tests/reference.py) is called
+        # as a recording forward calls it
+        held = {"norm": self._norm(responses.x.data.dtype, shift)} if self._holding() else {}
         return responses.norm_leaky_max(*self._state(), slope=slope, momentum=self.momentum,
-                                        epsilon=self.epsilon, shift=shift)
+                                        epsilon=self.epsilon, shift=shift, **held)
 
     def linear_pool(self, x: Tensor, weight: Tensor, slope: float) -> Tensor:
         """[max | mean] over points of ``leaky_relu(self(T.pointwise_linear(x,
         weight)), slope)``, (B, C, N) -> (B, 2 * channels), in one op."""
         return T.linear_norm_pool(x, weight, *self._state(), slope=slope,
-                                  momentum=self.momentum, epsilon=self.epsilon)
+                                  momentum=self.momentum, epsilon=self.epsilon,
+                                  norm=self._norm(x.data.dtype))
 
     def edge_conv(self, points: Tensor, idx: graph.NeighborIndex, weight: Tensor,
                   slope: float) -> Tensor:
         """The max over ``idx``'s neighbors of ``leaky_relu(self(r), slope)``,
         r the 1x1 map ``weight`` of each edge's features [x_j - x_i, x_i],
-        (B, C, N) -> (B, channels, N), forming no edge array."""
+        (B, C, N) -> (B, channels, N), forming no edge array. The stage's
+        stacked weight (``graph._stacked``) is held with the norm."""
+        stacked = self._constant("stacked", lambda: graph._stacked(weight.data), (weight.data,))
         return graph.edge_conv(points, idx, weight, *self._state(), slope=slope,
-                               momentum=self.momentum, epsilon=self.epsilon)
+                               momentum=self.momentum, epsilon=self.epsilon,
+                               norm=self._norm(points.data.dtype), stacked=stacked)

@@ -350,12 +350,15 @@ def _norm_scale(moments, gamma: Tensor, running_mean: Optional[np.ndarray],
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                running_mean: Optional[np.ndarray], running_var: Optional[np.ndarray],
-               mode: str, momentum: float = 0.1, epsilon: float = 1e-5) -> Tensor:
+               mode: str, momentum: float = 0.1, epsilon: float = 1e-5,
+               norm: Optional[tuple] = None) -> Tensor:
     """Channel-wise batch normalization over all non-channel axes.
 
     Train mode uses batch statistics (biased variance) and updates the running
     buffers in place by exponential moving average. Eval mode normalizes with
     the running buffers. gamma/beta then scale and shift per channel.
+    ``norm`` is eval mode's (mu, ivar, scale) from :func:`_norm_scale`, when
+    the caller holds it (``nn.Module._constant``); every batch-norm op takes it.
     """
     if x.ndim < 2:
         raise ShapeError(f"batch_norm input needs rank >= 2, got {x.shape}")
@@ -372,8 +375,8 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         centred = x3 - mu.reshape(cshape)
         out = np.square(centred)  # the squared deviations, reused for the output
         moments = (mu, _channel_sums(out) / m)
-    mu, ivar, scale = _norm_scale(moments, gamma, running_mean, running_var, mode,
-                                  momentum, epsilon, dt)
+    mu, ivar, scale = norm or _norm_scale(moments, gamma, running_mean, running_var, mode,
+                                          momentum, epsilon, dt)
     if mode == "eval":
         centred = x3 - mu.reshape(cshape)
         out = np.empty_like(centred) if _recording(x, gamma, beta) else centred
@@ -526,21 +529,21 @@ def _pooled_grads(g: np.ndarray, neg_mask: np.ndarray, s: np.ndarray,
 def linear_norm_pool(x: Tensor, weight: Tensor, gamma: Tensor, beta: Tensor,
                      running_mean: Optional[np.ndarray], running_var: Optional[np.ndarray],
                      mode: str, slope: float = 0.2, momentum: float = 0.1,
-                     epsilon: float = 1e-5) -> Tensor:
+                     epsilon: float = 1e-5, norm: Optional[tuple] = None) -> Tensor:
     """The embedding head in one op: with a = ``leaky_relu(batch_norm(
     pointwise_linear(x, weight), ...), slope)``, a's max over points, then
     its mean over points, (B, C, N) -> (B, 2E) for an (E, C) weight.
 
-    The map is one GEMM into point-major (B * N, E) rows, reading x's
-    channel-major columns (:func:`_columns`) transposed, so it copies
-    nothing at B == 1. Train mode takes the batch mean and biased variance
-    from float64 column sums and updates the running buffers as
-    :func:`batch_norm` does. Each block of whole items is normalized,
-    activated and pooled by :func:`_blocked_winners`, so the max routes to
-    the first point holding it, as ``np.argmax`` picks it (a NaN max to
-    point 0).
+    The map is one GEMM on x's channel-major columns (:func:`_columns`), as
+    in :func:`pointwise_linear`, into channel-major (E, B * N) rows that
+    every later pass reads in place. Train mode takes the batch mean and
+    biased variance from float64 row sums and updates the running buffers as
+    :func:`batch_norm` does. Each (channel, item) pair's N values are
+    normalized, activated and pooled by :func:`_blocked_winners`, a block of
+    pairs at a time, so the max routes to the first point holding it, as
+    ``np.argmax`` picks it (a NaN max to point 0).
     Backward keeps the centred rows, their activation mask and the winners,
-    forms the rows' gradient as one more (B * N, E) array, and runs one
+    forms the rows' gradient as one more (E, B * N) array, and runs one
     GEMM each for dx and the weight.
     """
     if x.ndim != 3:
@@ -558,63 +561,69 @@ def linear_norm_pool(x: Tensor, weight: Tensor, gamma: Tensor, beta: Tensor,
     s = _leaky_slope(slope, dt)
     parents = (x, weight, gamma, beta)
     recording = _recording(*parents)
-    rows = _columns(x.data).T @ weight.data.T  # (B * N, E); BLAS reads both transposed
-    m = rows.shape[0]
-    blocks = [slice(i, j) for i, j, _, _ in _blocks(m, 1, e)]
+    rows = weight.data @ _columns(x.data)  # (E, B * N)
+    m = rows.shape[1]
+    blocks = [slice(i, j) for i, j, _, _ in _blocks(e, 1, m)]  # of channels
     moments = None
     if mode == "train":
-        mean = rows.sum(axis=0, dtype=np.float64) / m
-        rows -= mean.astype(dt)
-        squares = np.zeros(e)
+        mean = rows.sum(axis=1, dtype=np.float64) / m
+        rows -= mean.astype(dt)[:, None]
+        squares = np.empty(e)
         for blk in blocks:
-            squares += np.square(rows[blk]).sum(axis=0, dtype=np.float64)
+            squares[blk] = np.square(rows[blk]).sum(axis=1, dtype=np.float64)
         moments = (mean, squares / m)
-    mu, ivar, scale = _norm_scale(moments, gamma, running_mean, running_var, mode,
-                                  momentum, epsilon, dt)
+    mu, ivar, scale = norm or _norm_scale(moments, gamma, running_mean, running_var, mode,
+                                          momentum, epsilon, dt)
     if mode == "eval":
-        rows -= mu
-    centred = rows.reshape(b_dim, n, e)
-    out = np.empty((b_dim, 2 * e), dtype=dt)
+        rows -= mu[:, None]
+    pairs = e * b_dim
+    centred = rows.reshape(pairs, n)  # a row of N points per (channel, item)
+    scale_rows, beta_rows = np.repeat(scale, b_dim), np.repeat(beta.data, b_dim)
+    sums = np.empty((pairs, 1), dtype=dt)
     neg = np.empty(centred.shape, dtype=bool) if recording else None
 
     def fill(block, lo, hi):
-        """Items [lo, hi) activated into block, (N, items, E), and their mean."""
-        np.multiply(centred[lo:hi].transpose(1, 0, 2), scale, out=block)
-        block += beta.data
+        """Pairs [lo, hi) activated into block, (N, pairs, 1), and their sums."""
+        z = block.reshape(n, hi - lo)
+        np.multiply(centred[lo:hi].T, scale_rows[lo:hi], out=z)
+        z += beta_rows[lo:hi]
         if neg is not None:
-            np.less(block, 0, out=neg[lo:hi].transpose(1, 0, 2))
-        _leaky(block, s, out=block)
-        np.add.reduce(block, axis=0, out=out[lo:hi, e:])
+            np.less(z, 0, out=neg[lo:hi].T)
+        _leaky(z, s, out=z)
+        np.add.reduce(block, axis=0, out=sums[lo:hi])
 
-    out[:, :e], winners = _blocked_winners(fill, b_dim, e, n, dt, recording)
+    best, winners = _blocked_winners(fill, pairs, 1, n, dt, recording)
+    out = np.empty((b_dim, 2 * e), dtype=dt)
+    out[:, :e] = best.reshape(e, b_dim).T
+    out[:, e:] = sums.reshape(e, b_dim).T
     out[:, e:] /= n
     if not recording:
         return _make(out, parents, None)
-    neg = neg.reshape(m, e)
-    winners = ((winners + (np.arange(b_dim) * n)[:, None]) * e + np.arange(e)).ravel()
+    neg = neg.reshape(e, m)
+    winners = winners.ravel() + np.arange(pairs) * n
 
     def back(g):
         d = np.empty_like(rows)  # the rows' gradient
-        d.reshape(b_dim, n, e)[...] = (g[:, e:] / np.asarray(n, dtype=dt))[:, None, :]
-        d.reshape(-1)[winners] += g[:, :e].ravel()
-        dbeta, dgamma = np.zeros(e), np.zeros(e)
+        d.reshape(e, b_dim, n)[...] = (g[:, e:] / np.asarray(n, dtype=dt)).T[:, :, None]
+        d.reshape(-1)[winners] += g[:, :e].T.ravel()
+        dbeta, dgamma = np.empty(e), np.empty(e)
         for blk in blocks:
             gz = d[blk] = _leaky_grad(neg[blk], s, d[blk])
-            dbeta += gz.sum(axis=0, dtype=np.float64)
-            dgamma += np.multiply(gz, rows[blk]).sum(axis=0, dtype=np.float64)
+            dbeta[blk] = gz.sum(axis=1, dtype=np.float64)
+            dgamma[blk] = np.multiply(gz, rows[blk]).sum(axis=1, dtype=np.float64)
         dgamma *= ivar  # sum of g * xhat
         if mode == "train":
             # as in batch_norm: gamma * ivar * (g - dbeta / m - xhat * dgamma / m)
             coef, shift = (-dgamma * ivar / m).astype(dt), (-dbeta / m).astype(dt)
             for blk in blocks:
-                t = np.multiply(rows[blk], coef)
+                t = np.multiply(rows[blk], coef[blk, None])
                 t += d[blk]
-                t += shift
-                np.multiply(t, scale, out=d[blk])
+                t += shift[blk, None]
+                np.multiply(t, scale[blk, None], out=d[blk])
         else:
-            d *= scale
-        dx = _uncolumns(weight.data.T @ d.T, x.shape)
-        return dx, d.T @ _columns(x.data).T, dgamma.astype(dt), dbeta.astype(dt)
+            d *= scale[:, None]
+        dx = _uncolumns(weight.data.T @ d, x.shape)
+        return dx, d @ _columns(x.data).T, dgamma.astype(dt), dbeta.astype(dt)
 
     return _make(out, parents, back)
 

@@ -83,21 +83,44 @@ def cosine_lr(epoch: int, total: int, lr_max: float, lr_min: float = 0.0) -> flo
 
 def sgd_step(params, grads=None, lr: float = 0.1,
              momentum: float = 0.9, weight_decay: float = 0.0) -> None:
-    """In-place momentum SGD: g += wd*p; buf = m*buf + g; p -= lr*buf."""
+    """In-place momentum SGD: step = wd*p + g; buf = m*buf + step;
+    p -= lr*buf. A None gradient is a zero one; a gradient in another dtype
+    than its parameter's is rounded to it first.
+
+    Each parameter is updated a ``T._blocks`` block at a time through one
+    scratch block per dtype, so nothing the size of a parameter is
+    allocated but a first step's momentum buffer."""
     if grads is None:
         grads = [p.value.grad for p in params]
+    largest = {}
+    for p in params:
+        dt = p.value.data.dtype
+        largest[dt] = max(largest.get(dt, 0), p.value.data.size)
+    scratch = {dt: np.empty(T._blocks(size, 1, 1)[0][1] if size else 0, dtype=dt)
+               for dt, size in largest.items()}
     for p, g in zip(params, grads):
-        data = p.value.data
-        if g is None:
-            g = np.zeros_like(data)
-        step = g + weight_decay * data if weight_decay else np.array(g, copy=True)
-        if momentum:
-            if p.momentum_buffer is None:
-                p.momentum_buffer = np.zeros_like(data)
-            p.momentum_buffer *= momentum
-            p.momentum_buffer += step
-            step = p.momentum_buffer
-        data -= np.asarray(lr, dtype=data.dtype) * step
+        data = p.value.data.reshape(-1)
+        g = None if g is None else np.asarray(g).reshape(-1)
+        if momentum and p.momentum_buffer is None:
+            p.momentum_buffer = np.zeros_like(p.value.data)
+        buf = p.momentum_buffer.reshape(-1) if momentum else None
+        rate = np.asarray(lr, dtype=data.dtype)
+        for i, j, _, _ in T._blocks(data.size, 1, 1):
+            step = scratch[data.dtype][:j - i]
+            if weight_decay:
+                np.multiply(data[i:j], weight_decay, out=step)
+                step += 0 if g is None else g[i:j]  # adding 0 turns -0.0 into 0.0
+            elif g is None:
+                step[...] = 0
+            else:
+                step[...] = g[i:j]
+            if buf is not None:
+                buf[i:j] *= momentum
+                buf[i:j] += step
+                np.multiply(buf[i:j], rate, out=step)
+            else:
+                step *= rate
+            data[i:j] -= step
 
 
 class EarlyStopper:

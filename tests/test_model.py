@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -15,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import adaptgraph
-from adaptgraph import graph, network
+from adaptgraph import graph, kernels, network
 from adaptgraph import tensor as T
+from adaptgraph.checkpoint import load_state, state_dict
 from adaptgraph.data import PipelineConfig, SynthSpec
 from adaptgraph.errors import ConfigError, InvalidInputError, UsageError
 from adaptgraph.kernels import MultiHeadAdaptiveKernel
@@ -598,15 +600,111 @@ def test_mak_only_four_heads_trains_at_synth_batch_in_bounded_memory():
     assert peak_gb < 2.0, f"peak RSS {peak_gb:.2f} GB"
 
 
+def spread_buffers(model, seed):
+    """Running statistics away from their initial 0 and 1, so that every
+    eval-mode batch norm shifts and scales."""
+    rng = np.random.default_rng(seed)
+    for name, buf in model.named_buffers():
+        buf[...] = (rng.uniform(0.5, 2.0, buf.shape) if name.endswith("var")
+                    else rng.normal(scale=0.3, size=buf.shape))
+
+
 @pytest.mark.parametrize("variant", list(Variant))
 def test_eval_logits_under_no_grad_equal_recorded_forward_bitwise(variant):
-    # no_grad skips backward-only state (argmax, masks); the values must not move
-    model = build(small_cfg(variant=variant), seed=5).eval()
-    x = Tensor(cloud(b=3, n=12, seed=9))
-    recorded = model(x)
-    assert recorded.node is not None
+    # no_grad skips backward-only state (argmax, masks) and holds the
+    # eval-mode constants from its first call on; the values must not move
+    for heads, dtype in ((1, "f32"), (2, "f32"), (1, "f64"), (2, "f64")):
+        model = build(small_cfg(variant=variant, num_heads=heads), seed=5, dtype=dtype).eval()
+        spread_buffers(model, seed=6)
+        x = Tensor(cloud(b=3, n=12, seed=9), dtype=dtype)
+        recorded = model(x)
+        assert recorded.node is not None
+        for _ in range(2):  # the second call reads the held constants
+            with T.no_grad():
+                untracked = model(x)
+            assert untracked.node is None
+            assert untracked.data.tobytes() == recorded.data.tobytes(), (heads, dtype)
+
+
+def count_constant_builders(monkeypatch):
+    """Wraps every builder of an eval-mode constant; returns the counts."""
+    counts = {}
+    targets = [(T, "_norm_scale"), (kernels, "_projection_scale"), (kernels, "_head_sum"),
+               (kernels, "_layout"), (graph, "_stacked")]
+    for module, name in targets:
+        real = getattr(module, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_second_eval_window_builds_no_constant(variant, monkeypatch):
+    model = build(small_cfg(variant=variant, num_heads=2), seed=7).eval()
+    counts = count_constant_builders(monkeypatch)
+    windows = [Tensor(cloud(b=1, n=12, seed=s)) for s in (1, 2)]
+    stages = [getattr(model, name) for name, _ in model._stages]
+    maks = [s for s in stages if isinstance(s, MultiHeadAdaptiveKernel)]
+    want = {"_norm_scale": sum(isinstance(m, BatchNorm) for m in model.modules()),
+            "_projection_scale": sum(hasattr(s, "proj") for s in maks),
+            "_head_sum": len(maks), "_layout": len(maks), "_stacked": len(stages) - len(maks)}
     with T.no_grad():
-        untracked = model(x)
-    assert untracked.node is None
-    np.testing.assert_array_equal(untracked.data.view(np.uint32),
-                                  recorded.data.view(np.uint32))
+        model(windows[0])
+        assert counts == {name: n for name, n in want.items() if n}
+        counts.clear()
+        model(windows[1])
+    assert counts == {}
+
+
+def named_arrays(model):
+    return ([(n, p.value.data) for n, p in model.named_parameters()]
+            + list(model.named_buffers()))
+
+
+def held_sources(model):
+    """(name, array) of every parameter and buffer a held constant comes
+    from: each batch norm's gamma and running statistics, each adaptive
+    stage's conv1, projection and projection batch norm, each conv stage's
+    weight."""
+    def source(name):
+        return (name.endswith((".gamma", ".running_mean", ".running_var"))
+                or any(part in name for part in (".gen.conv1.", ".proj.", ".proj_bn."))
+                or re.fullmatch(r"conv\d\.conv\.weight", name) is not None)
+
+    return [(n, a) for n, a in named_arrays(model) if source(n)]
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_held_constants_make_their_sources_read_only_until_released(variant):
+    model = build(small_cfg(variant=variant), seed=8).eval()
+    spread_buffers(model, seed=9)
+    state = state_dict(model)
+    x = Tensor(cloud(b=2, n=12, seed=10))
+    sources = held_sources(model)
+    assert any(".gen.conv1.weight" in n for n, _ in sources)
+    assert any(n.endswith("running_var") for n, _ in sources)
+    for release in ("train", "eval", "load_state"):
+        with T.no_grad():
+            before = model(x).data
+        frozen = [n for n, a in named_arrays(model) if not a.flags.writeable]
+        assert frozen == [n for n, _ in sources]
+        for name, a in sources:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+        if release == "load_state":
+            load_state(model, state)
+        else:
+            getattr(model, release)()
+        for name, a in sources:
+            assert a.flags.writeable, (release, name)
+            a *= 1.25  # a new value for every source
+        if release == "train":
+            model.eval()
+        with T.no_grad():
+            after = model(x).data
+        assert after.tobytes() == model(x).data.tobytes(), release
+        assert not np.array_equal(after, before), release

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from adaptgraph import cli
+from adaptgraph import tensor as T
 from adaptgraph.data import Sample
 from adaptgraph.errors import ConfigError, DataError, DivergenceError, InvalidInputError
 from adaptgraph.network import ModelConfig, build
@@ -105,6 +106,61 @@ def test_sgd_skips_params_without_grad():
     p = param_of([3.0])
     sgd_step([p], None, lr=0.5, momentum=0.0)
     np.testing.assert_allclose(p.value.data, [3.0])
+
+
+def formula_sgd_step(params, grads, lr, momentum, weight_decay):
+    """The update sgd_step makes, one whole array at a time."""
+    for p, g in zip(params, grads):
+        data = p.value.data
+        if g is None:
+            g = np.zeros_like(data)
+        step = g + weight_decay * data if weight_decay else np.array(g, copy=True)
+        if momentum:
+            if p.momentum_buffer is None:
+                p.momentum_buffer = np.zeros_like(data)
+            p.momentum_buffer *= momentum
+            p.momentum_buffer += step
+            step = p.momentum_buffer
+        data -= np.asarray(lr, dtype=data.dtype) * step
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+@pytest.mark.parametrize("momentum", [0.0, 0.9])
+def test_sgd_step_equals_the_formula_bitwise(momentum, weight_decay, dtype, block,
+                                             monkeypatch):
+    # blocks of 7 values split every array but the smallest; signed zeros
+    # and a None gradient take the formula's rounding too
+    if block is not None:
+        monkeypatch.setattr(T, "_MAX_BLOCK_VALUES", block)
+    rng = np.random.default_rng(3)
+    shapes = [(3, 5), (4,), (2, 3, 4), (1,)]
+    values = [rng.normal(size=s).astype(dtype) for s in shapes]
+    values[0][0] = [0.0, -0.0, 0.0, -0.0, 1.0]
+    values[2][0, 0] = [-0.0, 0.0, -0.0, 1.0]  # its gradient is None
+    runs = []
+    for _ in range(2):
+        runs.append([Parameter(Tensor(v.copy(), requires_grad=True)) for v in values])
+    for step in range(3):
+        grads = [rng.normal(size=s).astype(dtype) for s in shapes]
+        grads[0][0] = [0.0, 0.0, -0.0, -0.0, 0.0]
+        grads[2] = None
+        if step == 1:  # a parameter's first step, with no momentum buffer yet
+            runs = [r + [Parameter(Tensor(np.full(5, -0.0, dtype), requires_grad=True))]
+                    for r in runs]
+        if len(runs[0]) > len(grads):
+            grads.append(rng.normal(size=5).astype(dtype))
+        sgd_step(runs[0], grads, lr=0.05, momentum=momentum, weight_decay=weight_decay)
+        formula_sgd_step(runs[1], grads, lr=0.05, momentum=momentum,
+                         weight_decay=weight_decay)
+        for got, want in zip(*runs):
+            assert got.value.data.dtype == dtype
+            assert got.value.data.tobytes() == want.value.data.tobytes(), step
+            if momentum:
+                assert got.momentum_buffer.tobytes() == want.momentum_buffer.tobytes()
+            else:
+                assert got.momentum_buffer is None and want.momentum_buffer is None
 
 
 # ---------------------------------------------------------------------
