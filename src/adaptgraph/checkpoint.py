@@ -35,15 +35,16 @@ def state_dict(model: Module) -> Dict[str, np.ndarray]:
 def load_state(model: Module, state: Dict[str, np.ndarray]) -> None:
     """Copy a state mapping into the model, auditing names/shapes/dtypes first.
 
-    Nothing is mutated unless the audit passes in full. The model's held
-    eval-mode constants are dropped first (``Module.release``), which makes
-    its parameters and buffers writable again.
+    Nothing is mutated unless the audit passes in full, and the audit reads
+    no parameter's value, so a model built by ``network.build`` has not
+    drawn its initial weights yet. ``Module.overwrite`` then drops the
+    model's held eval-mode constants, which makes its parameters and
+    buffers writable again, copies the state in and drops the draws the
+    build still owed: ``build`` + ``load_state`` draws nothing. After a
+    failed audit the build's draws are still owed, and run on first read.
     """
-    targets = {}
-    for name, p in model.named_parameters():
-        targets[name] = p.value.data
-    for name, b in model.named_buffers():
-        targets[name] = b
+    targets = dict(model.named_parameters())  # Parameter.shape and .dtype do not draw
+    targets.update(model.named_buffers())
 
     missing = sorted(set(targets) - set(state))
     unexpected = sorted(set(state) - set(targets))
@@ -61,9 +62,7 @@ def load_state(model: Module, state: Dict[str, np.ndarray]) -> None:
     if problems:
         raise ConfigError("checkpoint does not fit this model; " + "; ".join(problems))
 
-    model.release()
-    for name, dst in targets.items():
-        dst[...] = state[name]
+    model.overwrite(state)
 
 
 def save_checkpoint(path, state: Dict[str, np.ndarray], manifest: dict) -> None:
@@ -132,13 +131,27 @@ def _blob_header(path, blob, pos: int) -> Tuple[str, np.dtype, tuple, int]:
     return name, dtype, tuple(shape), nbytes
 
 
+def _finite(arr: np.ndarray) -> bool:
+    """No NaN and no infinity in ``arr``. Its dot with itself is finite when
+    every value is; it is not when one is, or when it overflows, which the
+    exact test of min and max then tells apart. Allocates nothing the size
+    of ``arr``."""
+    flat = arr.reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(np.dot(flat, flat)):
+            return True
+    return bool(np.isfinite(flat.min()) and np.isfinite(flat.max()))
+
+
 def load_checkpoint(path) -> Tuple[dict, Dict[str, np.ndarray]]:
     """Read a checkpoint file back into (manifest, state). Bitwise faithful.
 
     The header is checked before any payload is read: a manifest that is not
     a JSON object, a "blobs" entry with a missing or mistyped key, an unknown
     dtype tag, an nbytes that disagrees with the shape, a repeated name, and
-    bytes after the last blob all raise DataError naming the file."""
+    bytes after the last blob all raise DataError naming the file, as does a
+    blob holding a NaN or an infinity, which names the blob too. Each blob
+    is read straight into its array."""
     with open(path, "rb") as f:
         prefix = f.read(4)
         if len(prefix) != 4:
@@ -170,9 +183,14 @@ def load_checkpoint(path) -> Tuple[dict, Dict[str, np.ndarray]]:
             if nbytes > remaining:
                 raise DataError(f"{path}: truncated blob {name!r}")
             remaining -= nbytes
-            raw = f.read(nbytes)
-            arr = np.frombuffer(raw, dtype=dtype)
-            state[name] = arr.reshape(shape).astype(arr.dtype.newbyteorder("="), copy=True)
+            arr = np.empty(shape, dtype)  # read in place: one copy of each blob
+            if f.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
+                raise DataError(f"{path}: truncated blob {name!r}")
+            if not _finite(arr):
+                raise DataError(f"{path}: blob {name!r} holds a NaN or infinite value")
+            if not arr.dtype.isnative:  # a big-endian host
+                arr = arr.byteswap(inplace=True).view(arr.dtype.newbyteorder("="))
+            state[name] = arr
         if f.read(1):
             raise DataError(f"{path}: trailing bytes after the last blob")
     return manifest, state

@@ -91,9 +91,11 @@ def frame_rng(seed: int, seq_id: int, frame_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, seq_id, frame_index)))
 
 
-def normalize_frame(points: np.ndarray, p: int, rng: np.random.Generator) -> np.ndarray:
+def normalize_frame(points: np.ndarray, p: int,
+                    rng: Optional[np.random.Generator]) -> np.ndarray:
     """Force a frame to exactly p points: random subset when crowded (original
-    order kept), zero-padding when sparse."""
+    order kept), zero-padding when sparse. ``rng`` is read only when the
+    frame has more than p points."""
     points = np.asarray(points, dtype=np.float32)
     if points.ndim != 2:
         raise DataError(f"a frame must be (points, channels), got shape {points.shape}")
@@ -254,8 +256,11 @@ class StreamAssembler:
             raise DataError(
                 f"frames must arrive consecutively: expected {self._next_index}, "
                 f"got {frame_index}")
-        frame = normalize_frame(points, self.points_per_frame,
-                                frame_rng(self.seed, self.seq_id, frame_index))
+        points = np.asarray(points, dtype=np.float32)
+        p = self.points_per_frame
+        crowded = points.ndim == 2 and points.shape[0] > p  # only a subset draws
+        frame = normalize_frame(points, p, frame_rng(self.seed, self.seq_id, frame_index)
+                                if crowded else None)
         if self._buf and frame.shape[1] != self._buf[-1].shape[1]:
             raise DataError(f"frame {frame_index} has {frame.shape[1]} channels, "
                             f"the buffered frames have {self._buf[-1].shape[1]}")

@@ -27,7 +27,7 @@ from . import graph
 from . import tensor as T
 from .errors import ConfigError, InvalidInputError, ShapeError, UsageError
 from .kernels import MakConfig, MultiHeadAdaptiveKernel, _positive_int
-from .nn import BatchNorm, Module, PointwiseLinear
+from .nn import BatchNorm, Deferred, Module, PointwiseLinear
 from .tensor import Tensor
 
 
@@ -209,9 +209,15 @@ class _ConvBlock(Module):
 
 
 def build(cfg: ModelConfig, seed: int, dtype: str = "f32") -> ActivityNet:
-    """Construct a model with deterministic, seed-keyed initialization."""
+    """Construct a model with deterministic, seed-keyed initialization.
+
+    Every weight is allocated here, but drawn only when a parameter's value
+    is first read (a forward, ``state_dict``, an optimizer step): then all
+    of them at once, in construction order, bitwise as an immediate draw
+    would give (``nn.Deferred``). ``checkpoint.load_state`` overwrites them
+    first, so a model restored from a checkpoint never draws."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return ActivityNet(cfg, rng, dtype=dtype)
+    return ActivityNet(cfg, Deferred(rng), dtype=dtype)
 
 
 def config_to_dict(cfg) -> dict:

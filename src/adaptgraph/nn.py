@@ -8,7 +8,15 @@ In eval mode under ``no_grad`` a module holds the arrays that depend only on
 its parameters and running statistics (:meth:`Module._constant`), as RepVGG
 folds inference-time structure once at deploy time, and marks the arrays
 they came from read-only until ``train()``, ``eval()`` or
-``checkpoint.load_state`` drops them (:meth:`Module.release`)."""
+``checkpoint.load_state`` drops them (:meth:`Module.release`).
+
+Weights are drawn when their module is built from a ``np.random.Generator``.
+A build from a :class:`Deferred` generator (``network.build``) only
+allocates them; all of its draws run together, in build order, the first
+time any drawn parameter's ``value`` is read, so the values are bitwise
+those of a build that drew at once. :meth:`Module.overwrite`, which
+``checkpoint.load_state`` calls, settles every parameter it writes, and a
+build whose parameters are all settled draws nothing."""
 
 from __future__ import annotations
 
@@ -32,19 +40,112 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
 class Parameter:
     """A trainable tensor plus its optimizer state."""
 
-    __slots__ = ("value", "momentum_buffer")
+    __slots__ = ("value", "momentum_buffer", "_pending")
 
     def __init__(self, value: Tensor):
         value.requires_grad = True  # grad stays None until the first backward
         self.value = value
         self.momentum_buffer: Optional[np.ndarray] = None
+        self._pending = None
+
+    def _tensor(self) -> Tensor:
+        """``value``, without running a pending draw."""
+        return self.value
+
+    def _settle(self) -> None:
+        """Set ``value``, not taking a pending draw of it."""
 
     @property
     def shape(self) -> tuple:
-        return self.value.shape
+        return self._tensor().shape
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The value's numpy dtype (``Tensor.dtype`` is its tag)."""
+        return self._tensor().data.dtype
 
     def __repr__(self):
         return f"Parameter(shape={self.shape})"
+
+
+class _Pending(Parameter):
+    """A parameter of a :class:`Deferred` build whose draw is pending.
+
+    ``value`` stays unset, so only its first read reaches ``__getattr__``,
+    which runs the build's draws. Settling turns it into a plain Parameter,
+    whose reads cost nothing extra."""
+
+    __slots__ = ()
+
+    def __init__(self, deferred: "Deferred", entry: list):
+        entry[0].requires_grad = True
+        self.momentum_buffer = None
+        self._pending = (deferred, entry)
+
+    def __getattr__(self, name):
+        if name != "value":
+            raise AttributeError(f"'Parameter' object has no attribute {name!r}")
+        self._pending[0].draw()
+        self._settle()
+        return self.value
+
+    def _tensor(self) -> Tensor:
+        return self._pending[1][0]
+
+    def _settle(self) -> None:
+        deferred, entry = self._pending
+        deferred._unwant(entry)
+        self.value, self._pending = entry[0], None
+        self.__class__ = Parameter
+
+
+class Deferred:
+    """A build's Generator whose draws wait until a value is needed.
+
+    :func:`glorot_parameter` allocates each weight and queues its draw. The
+    first read of a queued parameter's value draws every queued weight in
+    the order queued, so each gets the values an immediate draw from the
+    Generator would have given; the draw of a parameter that was settled
+    meanwhile is taken from the Generator and discarded, keeping the later
+    ones in step. Once no queued parameter wants its draw, the Generator
+    and the queue are dropped and nothing is drawn."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._queue = []   # [tensor, fan_in, fan_out, dtype tag, wanted], build order
+        self._wanted = 0
+
+    def _push(self, entry: list) -> None:
+        self._queue.append(entry)
+        self._wanted += 1
+
+    def draw(self) -> None:
+        for tensor, fan_in, fan_out, dtype, wanted in self._queue:
+            w = glorot_uniform(self._rng, fan_in, fan_out, tensor.shape, dtype)
+            if wanted:
+                tensor.data[...] = w
+        self._drop()
+
+    def _unwant(self, entry: list) -> None:
+        if entry[4] and self._queue:
+            entry[4] = False
+            self._wanted -= 1
+            if not self._wanted:
+                self._drop()
+
+    def _drop(self) -> None:
+        self._rng, self._queue, self._wanted = None, [], 0
+
+
+def glorot_parameter(rng, fan_in: int, fan_out: int, shape: tuple,
+                     dtype: str = "f32") -> Parameter:
+    """A parameter holding ``glorot_uniform(rng, ...)``: drawn now from a
+    Generator, or allocated now and drawn later from a :class:`Deferred`."""
+    if not isinstance(rng, Deferred):
+        return Parameter(Tensor(glorot_uniform(rng, fan_in, fan_out, shape, dtype), dtype=dtype))
+    entry = [Tensor(np.empty(shape, T._DTYPES[dtype]), dtype=dtype), fan_in, fan_out, dtype, True]
+    rng._push(entry)
+    return _Pending(rng, entry)
 
 
 class Module:
@@ -97,6 +198,18 @@ class Module:
     def eval(self) -> "Module":
         return self.train(False)
 
+    def overwrite(self, state: dict) -> None:
+        """Copy ``state`` (name -> array for every parameter and buffer, as
+        ``checkpoint.load_state`` has checked it) into this module's own
+        arrays. Held constants are dropped first, and every parameter is
+        settled: a deferred draw it was waiting for is never taken."""
+        self.release()
+        for name, p in self.named_parameters():
+            p._tensor().data[...] = state[name]
+            p._settle()
+        for name, b in self.named_buffers():
+            b[...] = state[name]
+
     def release(self) -> "Module":
         """Drop the constants this module and its submodules hold, making
         the arrays they came from writable again."""
@@ -140,15 +253,16 @@ class Module:
 
 
 class PointwiseLinear(Module):
-    """1x1 convolution: an affine map applied independently at each grid cell."""
+    """1x1 convolution: an affine map applied independently at each grid cell.
+    Its weight is drawn from ``rng``, a Generator or a :class:`Deferred` one."""
 
-    def __init__(self, in_channels: int, out_channels: int, rng: np.random.Generator,
+    def __init__(self, in_channels: int, out_channels: int, rng,
                  bias: bool = True, dtype: str = "f32"):
         super().__init__()
         if in_channels < 1 or out_channels < 1:
             raise ConfigError("channel counts must be positive")
-        w = glorot_uniform(rng, in_channels, out_channels, (out_channels, in_channels), dtype)
-        self.weight = Parameter(Tensor(w, dtype=dtype))
+        self.weight = glorot_parameter(rng, in_channels, out_channels,
+                                       (out_channels, in_channels), dtype)
         self.bias = Parameter(Tensor(np.zeros(out_channels), dtype=dtype)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:

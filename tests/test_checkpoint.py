@@ -3,6 +3,7 @@ corruption detection."""
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -284,6 +285,35 @@ def test_trailing_bytes_are_a_data_error(tmp_path):
     path.write_bytes(path.read_bytes() + b"\0")
     with pytest.raises(DataError, match=r"ck\.bin: trailing bytes"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_non_finite_blob_is_a_data_error_naming_it(tmp_path, bad, dtype):
+    state = {"a": np.ones((2, 3), dtype), "b.running_var": np.ones(4, dtype)}
+    state["b.running_var"][2] = bad
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, state, {"kind": "checkpoint"})
+    with pytest.raises(DataError, match=r"ck\.bin: blob 'b\.running_var' holds a NaN or inf"):
+        load_checkpoint(path)
+
+
+def test_loading_the_default_model_holds_one_copy_of_each_blob(tmp_path):
+    # each blob is read straight into its array: no bytes object and no
+    # second array of the largest blob (fc1.weight, 4 MiB) is ever held
+    path = tmp_path / "ck.bin"
+    state = state_dict(build(ModelConfig(), seed=0))
+    save_checkpoint(path, state, {"kind": "checkpoint"})
+    total = sum(a.nbytes for a in state.values())
+    del state
+    tracemalloc.start()
+    try:
+        _, loaded = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(a.nbytes for a in loaded.values()) == total
+    assert peak < total + 2**20, (peak, total)
 
 
 _JSON = st.recursive(

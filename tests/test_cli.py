@@ -16,8 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaptgraph import __version__
-from adaptgraph.checkpoint import save_checkpoint, state_dict
+from adaptgraph import __version__, cli, nn
+from adaptgraph import tensor as T
+from adaptgraph.checkpoint import load_checkpoint, save_checkpoint, state_dict
 from adaptgraph.cli import main
 from adaptgraph.data import (FrameSequence, SynthSpec, preset, synth_generate,
                              write_dataset, write_frame_file)
@@ -619,6 +620,42 @@ def tiny_checkpoint(tmp_path_factory):
     data = write_dataset(root / "ds", synth_generate(TINY, seed=0))
     assert main(train_args(data, root / "run")) == 0
     return str(root / "run" / "checkpoint.bin")
+
+
+def test_a_restored_model_draws_no_initial_weight(tiny_checkpoint, monkeypatch):
+    draws = []
+    real = nn.glorot_uniform
+
+    def spy(*args, **kwargs):
+        draws.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nn, "glorot_uniform", spy)
+    manifest, model = cli._model_from_checkpoint(tiny_checkpoint)
+    x = np.random.default_rng(0).normal(size=(1, 3, 20)).astype(np.float32)
+    with T.no_grad():
+        model(T.Tensor(x))
+    assert draws == []
+    state_dict(build(model.cfg, seed=0))  # a read of a fresh build does draw
+    assert draws
+
+
+@pytest.mark.parametrize("blob,at,bad", [("fc1.weight", (0, 0), float("nan")),
+                                         ("fc_bn1.running_var", (1,), float("inf"))])
+def test_eval_and_infer_refuse_a_non_finite_checkpoint(tiny_checkpoint, tmp_path, capsys,
+                                                       monkeypatch, blob, at, bad):
+    manifest, state = load_checkpoint(tiny_checkpoint)
+    state[blob][at] = bad
+    path = str(tmp_path / "bad.bin")
+    save_checkpoint(path, state, {k: v for k, v in manifest.items() if k != "blobs"})
+    assert main(["eval", "--checkpoint", path, "--split", "all"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and f"blob '{blob}' holds a NaN or infinite value" in err, err
+    seq = synth_generate(SynthSpec(2, 1, 6, 6, noise=0.02), seed=5)[0]
+    monkeypatch.setattr("sys.stdin", io.StringIO(frames_as_text(seq)))
+    assert main(["infer", "--checkpoint", path]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and f"blob '{blob}'" in err, err
 
 
 INDICES = st.one_of(st.integers(-3, 12), st.integers(10 ** 6, 10 ** 40))

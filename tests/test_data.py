@@ -318,6 +318,20 @@ def test_stream_matches_batch_windows_bitwise():
         np.testing.assert_array_equal(a.tensor, b.tensor)
 
 
+def test_stream_builds_a_frame_rng_only_for_a_subsampled_frame(monkeypatch):
+    built = []
+
+    def spy(seed, seq_id, frame_index):
+        built.append(frame_index)
+        return frame_rng(seed, seq_id, frame_index)
+
+    monkeypatch.setattr(data, "frame_rng", spy)
+    asm = StreamAssembler(window_frames=2, points_per_frame=6, seed=3, seq_id=1)
+    for m in (2, 6, 0, 9, 6):  # padded, exact, empty, subsampled, exact
+        asm.push(np.ones((m, 3), dtype=np.float32))
+    assert built == [3]
+
+
 def test_stream_warmup_and_counter():
     asm = StreamAssembler(window_frames=4, points_per_frame=3, seed=0)
     frames = random_frames(6, 3)

@@ -404,6 +404,71 @@ def test_build_is_seed_deterministic():
     assert any(diffs)
 
 
+def eager_build(cfg, seed, dtype="f32"):
+    """The model ``build`` gives, drawing every weight at construction: a
+    module built from a Generator draws from it at once."""
+    return ActivityNet(cfg, np.random.default_rng(np.random.SeedSequence(seed)), dtype=dtype)
+
+
+def bitwise_equal_states(a, b):
+    return a.keys() == b.keys() and all(
+        a[n].dtype == b[n].dtype and a[n].tobytes() == b[n].tobytes() for n in a)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_build_draws_on_first_read_bitwise_as_an_eager_build(variant):
+    # build allocates the weights and draws them all at the first value
+    # read, whichever parameter that read reaches first
+    x = cloud(b=2, n=10, seed=3)
+    for heads, dtype in ((1, "f32"), (2, "f32"), (1, "f64"), (2, "f64")):
+        cfg = small_cfg(variant=variant, num_heads=heads)
+        eager = eager_build(cfg, 11, dtype).eval()
+        want = state_dict(eager)
+        head_in = Tensor(np.random.default_rng(4).normal(size=(3, cfg.fc_widths[-1])),
+                         dtype=dtype)
+        reads = {
+            "state_dict": lambda m: state_dict(m),
+            "named_parameters": lambda m: [p.value for _, p in m.named_parameters()][::-1],
+            "forward": lambda m: m.eval()(Tensor(x, dtype=dtype)).data,
+            "submodule": lambda m: m.head(head_in).data,
+        }
+        for path, read in reads.items():
+            model = build(cfg, 11, dtype)
+            got = read(model)
+            assert bitwise_equal_states(state_dict(model), want), (path, heads, dtype)
+            if path == "forward":
+                assert got.tobytes() == eager(Tensor(x, dtype=dtype)).data.tobytes()
+            if path == "submodule":
+                assert got.tobytes() == eager.head(head_in).data.tobytes()
+
+
+def test_failed_load_state_leaves_the_seeded_draws_owed():
+    cfg = small_cfg(variant=Variant.SANDWICH_FF, num_heads=2)
+    want = state_dict(eager_build(cfg, 2))
+    broken = state_dict(eager_build(cfg, 9))
+    del broken["head.bias"]
+    model = build(cfg, 2)
+    with pytest.raises(ConfigError, match="missing.*head.bias"):
+        load_state(model, broken)
+    assert bitwise_equal_states(state_dict(model), want)
+
+
+def test_restoring_one_stage_keeps_the_rest_of_the_build_in_step():
+    # a settled parameter's draw is taken and discarded, so the weights
+    # drawn after it are still the seeded ones
+    cfg = small_cfg()
+    want = state_dict(eager_build(cfg, 6))
+    stage = state_dict(eager_build(cfg, 7).mak2)
+    model = build(cfg, 6)
+    load_state(model.mak2, stage)
+    got = state_dict(model)
+    for name in want:
+        if name.startswith("mak2."):
+            assert got[name].tobytes() == stage[name[len("mak2."):]].tobytes(), name
+        else:
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+
 def test_knn_runs_once_per_forward(monkeypatch):
     calls = []
     real = graph.knn
