@@ -93,8 +93,8 @@ class _Pending(Parameter):
         return self._pending[1][0]
 
     def _settle(self) -> None:
-        deferred, entry = self._pending
-        deferred._unwant(entry)
+        entry = self._pending[1]
+        entry[4] = False  # a later draw takes this one and discards it
         self.value, self._pending = entry[0], None
         self.__class__ = Parameter
 
@@ -107,34 +107,19 @@ class Deferred:
     the order queued, so each gets the values an immediate draw from the
     Generator would have given; the draw of a parameter that was settled
     meanwhile is taken from the Generator and discarded, keeping the later
-    ones in step. Once no queued parameter wants its draw, the Generator
-    and the queue are dropped and nothing is drawn."""
+    ones in step. Only pending parameters refer to it, so once every one
+    has settled nothing does, and its draws are dropped untaken."""
 
     def __init__(self, rng: np.random.Generator):
         self._rng = rng
         self._queue = []   # [tensor, fan_in, fan_out, dtype tag, wanted], build order
-        self._wanted = 0
-
-    def _push(self, entry: list) -> None:
-        self._queue.append(entry)
-        self._wanted += 1
 
     def draw(self) -> None:
         for tensor, fan_in, fan_out, dtype, wanted in self._queue:
             w = glorot_uniform(self._rng, fan_in, fan_out, tensor.shape, dtype)
             if wanted:
                 tensor.data[...] = w
-        self._drop()
-
-    def _unwant(self, entry: list) -> None:
-        if entry[4] and self._queue:
-            entry[4] = False
-            self._wanted -= 1
-            if not self._wanted:
-                self._drop()
-
-    def _drop(self) -> None:
-        self._rng, self._queue, self._wanted = None, [], 0
+        self._rng, self._queue = None, []
 
 
 def glorot_parameter(rng, fan_in: int, fan_out: int, shape: tuple,
@@ -144,7 +129,7 @@ def glorot_parameter(rng, fan_in: int, fan_out: int, shape: tuple,
     if not isinstance(rng, Deferred):
         return Parameter(Tensor(glorot_uniform(rng, fan_in, fan_out, shape, dtype), dtype=dtype))
     entry = [Tensor(np.empty(shape, T._DTYPES[dtype]), dtype=dtype), fan_in, fan_out, dtype, True]
-    rng._push(entry)
+    rng._queue.append(entry)
     return _Pending(rng, entry)
 
 

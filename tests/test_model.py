@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import weakref
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from adaptgraph.checkpoint import load_state, state_dict
 from adaptgraph.data import PipelineConfig, SynthSpec
 from adaptgraph.errors import ConfigError, InvalidInputError, UsageError
 from adaptgraph.kernels import MultiHeadAdaptiveKernel
-from adaptgraph.nn import BatchNorm, Module, Parameter
+from adaptgraph.nn import BatchNorm, Deferred, Module, Parameter
 from adaptgraph.network import (ActivityNet, ModelConfig, Variant, build,
                                 config_from_dict, config_to_dict, count_macs,
                                 count_params)
@@ -451,6 +452,19 @@ def test_failed_load_state_leaves_the_seeded_draws_owed():
     with pytest.raises(ConfigError, match="missing.*head.bias"):
         load_state(model, broken)
     assert bitwise_equal_states(state_dict(model), want)
+
+
+def test_load_state_leaves_the_builds_generator_unreferenced():
+    # only pending parameters refer to a build's Deferred, so once every
+    # parameter is settled its Generator and queued draws are freed
+    cfg = small_cfg()
+    deferred = Deferred(np.random.default_rng(np.random.SeedSequence(3)))
+    ref = weakref.ref(deferred)
+    model = ActivityNet(cfg, deferred)
+    del deferred
+    assert ref() is not None
+    load_state(model, state_dict(eager_build(cfg, 4)))
+    assert ref() is None
 
 
 def test_restoring_one_stage_keeps_the_rest_of_the_build_in_step():
