@@ -324,7 +324,9 @@ def parse_frame_line(line: str, c: int) -> Tuple[int, np.ndarray]:
     """One frame line -> (frame index, (m, c) float32 points).
 
     Raises DataError for a malformed line, a point count that disagrees with
-    the values given, or a value that is not finite in float32."""
+    the values given, a value that is not finite in float32, or a point x
+    whose 4 |x|^2 is not: that bounds every squared distance to x, so
+    below it the pairwise distances behind kNN stay finite."""
     tokens = line.split()
     try:
         idx, m = int(tokens[0]), int(tokens[1])
@@ -335,8 +337,11 @@ def parse_frame_line(line: str, c: int) -> Tuple[int, np.ndarray]:
         raise DataError(f"expected {m}*{c} values, got {len(values)}")
     with np.errstate(over="ignore"):  # beyond float32 range -> inf, rejected below
         points = np.asarray(values, dtype=np.float32).reshape(m, c)
+        reach = 4 * (points ** 2).sum(axis=1)
     if not np.isfinite(points).all():
         raise DataError("non-finite point value")
+    if not np.isfinite(reach).all():
+        raise DataError("point too large: 4 |x|^2 overflows float32")
     return idx, points
 
 

@@ -93,70 +93,111 @@ def _untracked(x: Tensor, op: str) -> None:
                          "no graph, or under no_grad")
 
 
+def _check_cloud(x: Tensor, op: str) -> None:
+    if x.ndim != 3:
+        raise ShapeError(f"{op} expects (B, C, N), got {x.shape}")
+    if x.shape[1] < 1 or x.shape[2] < 1:
+        raise InvalidInputError(f"need C >= 1 and N >= 1, got {x.shape}")
+
+
+def _distances(rows: np.ndarray, points: np.ndarray, sq_rows: np.ndarray, sq: np.ndarray,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Squared distances from each of ``rows`` (items, C, R) to each of
+    ``points`` (items, C, N), (items, R, N), given both sets' squared norms
+    (items, R) and (items, N): -2 x_i.x_j + |x_i|^2 + |x_j|^2 in one matmul
+    and three in-place passes, clamped at +0.0 against rounding noise."""
+    dist = np.matmul(rows.transpose(0, 2, 1), points, out=out)
+    dist *= -2.0
+    dist += sq_rows[:, :, None]
+    dist += sq[:, None, :]
+    return np.maximum(dist, 0.0, out=dist)
+
+
 def pairwise_similarity(x: Tensor) -> Tensor:
     """Negated pairwise squared Euclidean distances.
 
     Args:
-        x: point features, (B, C, N), recording no graph (:func:`knn` calls
-            it under ``no_grad``)
+        x: point features, (B, C, N), recording no graph
     Returns:
         (B, N, N) tensor; entry (i, j) is -||x_i - x_j||^2, so larger means
-        closer and the diagonal is 0 (clamped against rounding noise).
+        closer and the diagonal is 0 (clamped against rounding noise). Each
+        entry negates the distance :func:`knn` ranks by, bit for bit.
     """
     _untracked(x, "pairwise_similarity")
-    if x.ndim != 3:
-        raise ShapeError(f"pairwise_similarity expects (B, C, N), got {x.shape}")
-    if x.shape[1] < 1 or x.shape[2] < 1:
-        raise InvalidInputError(f"need C >= 1 and N >= 1, got {x.shape}")
+    _check_cloud(x, "pairwise_similarity")
     xd = x.data
     sq = (xd ** 2).sum(axis=1)  # (B, N)
-    # 2 x_i.x_j - |x_i|^2 - |x_j|^2, built in the (B, N, N) matmul output
-    sim = np.matmul(xd.transpose(0, 2, 1), xd)
-    sim *= 2.0
-    sim -= sq[:, :, None]
-    sim -= sq[:, None, :]
-    # the factorized form can leak +1e-7 noise above the exact 0 bound
-    np.minimum(sim, 0.0, out=sim)
-    return T._make(sim, (x,), None)
+    dist = _distances(xd, xd, sq, sq)
+    return T._make(np.subtract(0.0, dist, out=dist), (x,), None)  # 0 - (+0) is +0
 
 
 def knn(x: Tensor, k: int) -> NeighborIndex:
     """Indices of the k nearest points to each point (self included).
 
-    Ties and the point itself resolve to the lowest index. Raises when
-    k is larger than the number of points, and InvalidInputError when a
-    pairwise distance is not finite; nothing is clamped silently.
+    Distance-ascending, and among equal distances the lowest column first,
+    so the point itself comes first unless a duplicate has a lower index:
+    the first k columns of a stable argsort of each row's distances. Works a
+    ``T._blocks`` block of rows at a time (whole items while an item's N x N
+    fits a block), so nothing of size (B, N, N) is formed. Each (row, column)
+    becomes one int64 key, an order code of the distance in the high 32 bits
+    and the column in the low 32, and a partition of a block's keys leaves
+    each row's k smallest keys first: its k nearest columns, lowest column
+    first among ties, by construction. In float32 the code is the distance's
+    bit pattern (non-negative floats order as their bits), so the sorted keys
+    are the answer. A float64 pattern leaves no room for the column, so its
+    code is 0, 1 or 2 for below, at or above the row's k-th distance, and
+    the k nearest are then stable-sorted by distance.
+
+    Raises when k is larger than the number of points, and InvalidInputError
+    when a pairwise distance is not finite; nothing is clamped silently.
     """
-    if x.ndim != 3:
-        raise ShapeError(f"knn expects (B, C, N), got {x.shape}")
-    n = x.shape[2]
+    _check_cloud(x, "knn")
+    b, _, n = x.shape
     if not 1 <= k <= n:
         raise InvalidInputError(f"k must satisfy 1 <= k <= N={n}, got k={k}")
-    with T.no_grad():
-        sim = pairwise_similarity(x).data
-    if not np.isfinite(sim).all():
-        raise InvalidInputError("knn needs finite pairwise distances; the points are "
-                                "non-finite or too large")
-    dist = np.negative(sim, out=sim)
-    # the first k columns of a stable argsort (distance-ascending, lowest
-    # index first among ties) without sorting whole rows. A partition finds
-    # each row's k-th distance v and k columns nearer than or at v; it is
-    # right unless it dropped a lower-index column at v for a higher one, so
-    # only rows with more columns at v than it kept are redone by the tie rule
-    cols = np.argpartition(dist, k - 1, axis=2)[:, :, :k]
-    v = np.take_along_axis(dist, cols[:, :, k - 1:k], 2)
-    at_v = dist == v
-    kept_at_v = (np.take_along_axis(dist, cols, 2) == v).sum(axis=2)
-    redo = np.nonzero(at_v.sum(axis=2) > kept_at_v)
-    if redo[0].size:
-        rows_at_v = at_v[redo]
-        short = kept_at_v[redo][:, None]  # columns at v that a row keeps
-        keep = rows_at_v & (np.cumsum(rows_at_v, axis=1) <= short)
-        keep |= dist[redo] < v[redo]
-        cols[redo] = np.nonzero(keep)[1].reshape(-1, k)
-    cols.sort(axis=2)
-    order = np.argsort(np.take_along_axis(dist, cols, 2), axis=2, kind="stable")
-    return NeighborIndex(indices=np.take_along_axis(cols, order, 2), k=k, n_points=n)
+    xd = x.data
+    cols = np.empty((b, n, k), dtype=np.int64)
+    # the distances of the k nearest, when the code orders them only by column
+    near = None if xd.dtype == np.float32 else np.empty((b, n, k), dtype=xd.dtype)
+    blocks = T._blocks(b, n, n)
+    i, j, r0, r1 = blocks[0] if blocks else (0, 0, 0, 0)  # the largest block
+    dist_scratch = np.empty((j - i) * (r1 - r0) * n, dtype=xd.dtype)
+    key_scratch = np.empty(dist_scratch.size, dtype=np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        sq = (xd ** 2).sum(axis=1)
+    for i, j, r0, r1 in blocks:
+        shape = (j - i, r1 - r0, n)
+        size = shape[0] * shape[1] * n
+        with np.errstate(over="ignore", invalid="ignore"):
+            dist = _distances(xd[i:j, :, r0:r1], xd[i:j], sq[i:j, r0:r1], sq[i:j],
+                              out=dist_scratch[:size].reshape(shape))
+            finite = np.isfinite(dist.max())  # a NaN max is NaN; the rest are >= 0
+        if not finite:
+            raise InvalidInputError("knn needs finite pairwise distances; the points are "
+                                    "non-finite or too large")
+        keys = key_scratch[:size].reshape(shape)
+        if near is not None:  # each row's k-th distance v
+            values = keys.view(dist.dtype)
+            values[...] = dist
+            values.partition(k - 1, axis=2)
+            v = values[:, :, k - 1:k].copy()
+        keys[...] = np.arange(n)  # the column, then the code over the high 32 bits
+        code = keys.view(np.int32)[:, :, int(np.little_endian)::2]
+        if near is None:
+            code[...] = dist.view(np.int32)
+        else:  # 0, 1 or 2 for below, at or above v
+            np.greater(dist, v, out=code)
+            code += dist >= v
+        keys.partition(k - 1, axis=2)
+        nearest = keys[:, :, :k]
+        nearest.sort(axis=2)
+        block = cols[i:j, r0:r1]
+        np.bitwise_and(nearest, 0xFFFFFFFF, out=block)
+        if near is not None:
+            near[i:j, r0:r1] = np.take_along_axis(dist, block, 2)
+    if near is not None:
+        cols = np.take_along_axis(cols, np.argsort(near, axis=2, kind="stable"), 2)
+    return NeighborIndex(indices=cols, k=k, n_points=n)
 
 
 def _check_points(x: Tensor, idx: NeighborIndex, op: str) -> None:

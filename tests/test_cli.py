@@ -158,6 +158,22 @@ def test_train_manifest_with_mixed_channel_counts_is_data_error(tmp_path, capsys
     assert "c2.txt" in err and "C=2" in err and "C=3" in err, err
 
 
+def test_train_names_a_point_too_large_for_knn(dataset, tmp_path, capsys):
+    # 1e20 is finite in float32, but 4 |x|^2 is not: the file fails to load
+    # with its line named, before any distance overflows
+    path = os.path.join(os.path.dirname(dataset), "seq_00003.txt")
+    with open(path, encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    cells = lines[2].split()  # frame 1
+    cells[3] = "1e20"
+    lines[2] = " ".join(cells)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("\n".join(lines) + "\n")
+    assert main(train_args(dataset, tmp_path / "r")) == 3
+    err = capsys.readouterr().err
+    assert "seq_00003.txt:3: point too large" in err and "Traceback" not in err, err
+
+
 def test_train_k_larger_than_points(dataset, tmp_path):
     assert main(train_args(dataset, tmp_path / "r", k=100)) == 2
 
@@ -656,6 +672,23 @@ def test_eval_and_infer_refuse_a_non_finite_checkpoint(tiny_checkpoint, tmp_path
     assert main(["infer", "--checkpoint", path]) == 3
     out, err = capsys.readouterr()
     assert out == "" and f"blob '{blob}'" in err, err
+
+
+def test_infer_skips_a_point_too_large_for_knn_and_streams_on(tiny_checkpoint, capsys,
+                                                             monkeypatch):
+    # frame 5 holds 1e20, finite in float32 but too large for the pairwise
+    # distances: its line is skipped like a malformed one, and the frames
+    # after it restart the window
+    seq = synth_generate(SynthSpec(2, 1, 12, 6, noise=0.02), seed=7)[0]
+    text = frames_as_text(seq).splitlines()  # header, then frames 0..11
+    cells = text[6].split()
+    cells[2] = "1e20"
+    text[6] = " ".join(cells)
+    out, err = infer_lines(tiny_checkpoint, "\n".join(text) + "\n", capsys, monkeypatch)
+    assert [int(line.split()[0]) for line in out] == [4, 10, 11]
+    assert "skipping malformed frame line: point too large" in "\n".join(err)
+    assert err[-1].startswith("infer: 11 frames read, 1 lines skipped (malformed, non-finite "
+                              "or out of order), 1 gaps, 3 windows emitted, ")
 
 
 INDICES = st.one_of(st.integers(-3, 12), st.integers(10 ** 6, 10 ** 40))

@@ -14,6 +14,8 @@ from adaptgraph.data import (PRESETS, FrameSequence, PipelineConfig, Sample,
                              read_manifest, split, synth_generate,
                              write_dataset, write_frame_file)
 from adaptgraph.errors import ConfigError, DataError
+from adaptgraph.graph import knn
+from adaptgraph.tensor import Tensor
 
 
 def seq_of(frames, label=0, seq_id=0, rate=30.0, subject=None):
@@ -433,6 +435,17 @@ def test_frame_file_rejects_malformed_input(tmp_path, text, msg):
     path.write_text(text)
     with pytest.raises(DataError, match=msg):
         read_frame_file(path)
+
+
+def test_frame_line_bounds_a_point_by_its_distances():
+    # 4 |x|^2 must be finite in float32 (FLT_MAX is 3.4e38): at 9e18 it is
+    # 3.24e38 and every pairwise distance of such points stays finite
+    _, pts = data.parse_frame_line("0 2 9e18 0 0 -9e18 0 0", 3)
+    idx = knn(Tensor(np.ascontiguousarray(pts.T[None])), 2)
+    np.testing.assert_array_equal(idx.indices[0], [[0, 1], [1, 0]])
+    for line in ("0 1 1e19 0 0", "0 1 6e18 6e18 6e18", "0 2 0 0 0 -1e20 1 1"):
+        with pytest.raises(DataError, match="too large"):
+            data.parse_frame_line(line, 3)
 
 
 def test_dataset_round_trip_via_manifest(tmp_path):

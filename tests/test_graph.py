@@ -3,6 +3,7 @@ KNN against a brute-force sort, and the geometric invariances both must obey;
 the EdgeConv stage op against the edge-tensor composition it replaces."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,73 @@ def test_knn_equals_full_stable_sort_on_tied_grids(dtype):
             want = np.argsort(-sim, axis=2, kind="stable")[:, :, :k]
             np.testing.assert_array_equal(knn(Tensor(x), k).indices, want,
                                           err_msg=f"trial {trial}, n={n}, k={k}")
+
+
+@pytest.mark.parametrize("block", [16, 64, 1000], ids=["one-row", "row-runs", "items"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_knn_on_tied_grids_in_small_blocks(dtype, block, monkeypatch):
+    # one-row blocks (N > 16), runs of rows with a partial last block, and
+    # several whole items per block, against the same full stable sort
+    monkeypatch.setattr(T, "_MAX_BLOCK_VALUES", block)
+    test_knn_equals_full_stable_sort_on_tied_grids(dtype)
+
+
+def padded_window(b, n, dtype, seed):
+    """(b, 3, n) clouds built as stream windows are: frames of 16 points,
+    each zero-padded after 8 to 16 of them, some a copy of an earlier frame,
+    so many points tie at distance 0 and whole frames tie with each other."""
+    rng = np.random.default_rng(seed)
+    frames = -(-n // 16)
+    x = rng.normal(0.0, 0.5, size=(b, 3, frames, 16))
+    for f in range(frames):
+        x[:, :, f, rng.integers(8, 17):] = 0.0
+        if f and rng.random() < 0.3:
+            x[:, :, f] = x[:, :, rng.integers(0, f)]
+    return x.reshape(b, 3, frames * 16)[:, :, :n].astype(dtype)
+
+
+@pytest.mark.parametrize("n", [257, 960, 1000])
+@pytest.mark.parametrize("b", [1, 2])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_knn_in_row_blocks_equals_the_whole_matrix_sort(n, b, dtype):
+    # N > 256 takes runs of rows of an item per block (68 rows at N = 960);
+    # the oracle sorts the whole similarity matrix at once
+    x = padded_window(b, n, dtype, seed=n + b)
+    want = np.argsort(-pairwise_similarity(Tensor(x)).data, axis=2, kind="stable")
+    for k in (1, 20, n):
+        np.testing.assert_array_equal(knn(Tensor(x), k).indices, want[:, :, :k],
+                                      err_msg=f"k={k}")
+
+
+def test_knn_of_an_empty_batch():
+    for dtype in (np.float32, np.float64):
+        idx = knn(Tensor(np.zeros((0, 3, 5), dtype=dtype)), 2)
+        assert idx.indices.shape == (0, 5, 2)
+
+
+def test_knn_memory_stays_under_one_block_set():
+    # one mmactivity window (N = 960, f32): the blocked search traces about
+    # 1 MB; a (N, N) similarity matrix and its argpartition take 11 MB
+    x = Tensor(padded_window(1, 960, np.float32, seed=0))
+    knn(x, 20)
+    tracemalloc.start()
+    try:
+        knn(x, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6, f"traced peak {peak / 1e6:.2f} MB"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e20, 1e30])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_knn_rejects_overflow_without_a_warning(bad, dtype):
+    y = points(1, 3, 300, dtype=np.float64)
+    y[0, 1, 200] = bad if dtype == np.float32 else bad * 1e160  # past the dtype's range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="finite"):
+            knn(Tensor(y.astype(dtype)), 4)
 
 
 def test_knn_permutation_equivariance():
