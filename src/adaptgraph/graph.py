@@ -102,10 +102,9 @@ def _check_cloud(x: Tensor, op: str) -> None:
 
 def _distances(rows: np.ndarray, points: np.ndarray, sq_rows: np.ndarray, sq: np.ndarray,
                out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Squared distances from each of ``rows`` (items, C, R) to each of
-    ``points`` (items, C, N), (items, R, N), given both sets' squared norms
-    (items, R) and (items, N): -2 x_i.x_j + |x_i|^2 + |x_j|^2 in one matmul
-    and three in-place passes, clamped at +0.0 against rounding noise."""
+    """(items, R, N) squared distances -2 x_i.x_j + |x_i|^2 + |x_j|^2 from
+    ``rows`` (items, C, R) to ``points`` (items, C, N), given their squared
+    norms, clamped at +0.0 against rounding noise."""
     dist = np.matmul(rows.transpose(0, 2, 1), points, out=out)
     dist *= -2.0
     dist += sq_rows[:, :, None]
@@ -128,25 +127,24 @@ def pairwise_similarity(x: Tensor) -> Tensor:
     xd = x.data
     sq = (xd ** 2).sum(axis=1)  # (B, N)
     dist = _distances(xd, xd, sq, sq)
-    return T._make(np.subtract(0.0, dist, out=dist), (x,), None)  # 0 - (+0) is +0
+    # 0 - d rather than -d, so a zero distance stays a +0.0 similarity
+    return T._make(np.subtract(0.0, dist, out=dist), (x,), None)
 
 
 def knn(x: Tensor, k: int) -> NeighborIndex:
     """Indices of the k nearest points to each point (self included).
 
-    Distance-ascending, and among equal distances the lowest column first,
-    so the point itself comes first unless a duplicate has a lower index:
-    the first k columns of a stable argsort of each row's distances. Works a
-    ``T._blocks`` block of rows at a time (whole items while an item's N x N
-    fits a block), so nothing of size (B, N, N) is formed. Each (row, column)
-    becomes one int64 key, an order code of the distance in the high 32 bits
-    and the column in the low 32, and a partition of a block's keys leaves
-    each row's k smallest keys first: its k nearest columns, lowest column
-    first among ties, by construction. In float32 the code is the distance's
-    bit pattern (non-negative floats order as their bits), so the sorted keys
-    are the answer. A float64 pattern leaves no room for the column, so its
-    code is 0, 1 or 2 for below, at or above the row's k-th distance, and
-    the k nearest are then stable-sorted by distance.
+    Distance-ascending, the lowest column first among equal distances: the
+    first k columns of a stable argsort of each row. Works a ``T._blocks``
+    block of rows at a time (whole items while N x N fits a block), so
+    nothing of size (B, N, N) is formed. Each (row, column) is one int64
+    key, an order code of the distance in the high 32 bits over the column,
+    so a partition of a row's keys puts its k nearest first, ties to the
+    lowest column by construction. In float32 the code is the distance's
+    bits (non-negative floats order as their bits), so the sorted keys are
+    the answer. A float64 pattern leaves no room for the column: the code is
+    0, 1 or 2 for below, at or above the row's k-th distance, and the k
+    nearest are then stable-sorted by distance.
 
     Raises when k is larger than the number of points, and InvalidInputError
     when a pairwise distance is not finite; nothing is clamped silently.

@@ -158,7 +158,7 @@ def test_knn_of_an_empty_batch():
 
 def test_knn_memory_stays_under_one_block_set():
     # one mmactivity window (N = 960, f32): the blocked search traces about
-    # 1 MB; a (N, N) similarity matrix and its argpartition take 11 MB
+    # 1 MB; a search over the whole (N, N) similarity matrix traces 14 MB
     x = Tensor(padded_window(1, 960, np.float32, seed=0))
     knn(x, 20)
     tracemalloc.start()
